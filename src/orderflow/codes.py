@@ -174,6 +174,8 @@ def code_from_text(text: str) -> BlockCode:
         k = int(lines[0])
     except ValueError:
         raise FormatError(f"bad arity line {lines[0]!r}", 1) from None
+    if not 2 <= k <= DEFAULT_MAX_ARITY:
+        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", 1)
     table: dict[OrderType, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         head, sep, sign = line.partition(":")

@@ -5,7 +5,13 @@ A minimality witness is a finitely supported permutation carrying a large
 source order onto a prescribed pattern on a target window.  A proximality
 witness carries two source orders onto the same window so that they either
 agree there or are exact reverses; the monochromatic set behind it comes
-from a greedy pivot extraction on the agree/disagree pair coloring.
+from a greedy pivot extraction on the agree/disagree pair coloring, whose
+colors are read on demand from the two rank tables.
+
+Verification pulls the checked window back through alpha and compares the
+orders' ranks at the |W| preimages pair by pair.  This is the relocated
+pair configuration read only where it is checked: its value at (x, y) is
++1 exactly when the preimage of x ranks below the preimage of y.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import FinPerm, Window, apply_perm, extend_bijection, negate
-from .errors import GroundTooSmall
-from .orders import LinearOrder, lin_order_to_config2
+from .core import FinPerm, Window, extend_bijection, inverse
+from .errors import DegenerateWindow, DomainEscape, GroundTooSmall
+from .orders import LinearOrder
 
 MINIMALITY = "minimality"
 PROXIMALITY_AGREE = "proximality-agree"
@@ -57,17 +63,10 @@ class PairColoring:
 
     @classmethod
     def from_orders(cls, o1: LinearOrder, o2: LinearOrder) -> "PairColoring":
-        """Color 0 where the orders agree on a pair, 1 where they disagree."""
-        if o1.window != o2.window:
-            raise ValueError("orders must share a window")
-        r1, r2 = o1.ranks, o2.ranks
-        n = len(o1.window)
-        colors = tuple(
-            0 if (r1[i] < r1[j]) == (r2[i] < r2[j]) else 1
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        return cls(o1.window, colors)
+        """Color 0 where the orders agree on a pair, 1 where they disagree:
+        the AgreementColoring of the two orders, tabulated."""
+        lazy = AgreementColoring(o1, o2)
+        return cls.from_function(lazy.ground, lazy.color_of)
 
     def color_of(self, a: int, b: int) -> int:
         i = self.ground.position(a)
@@ -80,7 +79,43 @@ class PairColoring:
         return self.colors[i * (2 * n - i - 1) // 2 + (j - i - 1)]
 
 
-def is_monochromatic(coloring: PairColoring, subset: Iterable[int]) -> bool:
+def _agreement_color(r1: Sequence[int], r2: Sequence[int], i: int, j: int) -> int:
+    """0 where two rank tables order slots i and j alike, 1 where they differ."""
+    return 0 if (r1[i] < r1[j]) == (r2[i] < r2[j]) else 1
+
+
+@dataclass(frozen=True)
+class AgreementColoring:
+    """Agree/disagree pair coloring of two orders on a shared ground, read
+    on demand from their rank tables instead of tabulated.
+
+    Offers the `ground` and `color_of` interface of PairColoring, with the
+    same colors.
+    """
+
+    o1: LinearOrder
+    o2: LinearOrder
+
+    def __post_init__(self):
+        if self.o1.window != self.o2.window:
+            raise ValueError("orders must share a window")
+
+    @property
+    def ground(self) -> Window:
+        return self.o1.window
+
+    def color_of(self, a: int, b: int) -> int:
+        i = self.ground.position(a)
+        j = self.ground.position(b)
+        if i == j:
+            raise ValueError(f"pair elements must be distinct, got {a}")
+        return _agreement_color(self.o1.ranks, self.o2.ranks, i, j)
+
+
+Coloring = PairColoring | AgreementColoring
+
+
+def is_monochromatic(coloring: Coloring, subset: Iterable[int]) -> bool:
     elems = sorted(subset)
     colors = {
         coloring.color_of(elems[i], elems[j])
@@ -91,7 +126,7 @@ def is_monochromatic(coloring: PairColoring, subset: Iterable[int]) -> bool:
 
 
 def ramsey_mono_subset(
-    coloring: PairColoring, m: int, best_effort: bool = False
+    coloring: Coloring, m: int, best_effort: bool = False
 ) -> tuple[int, ...]:
     """Monochromatic m-subset of the ground, by greedy pivot extraction.
 
@@ -116,12 +151,13 @@ def ramsey_mono_subset(
     counts = [0, 0]
     while live and max(counts) < m:
         p = live.pop(0)
-        kept0 = [x for x in live if coloring.color_of(p, x) == 0]
-        kept1 = [x for x in live if coloring.color_of(p, x) == 1]
-        c = 0 if len(kept0) >= len(kept1) else 1
+        kept: tuple[list[int], list[int]] = ([], [])
+        for x in live:
+            kept[coloring.color_of(p, x)].append(x)
+        c = 0 if len(kept[0]) >= len(kept[1]) else 1
         pivots.append((p, c))
         counts[c] += 1
-        live = kept0 if c == 0 else kept1
+        live = kept[c]
     c = 0 if counts[0] >= counts[1] else 1
     subset = tuple(p for p, pc in pivots if pc == c)[:m]
     if len(subset) < m and not best_effort:
@@ -145,25 +181,69 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
+def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> list[int]:
+    """Ranks under the order at the preimages inv(x) of the window points x,
+    in window order; inv is the inverse of the witness's alpha.
+
+    Raises DegenerateWindow for an order on fewer than 2 points (it has no
+    pair configuration) and DomainEscape for a preimage off its ground.
+    """
+    ground = order.window
+    if len(ground) < 2:
+        raise DegenerateWindow("need a window of size at least 2")
+    ranks = []
+    for x in window:
+        y = inv(x)
+        if y not in ground:
+            raise DomainEscape(f"preimage {y} of {x} lies outside window {ground.elements}")
+        ranks.append(order.rank_of(y))
+    return ranks
+
+
+def _all_pairs_colored(r1: Sequence[int], r2: Sequence[int], color: int) -> bool:
+    """Whether every pair of slots gets the given agreement color."""
+    n = len(r1)
+    return all(
+        _agreement_color(r1, r2, i, j) == color
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
 def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder) -> bool:
-    """Does alpha carry the source configuration onto the target pattern?"""
+    """Does alpha carry the source order onto the target pattern?
+
+    The checked window is pulled back through alpha, and the source ranks
+    at the preimages must order every pair of window points as the target
+    ranks do.  The checked window must be the target's window.
+    """
     if witness.kind != MINIMALITY:
         return False
-    moved = apply_perm(
-        witness.alpha, lin_order_to_config2(source), window=witness.checked_window
-    )
-    return moved == lin_order_to_config2(target)
+    window = witness.checked_window
+    pulled = _pulled_back_ranks(inverse(witness.alpha), window, source)
+    if len(target.window) < 2:
+        raise DegenerateWindow("need a window of size at least 2")
+    if window != target.window:
+        return False
+    return _all_pairs_colored(pulled, target.ranks, 0)
 
 
 def verify_proximality(witness: Witness, o1: LinearOrder, o2: LinearOrder) -> bool:
-    """Do the two relocated configurations agree (or exactly disagree) on
-    the checked window, as the witness kind claims?"""
-    a = apply_perm(witness.alpha, lin_order_to_config2(o1), window=witness.checked_window)
-    b = apply_perm(witness.alpha, lin_order_to_config2(o2), window=witness.checked_window)
+    """Do the two relocated orders agree (or exactly disagree) on the
+    checked window, as the witness kind claims?
+
+    The checked window is pulled back through alpha, and the ranks of the
+    two orders at the preimages are compared pair by pair: every pair must
+    be ordered alike for the agree kind and oppositely for the reverse kind.
+    """
+    window = witness.checked_window
+    inv = inverse(witness.alpha)
+    r1 = _pulled_back_ranks(inv, window, o1)
+    r2 = _pulled_back_ranks(inv, window, o2)
     if witness.kind == PROXIMALITY_AGREE:
-        return a == b
+        return _all_pairs_colored(r1, r2, 0)
     if witness.kind == PROXIMALITY_REVERSE:
-        return a == negate(b)
+        return _all_pairs_colored(r1, r2, 1)
     return False
 
 
@@ -196,21 +276,20 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
 def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     """Permutation matching two orders on W, up to global reversal.
 
-    Pairs are colored by agreement of the two orders; a monochromatic
-    |W|-set is extracted and mapped onto W preserving the first order.  On
-    an all-agree set the relocated configurations coincide; on an
-    all-disagree set the second is the exact negation of the first.
+    Pairs are colored by agreement of the two orders, read on demand; a
+    monochromatic |W|-set is extracted and mapped onto W preserving the
+    first order.  On an all-agree set the relocated configurations
+    coincide; on an all-disagree set the second is the exact negation of
+    the first.
     """
-    if o1.window != o2.window:
-        raise ValueError("orders must share a ground window")
-    ground = o1.window
+    coloring = AgreementColoring(o1, o2)
+    ground = coloring.ground
     bound = 4 ** len(W)
     if len(ground) < bound:
         raise GroundTooSmall(
             f"ground size {len(ground)} below the required {bound} "
             f"(= 4^{len(W)}) for window size {len(W)}"
         )
-    coloring = PairColoring.from_orders(o1, o2)
     mono = ramsey_mono_subset(coloring, len(W))
     by_o1 = sorted(mono, key=o1.rank_of)
     alpha = extend_bijection(dict(zip(by_o1, W.elements)))

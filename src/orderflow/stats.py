@@ -49,6 +49,11 @@ class PatternStat:
             raise ValueError(f"empirical frequency out of [0, 1]: {self.empirical}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.empirical * self.trials % 1:
+            raise ValueError(
+                f"empirical frequency {self.empirical} is not a hit count over "
+                f"{self.trials} trials"
+            )
 
 
 def cylinder_measure(pattern: LinearOrder) -> Fraction:
@@ -206,19 +211,45 @@ def stat_to_dict(stat: PatternStat) -> dict:
     }
 
 
+def _hits_from_float(empirical: object, trials: int) -> int:
+    """Hit count whose frequency over the trials is exactly the stored float.
+
+    stat_to_dict stores hits / trials as a float; the count is recovered by
+    rounding and accepted only if it reproduces that float exactly.
+    """
+    if not isinstance(empirical, (int, float)) or isinstance(empirical, bool):
+        raise FormatError(f"bad pattern stat: empirical must be a number, got {empirical!r}")
+    if not math.isfinite(empirical):
+        raise FormatError(f"bad pattern stat: empirical {empirical} is not finite")
+    hits = round(empirical * trials)
+    if float(Fraction(hits, trials)) != empirical:
+        raise FormatError(
+            f"bad pattern stat: empirical {empirical!r} is not a hit count over {trials} trials"
+        )
+    return hits
+
+
 def stat_from_dict(data: dict) -> PatternStat:
+    if not isinstance(data, dict):
+        raise FormatError(f"bad pattern stat: expected an object, got {type(data).__name__}")
     try:
+        for key in ("pattern", "window"):
+            if not isinstance(data[key], str):
+                raise FormatError(f"bad pattern stat: {key} must be text, got {data[key]!r}")
         pattern = order_from_text(data["pattern"])
         window = Window(tuple(int(x) for x in data["window"].split(",")))
         exact = Fraction(int(data["exact_num"]), int(data["exact_den"]))
+        trials = int(data["trials"])
+        if trials < 1:
+            raise ValueError(f"trials must be positive, got {trials}")
         stat = PatternStat(
             pattern=pattern,
             exact=exact,
-            empirical=Fraction(data["empirical"]),
-            trials=int(data["trials"]),
+            empirical=Fraction(_hits_from_float(data["empirical"], trials), trials),
+            trials=trials,
             seed=int(data["seed"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad pattern stat: {exc}") from None
     if stat.pattern.window != window:
         raise FormatError("pattern and window fields disagree")

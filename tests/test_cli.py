@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from orderflow import config_from_text, witness_from_text
+from orderflow import (
+    Window,
+    config_from_text,
+    derive_seed,
+    random_linear_order,
+    reverse,
+    witness_from_text,
+)
 from orderflow.cli import main
 
 
@@ -144,6 +151,36 @@ def test_witness_proximality_ground_too_small(capsys):
     )
     assert code == 2
     assert "256" in err
+
+
+@pytest.mark.parametrize("reverse_pair", [False, True])
+def test_witness_proximality_on_a_4096_ground(reverse_pair, capsys):
+    # Ground 4^6: verification reads only the 6-point window, never the
+    # 16.8M-entry pair configurations of the ground.
+    argv = ["witness", "proximality", "--ground", "4096", "--window", "6"]
+    code, out, err = run_cli(argv + ["--reverse-pair"] * reverse_pair, capsys)
+    assert code == 0
+    assert "verification: PASS" in err.splitlines()
+    witness = witness_from_text(out)
+    assert witness.checked_window == Window(tuple(range(6)))
+    if reverse_pair:
+        assert witness.kind == "proximality-reverse"
+
+    ground = Window(tuple(range(4096)))
+    o1 = random_linear_order(ground, derive_seed(0, "witness-o1", 0))
+    o2 = (
+        reverse(o1)
+        if reverse_pair
+        else random_linear_order(ground, derive_seed(0, "witness-o2", 0))
+    )
+    inverse = {b: a for a, b in witness.alpha.mapping}
+    pulled = [inverse.get(x, x) for x in witness.checked_window]
+    assert all(0 <= y < 4096 for y in pulled)
+    agree = witness.kind == "proximality-agree"
+    for i, x in enumerate(pulled):
+        for y in pulled[i + 1 :]:
+            assert o1.ranks[x] < o1.ranks[y]
+            assert (o2.ranks[x] < o2.ranks[y]) == agree
 
 
 def test_witness_json_format(capsys):

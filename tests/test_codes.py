@@ -247,6 +247,17 @@ def test_code_text_errors():
         code_from_text("2\n1 2 : +1")  # missing entry
 
 
+def test_code_text_arity_is_bounded_before_enumeration():
+    from orderflow import DEFAULT_MAX_ARITY, FormatError
+
+    # 30! order types would never finish enumerating; the bound comes first.
+    for arity in (-1, 0, 1, DEFAULT_MAX_ARITY + 1, 30):
+        with pytest.raises(FormatError, match="line 1"):
+            code_from_text(f"{arity}\n")
+    with pytest.raises(FormatError, match="line 1"):
+        code_from_text("1\n1 : +1\n")
+
+
 def test_block_code_validation():
     with pytest.raises(ValueError):
         BlockCode(2, (1,))

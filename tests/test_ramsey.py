@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderflow import (
+    DegenerateWindow,
+    DomainEscape,
     FinPerm,
     GroundTooSmall,
     LinearOrder,
@@ -16,9 +19,12 @@ from orderflow import (
     Witness,
     all_linear_orders,
     apply_perm,
+    compose,
+    extend_bijection,
     is_monochromatic,
     lin_order_to_config2,
     minimality_witness,
+    negate,
     proximality_witness,
     ramsey_mono_subset,
     random_linear_order,
@@ -28,6 +34,7 @@ from orderflow import (
     witness_from_text,
     witness_to_text,
 )
+from orderflow.ramsey import AgreementColoring
 
 
 def random_coloring(ground: Window, seed: int) -> PairColoring:
@@ -58,6 +65,22 @@ def test_agreement_coloring_of_identical_orders_is_constant():
     assert set(coloring.colors) == {0}
     reversed_coloring = PairColoring.from_orders(order, reverse(order))
     assert set(reversed_coloring.colors) == {1}
+
+
+def test_on_demand_coloring_matches_the_table():
+    ground = Window(tuple(range(3, 40)))
+    o1 = random_linear_order(ground, 8)
+    for o2 in (o1, reverse(o1), random_linear_order(ground, 9)):
+        table = PairColoring.from_orders(o1, o2)
+        lazy = AgreementColoring(o1, o2)
+        assert lazy.ground == table.ground
+        for a, b in itertools.permutations(ground.elements[:12], 2):
+            assert lazy.color_of(a, b) == table.color_of(a, b)
+        assert ramsey_mono_subset(lazy, 2) == ramsey_mono_subset(table, 2)
+    with pytest.raises(ValueError):
+        lazy.color_of(5, 5)
+    with pytest.raises(ValueError):
+        AgreementColoring(o1, LinearOrder.natural(Window(tuple(range(40)))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +217,145 @@ def test_proximality_requires_shared_ground():
     o2 = LinearOrder.natural(Window(tuple(range(17))))
     with pytest.raises(ValueError):
         proximality_witness(o1, o2, Window((0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# verification against the configuration route
+
+
+def reference_verify_minimality(witness, source, target):
+    """Relocate the whole source pair configuration and compare."""
+    if witness.kind != MINIMALITY:
+        return False
+    moved = apply_perm(
+        witness.alpha, lin_order_to_config2(source), window=witness.checked_window
+    )
+    return moved == lin_order_to_config2(target)
+
+
+def reference_verify_proximality(witness, o1, o2):
+    """Relocate both pair configurations and compare, or compare negated."""
+    window = witness.checked_window
+    a = apply_perm(witness.alpha, lin_order_to_config2(o1), window=window)
+    b = apply_perm(witness.alpha, lin_order_to_config2(o2), window=window)
+    if witness.kind == PROXIMALITY_AGREE:
+        return a == b
+    if witness.kind == PROXIMALITY_REVERSE:
+        return a == negate(b)
+    return False
+
+
+def outcome(verify, *args):
+    """The bool a verifier returns, or the type of exception it raises."""
+    try:
+        return verify(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@st.composite
+def verification_cases(draw):
+    """A witness with its orders: honest or tampered alpha, any kind.
+
+    The ground is range(base, base + n).  The window sits inside it,
+    straddles it or lies off it.  The two orders are equal, reversed,
+    unrelated, or unrelated on a ground shifted by one; the minimality
+    target lives on the window or elsewhere.
+    """
+    def shuffled(window):
+        return LinearOrder(window, tuple(draw(st.permutations(range(len(window))))))
+
+    n = draw(st.integers(0, 12))
+    base = draw(st.integers(-3, 3))
+    ground = Window(tuple(range(base, base + n)))
+    off_ground = [*range(base - 6, base), *range(base + n, base + n + 6)]
+    size = draw(st.integers(0, 6))
+    placement = draw(st.sampled_from(("inside", "partly", "outside")))
+    inside = 0 if placement == "outside" else max(min(size - (placement == "partly"), n), 0)
+    points = draw(st.permutations(ground.elements))[:inside]
+    points += draw(st.permutations(off_ground))[: size - inside]
+    window = Window.of(points)
+
+    o1 = shuffled(ground)
+    relation = draw(st.sampled_from(("identical", "reversed", "random", "shifted")))
+    if relation == "identical":
+        o2 = o1
+    elif relation == "reversed":
+        o2 = reverse(o1)
+    elif relation == "random":
+        o2 = shuffled(ground)
+    else:
+        o2 = shuffled(Window(tuple(range(base + 1, base + n + 1))))
+    kind = draw(st.sampled_from((MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)))
+    if draw(st.booleans()):
+        target = shuffled(window)
+    else:
+        other = draw(st.sets(st.integers(base - 6, base + n + 6), min_size=2, max_size=5))
+        target = shuffled(Window.of(other))
+
+    # Honest alpha: |W| ground points, lowest first under o1, onto the window
+    # in increasing order (proximality) or in target rank order (minimality).
+    if len(window) <= n:
+        chosen = draw(st.permutations(ground.elements))[: len(window)]
+        by_o1 = sorted(chosen, key=o1.rank_of)
+        if kind == MINIMALITY and target.window == window:
+            images = target.ranked_elements()
+        else:
+            images = window.elements
+        alpha = extend_bijection(dict(zip(by_o1, images)))
+    else:
+        alpha = FinPerm.identity()
+
+    tamper = draw(st.sampled_from(("none", "swap", "escape")))
+    if tamper == "swap" and len(window) >= 2:
+        x, y = draw(st.permutations(window.elements))[:2]
+        alpha = compose(FinPerm.from_cycles((x, y)), alpha)
+    elif tamper == "escape" and len(window) >= 1:
+        x = draw(st.sampled_from(window.elements))
+        far = max([base + n, *window.elements, *alpha.support()]) + 1
+        alpha = compose(FinPerm.from_cycles((x, far)), alpha)
+    return Witness(alpha, window, kind), o1, o2, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(verification_cases())
+def test_window_verification_matches_the_configuration_route(case):
+    witness, o1, o2, target = case
+    assert outcome(verify_proximality, witness, o1, o2) == outcome(
+        reference_verify_proximality, witness, o1, o2
+    )
+    assert outcome(verify_minimality, witness, o1, target) == outcome(
+        reference_verify_minimality, witness, o1, target
+    )
+
+
+def test_verification_errors():
+    ground = Window(tuple(range(6)))
+    order = random_linear_order(ground, 1)
+    off = Witness(FinPerm.from_cycles((1, 40)), Window((0, 1)), PROXIMALITY_AGREE)
+    with pytest.raises(DomainEscape):
+        verify_proximality(off, order, order)
+    with pytest.raises(DomainEscape):
+        verify_minimality(
+            Witness(off.alpha, off.checked_window, MINIMALITY),
+            order,
+            LinearOrder.natural(off.checked_window),
+        )
+    point = LinearOrder.natural(Window((0,)))
+    fixed = Witness(FinPerm.identity(), Window((0,)), PROXIMALITY_AGREE)
+    with pytest.raises(DegenerateWindow):
+        verify_proximality(fixed, point, point)
+    fixed = Witness(FinPerm.identity(), Window((0,)), MINIMALITY)
+    with pytest.raises(DegenerateWindow):
+        verify_minimality(fixed, order, point)
+    assert not verify_proximality(
+        Witness(FinPerm.identity(), Window((0, 1)), MINIMALITY), order, order
+    )
+    assert not verify_minimality(
+        Witness(FinPerm.identity(), Window((0, 1)), MINIMALITY),
+        order,
+        LinearOrder.natural(Window((0, 2))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from orderflow import (
     DegenerateWindow,
     FinPerm,
+    FormatError,
     GroundTooSmall,
     LinearOrder,
     PatternStat,
@@ -165,6 +166,8 @@ def test_pattern_stat_validation():
         PatternStat(pattern, Fraction(1, 2), Fraction(3, 2), 10, 0)
     with pytest.raises(ValueError):
         PatternStat(pattern, Fraction(1, 2), Fraction(0), 0, 0)
+    with pytest.raises(ValueError, match="hit count"):
+        PatternStat(pattern, Fraction(1, 2), Fraction(1, 3), 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,3 +196,25 @@ def test_stat_dict_round_trip():
     assert stat_to_dict(rebuilt) == data
     assert rebuilt.pattern == stat.pattern
     assert rebuilt.exact == stat.exact
+    assert rebuilt == stat
+
+
+def test_stat_dict_rebuilds_the_exact_frequency():
+    pattern = LinearOrder.from_ranked_elements((2, 0, 1))
+    stat = PatternStat(pattern, Fraction(1, 6), Fraction(41, 250), 250, 0)
+    rebuilt = stat_from_dict(json.loads(json.dumps(stat_to_dict(stat))))
+    assert rebuilt.empirical == Fraction(41, 250)
+    assert rebuilt == stat
+    data = stat_to_dict(stat)
+    data["empirical"] = 0.1641  # no hit count over 250 trials gives this
+    with pytest.raises(FormatError, match="hit count"):
+        stat_from_dict(data)
+
+
+def test_stat_from_dict_rejects_non_rows_with_format_error():
+    row = stat_to_dict(
+        PatternStat(LinearOrder.natural(Window((0, 1))), Fraction(1, 2), Fraction(1, 2), 2, 0)
+    )
+    for bad in (None, [], {**row, "pattern": None}):
+        with pytest.raises(FormatError):
+            stat_from_dict(bad)
