@@ -42,7 +42,6 @@ from .errors import (
     NotALinearOrder,
     OrderflowError,
     OutOfWindow,
-    WindowTooLarge,
     WindowTooSmall,
 )
 from .orders import (

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import codes, core, orders, ramsey, stats
 from .core import FinPerm, KConfig, Window
-from .errors import OrderflowError
+from .errors import FormatError, OrderflowError
 from .orders import LinearOrder
 from .stats import derive_seed
 
@@ -367,8 +367,6 @@ def cmd_factor(cfg: RunConfig) -> int:
     if not stripped:
         raise OrderflowError(f"{cfg.order_file}: no order found")
     if len(stripped) > 1:
-        from .errors import FormatError
-
         raise FormatError("expected a single order line", stripped[1][0])
     lineno, line = stripped[0]
     order = orders.order_from_text(line, lineno)
@@ -380,11 +378,8 @@ def cmd_factor(cfg: RunConfig) -> int:
     _emit(core.config_to_text(config), cfg.out)
     _report(f"alternating: {'yes' if core.is_alternating(config) else 'no'}")
     if config.k == 3:
-        if len(config.window) <= orders.DEFAULT_REALIZABILITY_BOUND:
-            realizable = orders.is_circular_realizable(config)
-            _report(f"circular-realizable: {'yes' if realizable else 'no'}")
-        else:
-            _report("circular-realizable: skipped (window above search bound)")
+        realizable = orders.is_circular_realizable(config)
+        _report(f"circular-realizable: {'yes' if realizable else 'no'}")
     return 0
 
 

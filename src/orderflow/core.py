@@ -324,6 +324,8 @@ def config_from_text(text: str) -> KConfig:
         window = Window(tuple(int(x) for x in header[1][7:].split(",") if x != ""))
     except ValueError as exc:
         raise FormatError(str(exc), 1) from None
+    if k < 2:
+        raise FormatError(f"arity must be at least 2, got {k}", 1)
     seen: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -25,10 +25,6 @@ class DegenerateWindow(OrderflowError):
     """Window too small for the requested operation."""
 
 
-class WindowTooLarge(OrderflowError):
-    """Window exceeds the brute-force bound of an exhaustive search."""
-
-
 class WindowTooSmall(OrderflowError):
     """Window smaller than the arity of the requested code."""
 

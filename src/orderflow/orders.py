@@ -4,26 +4,18 @@ circular-order realizability.
 A linear order is a ranking of a window; rank 0 is the least element.  A
 pair configuration encodes an order by giving +1 exactly to the ascending
 pairs, and every alternating, transitive pair configuration arises this
-way.
+way.  Both kinds of order image are recognized the same way: decode the
+one candidate order, re-encode it, and compare with the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .core import InjTuple, KConfig, FinPerm, Window, as_entries, is_alternating
-from .errors import (
-    ArityMismatch,
-    DegenerateWindow,
-    FormatError,
-    NotALinearOrder,
-    WindowTooLarge,
-)
-
-#: Brute-force cap for circular realizability searches.
-DEFAULT_REALIZABILITY_BOUND = 8
+from .core import InjTuple, KConfig, FinPerm, Window, as_entries
+from .errors import ArityMismatch, DegenerateWindow, FormatError, NotALinearOrder
 
 
 @dataclass(frozen=True)
@@ -132,29 +124,41 @@ def lin_order_to_config2(order: LinearOrder) -> KConfig:
     )
 
 
-def config2_is_linear_order(config: KConfig) -> bool:
-    """Alternation plus transitivity of the +1 relation."""
-    if config.k != 2:
-        raise ArityMismatch(f"expected arity 2, got {config.k}")
-    if not is_alternating(config):
-        return False
-    elems = config.window.elements
-    for m, n, l in permutations(elems, 3):
-        if config.value((m, n)) == 1 and config.value((n, l)) == 1:
-            if config.value((m, l)) != 1:
-                return False
-    return True
+def _decoded_order(
+    window: Window, below: Callable[[int, int], bool]
+) -> LinearOrder | None:
+    """Order ranking each x by the count of window elements y with below(y, x).
+
+    None when those counts are not a ranking of the window.
+    """
+    elems = window.elements
+    ranks = tuple(sum(1 for y in elems if y != x and below(y, x)) for x in elems)
+    if sorted(ranks) != list(range(len(elems))):
+        return None
+    return LinearOrder(window, ranks)
 
 
 def config2_to_order(config: KConfig) -> LinearOrder:
-    """Order whose rank at x counts the elements below x."""
-    if not config2_is_linear_order(config):
+    """Order whose rank at x counts the elements below x.
+
+    Raises NotALinearOrder unless re-encoding that order gives the input
+    back; a window of fewer than 2 points has no pairs to compare.
+    """
+    if config.k != 2:
+        raise ArityMismatch(f"expected arity 2, got {config.k}")
+    order = _decoded_order(config.window, lambda y, x: config.value((y, x)) == 1)
+    if order is None or (len(config.window) >= 2 and lin_order_to_config2(order) != config):
         raise NotALinearOrder("configuration is not alternating and transitive")
-    elems = config.window.elements
-    ranks = tuple(
-        sum(1 for y in elems if y != x and config.value((y, x)) == 1) for x in elems
-    )
-    return LinearOrder(config.window, ranks)
+    return order
+
+
+def config2_is_linear_order(config: KConfig) -> bool:
+    """Whether the configuration is the image of an order (alternating and transitive)."""
+    try:
+        config2_to_order(config)
+    except NotALinearOrder:
+        return False
+    return True
 
 
 def order_type(t: InjTuple | Sequence[int], order: LinearOrder) -> OrderType:
@@ -201,31 +205,26 @@ def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
     return LinearOrder(new_window, tuple(rank_at[x] for x in new_window))
 
 
-def is_circular_realizable(
-    config: KConfig, max_window: int = DEFAULT_REALIZABILITY_BOUND
-) -> bool:
+def is_circular_realizable(config: KConfig) -> bool:
     """Whether some order's circular code equals the given triple configuration.
 
-    Brute force over rotation classes: two orders share a circular code
-    exactly when one is a cyclic rotation of the other, so it suffices to
-    try the (|W|-1)! orders placing the smallest window element at rank 0.
+    Rotations of an order share its circular code, so a realizing order may
+    be taken to start at the least window element a; in it, y lies below x
+    exactly when the value at (a, y, x) is +1.  The one candidate so decoded
+    is re-encoded and compared with the input: O(|W|^3).
     """
     from .codes import circular_code
 
     if config.k != 3:
         raise ArityMismatch(f"expected arity 3, got {config.k}")
     window = config.window
-    n = len(window)
-    if n > max_window:
-        raise WindowTooLarge(f"window size {n} exceeds the search bound {max_window}")
-    if n < 3:
+    if len(window) < 3:
         return True
-    rest = window.elements[1:]
-    for tail in permutations(rest):
-        candidate = LinearOrder.from_ranked_elements((window.elements[0],) + tail)
-        if circular_code(candidate) == config:
-            return True
-    return False
+    a = window.elements[0]
+    candidate = _decoded_order(
+        window, lambda y, x: y == a or (x != a and config.value((a, y, x)) == 1)
+    )
+    return candidate is not None and circular_code(candidate) == config
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import FinPerm, Window, extend_bijection, inverse
-from .errors import DegenerateWindow, DomainEscape, GroundTooSmall
+from .core import FinPerm, Window, extend_bijection, inverse, perm_from_text, perm_to_text
+from .errors import DegenerateWindow, DomainEscape, FormatError, GroundTooSmall
 from .orders import LinearOrder
 
 MINIMALITY = "minimality"
@@ -125,9 +125,7 @@ def is_monochromatic(coloring: Coloring, subset: Iterable[int]) -> bool:
     return len(colors) <= 1
 
 
-def ramsey_mono_subset(
-    coloring: Coloring, m: int, best_effort: bool = False
-) -> tuple[int, ...]:
+def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
     """Monochromatic m-subset of the ground, by greedy pivot extraction.
 
     Repeatedly take the least live element as a pivot and keep its larger
@@ -136,15 +134,12 @@ def ramsey_mono_subset(
     kept color form a monochromatic set.  Keeping the majority class at
     least halves the live count, hence ground size 4**m guarantees 2m
     pivots and so m of one color.
-
-    With best_effort the size precondition is waived and the largest
-    monochromatic set found is returned, possibly smaller than m.
     """
     if m < 1:
         raise ValueError(f"target size must be positive, got {m}")
     n = len(coloring.ground)
     bound = 4**m
-    if not best_effort and n < bound:
+    if n < bound:
         raise GroundTooSmall(f"ground size {n} below the required {bound} (= 4^{m})")
     live = list(coloring.ground)
     pivots: list[tuple[int, int]] = []
@@ -160,7 +155,7 @@ def ramsey_mono_subset(
         live = kept[c]
     c = 0 if counts[0] >= counts[1] else 1
     subset = tuple(p for p, pc in pivots if pc == c)[:m]
-    if len(subset) < m and not best_effort:
+    if len(subset) < m:
         raise GroundTooSmall(
             f"extraction stalled at {len(subset)} of {m} on a {n}-ground"
         )
@@ -308,8 +303,6 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
 
 
 def witness_to_text(witness: Witness) -> str:
-    from .core import perm_to_text
-
     return (
         f"kind={witness.kind}\n"
         f"window={','.join(map(str, witness.checked_window))}\n"
@@ -318,9 +311,6 @@ def witness_to_text(witness: Witness) -> str:
 
 
 def witness_from_text(text: str) -> Witness:
-    from .core import perm_from_text
-    from .errors import FormatError
-
     fields = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

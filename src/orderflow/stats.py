@@ -111,7 +111,6 @@ def _pattern_counts(
     window: Window,
     trials: int,
     seed: int,
-    chunk_size: int = CHUNK_SIZE,
     jobs: int = 1,
 ) -> np.ndarray:
     """Histogram over all |W|! patterns, one entry per pattern in the
@@ -124,9 +123,9 @@ def _pattern_counts(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     source_ranks = np.asarray(source.ranks)
-    sizes = [chunk_size] * (trials // chunk_size)
-    if trials % chunk_size:
-        sizes.append(trials % chunk_size)
+    sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
+    if trials % CHUNK_SIZE:
+        sizes.append(trials % CHUNK_SIZE)
 
     def run_chunk(i: int) -> np.ndarray:
         return _chunk_pattern_counts(
@@ -149,7 +148,6 @@ def orbit_average(
     pattern: LinearOrder,
     trials: int,
     seed: int,
-    chunk_size: int = CHUNK_SIZE,
     jobs: int = 1,
 ) -> PatternStat:
     """Empirical frequency of one pattern over random relocations.
@@ -157,10 +155,10 @@ def orbit_average(
     Each trial relocates a uniformly random |W|-point subset of the ground
     onto the pattern window by a uniformly random assignment and asks
     whether the source order lands exactly on the pattern.  The sample
-    stream depends only on (seed, trials, chunking), never on the pattern,
-    so stats for different patterns from one seed partition the trials.
+    stream depends only on (seed, trials), never on the pattern, so stats
+    for different patterns from one seed partition the trials.
     """
-    counts = _pattern_counts(source, pattern.window, trials, seed, chunk_size, jobs)
+    counts = _pattern_counts(source, pattern.window, trials, seed, jobs)
     hits = int(counts[tuple_rank(pattern.ranks, len(pattern.window))])
     return PatternStat(
         pattern=pattern,
@@ -176,12 +174,11 @@ def orbit_average_all(
     window: Window,
     trials: int,
     seed: int,
-    chunk_size: int = CHUNK_SIZE,
     jobs: int = 1,
 ) -> list[PatternStat]:
     """One PatternStat per pattern on the window, from a single sample
     stream.  Equals per-pattern orbit_average calls with the same seed."""
-    counts = _pattern_counts(source, window, trials, seed, chunk_size, jobs)
+    counts = _pattern_counts(source, window, trials, seed, jobs)
     exact = Fraction(1, math.factorial(len(window)))
     return [
         PatternStat(

@@ -212,6 +212,15 @@ def test_factor_circular_on_a_three_chain(tmp_path, capsys):
     assert "circular-realizable: yes" in err
 
 
+def test_factor_circular_checks_realizability_above_eight_points(tmp_path, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("3 9 0 7 1 8 2 6 4 5\n")
+    code, out, err = run_cli(["factor", "circular", str(order_file)], capsys)
+    assert code == 0
+    assert len(config_from_text(out).window) == 10
+    assert "circular-realizable: yes" in err.splitlines()
+
+
 def test_factor_sign4_on_an_increasing_order(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_text("0 1 2 3\n")

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from orderflow import (
     OrderType,
     OutOfWindow,
     Window,
-    WindowTooLarge,
     all_linear_orders,
     apply_perm,
     circular_code,
@@ -24,6 +23,7 @@ from orderflow import (
     config2_is_linear_order,
     config2_to_order,
     cyclic_shift,
+    is_alternating,
     is_circular_realizable,
     lin_order_to_config2,
     negate,
@@ -48,6 +48,79 @@ def alternating_triple_config(window: Window, incr_signs: dict) -> KConfig:
         return incr_signs[tuple(sorted(t))] * order_type(t, natural).sign
 
     return KConfig.from_function(3, window, fn)
+
+
+def reference_is_linear_order(config: KConfig) -> bool:
+    """Alternation plus transitivity of the +1 relation, checked directly."""
+    if not is_alternating(config):
+        return False
+    for m, n, l in permutations(config.window.elements, 3):
+        if config.value((m, n)) == 1 and config.value((n, l)) == 1:
+            if config.value((m, l)) != 1:
+                return False
+    return True
+
+
+def reference_circular_realizable(config: KConfig) -> bool:
+    """Search over the (|W|-1)! orders placing the least element first.
+
+    A candidate's circular code is +1 at (x, y, z) exactly when the ranks
+    ascend cyclically, that is, when two of r(x) < r(y), r(y) < r(z) and
+    r(z) < r(x) hold.  It is compared value by value, so a wrong candidate
+    is dropped at its first mismatch.
+    """
+    if len(config.window) < 3:
+        return True
+    first, *rest = config.window.elements
+    for tail in permutations(rest):
+        r = {x: i for i, x in enumerate((first, *tail))}
+        if all(
+            ((r[x] < r[y]) + (r[y] < r[z]) + (r[z] < r[x]) == 2) == (v == 1)
+            for (x, y, z), v in config.items()
+        ):
+            return True
+    return False
+
+
+def one_value_flips(config: KConfig, start: int = 0, stride: int = 1):
+    """Copies of the configuration with one value negated, for every
+    stride-th value from start on."""
+    for i in range(start, len(config.values), stride):
+        values = list(config.values)
+        values[i] = -values[i]
+        yield KConfig(config.k, config.window, tuple(values))
+
+
+def assert_order_checks_match_reference(config: KConfig):
+    if config.k == 2:
+        expected = reference_is_linear_order(config)
+        assert config2_is_linear_order(config) == expected
+        if expected:
+            order = config2_to_order(config)
+            assert len(config.window) < 2 or lin_order_to_config2(order) == config
+        else:
+            with pytest.raises(NotALinearOrder):
+                config2_to_order(config)
+    else:
+        assert is_circular_realizable(config) == reference_circular_realizable(config)
+
+
+@st.composite
+def config_st(draw, k):
+    """A random configuration, or an order image with up to two values flipped."""
+    elems = draw(st.lists(st.integers(-30, 30), unique=True, max_size=6))
+    window = Window(tuple(sorted(elems)))
+    count = math.perm(len(window), k)
+    if len(window) >= k and draw(st.booleans()):
+        ranks = draw(st.permutations(tuple(range(len(window)))))
+        order = LinearOrder(window, tuple(ranks))
+        image = lin_order_to_config2(order) if k == 2 else circular_code(order)
+        values = list(image.values)
+        for i in draw(st.lists(st.integers(0, count - 1), max_size=2)):
+            values[i] = -values[i]
+    else:
+        values = draw(st.lists(st.sampled_from((1, -1)), min_size=count, max_size=count))
+    return KConfig(k, window, tuple(values))
 
 
 @st.composite
@@ -104,9 +177,17 @@ def test_singleton_window_rejected():
 
 
 def test_images_are_linear_orders_exhaustively():
-    window = Window(tuple(range(4)))
-    for order in all_linear_orders(window):
-        assert config2_is_linear_order(lin_order_to_config2(order))
+    for n in range(3, 7):
+        window = Window(tuple(range(n)))
+        for i, order in enumerate(all_linear_orders(window)):
+            image = lin_order_to_config2(order)
+            assert config2_is_linear_order(image)
+            assert_order_checks_match_reference(image)
+            # every flip up to n = 5; a twelfth of them at n = 6, staggered
+            # so that each value position is flipped in some image
+            stride = 1 if n < 6 else 12
+            for flipped in one_value_flips(image, i % stride, stride):
+                assert_order_checks_match_reference(flipped)
 
 
 def test_cyclic_plus_configuration_is_not_an_order():
@@ -143,16 +224,15 @@ def test_round_trip_all_orders_up_to_five():
 
 
 def test_valid_configs_on_four_window_are_exactly_the_order_images():
-    # enumerate every +-1 assignment on the 12 pairs and filter
-    window = Window(tuple(range(4)))
-    pairs = list(KConfig.from_function(2, window, lambda t: 1).tuples())
-    valid = []
-    for values in product((1, -1), repeat=len(pairs)):
-        config = KConfig(2, window, values)
-        if config2_is_linear_order(config):
-            valid.append(config)
-            assert lin_order_to_config2(config2_to_order(config)) == config
-    assert len(valid) == math.factorial(4)
+    # enumerate every +-1 assignment on the pairs of windows up to 4 points
+    for n in range(5):
+        window = Window(tuple(range(n)))
+        valid = 0
+        for values in product((1, -1), repeat=n * (n - 1)):
+            config = KConfig(2, window, values)
+            assert_order_checks_match_reference(config)
+            valid += config2_is_linear_order(config)
+        assert valid == math.factorial(n)
 
 
 def test_config_from_seven_three_nine():
@@ -264,9 +344,15 @@ def test_every_reversal_class_has_two_members():
 
 
 def test_circular_code_images_are_realizable():
-    window = Window(tuple(range(4)))
-    for order in all_linear_orders(window):
-        assert is_circular_realizable(circular_code(order))
+    for n in range(3, 7):
+        window = Window(tuple(range(n)))
+        images = sorted({circular_code(order) for order in all_linear_orders(window)}, key=str)
+        for i, image in enumerate(images):
+            assert is_circular_realizable(image)
+            assert_order_checks_match_reference(image)
+            stride = 1 if n < 6 else 12  # as for the pair images above
+            for flipped in one_value_flips(image, i % stride, stride):
+                assert_order_checks_match_reference(flipped)
 
 
 def test_all_plus_cyclic_triples_realizable_on_three_window():
@@ -289,15 +375,29 @@ def test_frozen_non_realizable_configuration():
     assert not is_circular_realizable(config)
 
 
+def test_circular_check_matches_reference_on_alternating_four_point_configs():
+    window = Window((0, 1, 2, 3))
+    increasing = [t for t in permutations(window.elements, 3) if t == tuple(sorted(t))]
+    realizable = 0
+    for signs in product((1, -1), repeat=len(increasing)):
+        config = alternating_triple_config(window, dict(zip(increasing, signs)))
+        assert_order_checks_match_reference(config)
+        realizable += is_circular_realizable(config)
+    assert realizable == math.factorial(3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(config_st))
+def test_order_checks_match_reference_on_random_configs(config):
+    assert_order_checks_match_reference(config)
+
+
 def test_realizability_errors():
     pair = KConfig.from_function(2, Window((0, 1, 2)), lambda t: 1)
     with pytest.raises(ArityMismatch):
         is_circular_realizable(pair)
     big = Window(tuple(range(9)))
-    config = circular_code(LinearOrder.natural(big))
-    with pytest.raises(WindowTooLarge):
-        is_circular_realizable(config)
-    assert is_circular_realizable(config, max_window=9)
+    assert is_circular_realizable(circular_code(LinearOrder.natural(big)))
 
 
 def test_circular_image_count_is_shifted_factorial():

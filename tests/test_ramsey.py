@@ -91,7 +91,6 @@ def test_constant_coloring_returns_first_elements():
     ground = Window(tuple(range(20)))
     coloring = PairColoring.from_function(ground, lambda a, b: 0)
     assert ramsey_mono_subset(coloring, 2) == (0, 1)
-    assert ramsey_mono_subset(coloring, 2, best_effort=True) == (0, 1)
 
 
 def test_random_coloring_yields_verified_monochromatic_set():
@@ -105,14 +104,11 @@ def test_random_coloring_yields_verified_monochromatic_set():
         assert subset == ramsey_mono_subset(coloring, 4)  # deterministic
 
 
-def test_ground_too_small_and_best_effort():
+def test_ground_too_small():
     ground = Window(tuple(range(10)))
     coloring = random_coloring(ground, 1)
     with pytest.raises(GroundTooSmall):
         ramsey_mono_subset(coloring, 2)
-    found = ramsey_mono_subset(coloring, 4, best_effort=True)
-    assert 1 <= len(found) <= 4
-    assert is_monochromatic(coloring, found)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,3 +10,11 @@ def test_witness_demo_reverifies_both_witnesses(monkeypatch, capsys):
     out = capsys.readouterr().out
     verdicts = [line.split(":", 1)[1].strip() for line in out.splitlines() if "re-verified" in line]
     assert verdicts == ["True", "True"]
+
+
+def test_circular_census_checks_every_image(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["circular_census.py", "--max-window", "5"])
+    runpy.run_path(str(SCRIPTS / "circular_census.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    checked = [line.split()[1] for line in out.splitlines() if "realizable" in line]
+    assert checked == ["2", "6", "24"]

@@ -134,7 +134,7 @@ def test_sampler_matches_the_full_action_route():
     window = Window((0, 1, 2))
     pattern = LinearOrder.from_ranked_elements((1, 2, 0))
     trials = 200
-    stat = orbit_average(source, pattern, trials, seed=3, chunk_size=trials)
+    stat = orbit_average(source, pattern, trials, seed=3)
     sampled = stats._sample_positions(
         len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials
     )
