@@ -1,7 +1,7 @@
 """Command-line driver: reproducible experiments over the library.
 
 Subcommands
-    verify       run the built-in invariant suite, exit 0 iff all pass
+    verify       run the invariant checks of `orderflow.checks`, exit 0 iff all pass
     frequencies  empirical vs exact pattern frequencies on a window
     witness      produce and re-verify a minimality or proximality witness
     factor       apply a block code to an order read from a file
@@ -17,20 +17,23 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 
-from . import codes, core, orders, ramsey, stats
-from .core import FinPerm, KConfig, Window
+from . import checks, codes, core, orders, ramsey, stats
+from .core import KConfig, Window
 from .errors import FormatError, OrderflowError
 from .orders import LinearOrder
 from .stats import derive_seed
 
 PROG = "orderflow"
+
+#: Largest `frequencies --window`: output and sampling grow with w! rows, so
+#: w=8 already writes 40,320 rows (about 7 MB of JSON) and each step past it
+#: costs about 9x more; w >= 11 would build more than 10^7 rows.
+MAX_FREQUENCY_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -76,212 +79,71 @@ def _report(line: str) -> None:
 # verify
 
 
-def _random_perm_of(window: Window, rng: random.Random) -> FinPerm:
-    elems = list(window)
-    images = elems[:]
-    rng.shuffle(images)
-    return FinPerm.from_dict(dict(zip(elems, images)))
-
-
-def _random_config(k: int, window: Window, rng: random.Random) -> KConfig:
-    return KConfig.from_function(k, window, lambda t: rng.choice((1, -1)))
-
-
-def _verify_checks(max_window: int, seed: int, trials: int):
-    """Yield (name, params, thunk) triples; a thunk raises on failure."""
-
-    def check_bijection():
-        for n in range(2, max_window + 1):
-            window = Window(tuple(range(n)))
-            for order in orders.all_linear_orders(window):
-                config = orders.lin_order_to_config2(order)
-                assert orders.config2_is_linear_order(config), f"invalid image of {order}"
-                assert orders.config2_to_order(config) == order, f"round trip broke {order}"
-
-    yield "bijection-roundtrip", f"windows 2..{max_window}", check_bijection
-
-    def check_action():
-        rng = random.Random(derive_seed(seed, "verify-action", 0))
-        for _ in range(60):
-            n = rng.randint(4, 6)
-            window = Window(tuple(range(n)))
-            k = rng.choice((2, 3))
-            config = _random_config(k, window, rng)
-            a = _random_perm_of(window, rng)
-            b = _random_perm_of(window, rng)
-            assert core.apply_perm(FinPerm.identity(), config) == config
-            lhs = core.apply_perm(core.compose(a, b), config)
-            rhs = core.apply_perm(a, core.apply_perm(b, config))
-            assert lhs == rhs, "composition law failed"
-
-    yield "action-laws", "60 random triples, k in {2,3}", check_action
-
-    def check_alternation():
-        rng = random.Random(derive_seed(seed, "verify-alt", 0))
-        for k in (2, 3, 4):
-            if k > max_window:
-                continue
-            code = codes.sign_code(k)
-            for n in range(k, min(5, max_window) + 1):
-                window = Window(tuple(range(n)))
-                if n <= 4:
-                    pool = list(orders.all_linear_orders(window))
-                else:
-                    pool = [
-                        stats.random_linear_order(window, rng.getrandbits(32))
-                        for _ in range(30)
-                    ]
-                for order in pool:
-                    assert core.is_alternating(codes.apply_code(code, order)), (
-                        f"sign-{k} image of {order} not alternating"
-                    )
-
-    yield "sign-code-alternation", f"k in {{2,3,4}}, windows to {min(5, max_window)}", check_alternation
-
-    def check_equivariance():
-        rng = random.Random(derive_seed(seed, "verify-equiv", 0))
-        cases = [("sign-2", codes.sign_code(2)), ("sign-3", codes.sign_code(3))]
-        for name, code in cases:
-            for _ in range(30):
-                n = rng.randint(code.k, 6)
-                window = Window(tuple(range(n)))
-                order = stats.random_linear_order(window, rng.getrandbits(32))
-                alpha = _random_perm_of(window, rng)
-                lhs = codes.apply_code(code, orders.relabel(order, alpha))
-                rhs = core.apply_perm(alpha, codes.apply_code(code, order))
-                assert lhs == rhs, f"{name} does not commute with the action"
-
-    yield "code-equivariance", "30 random cases per code", check_equivariance
-
-    def check_circular_count():
-        for n in range(3, min(5, max_window) + 1):
-            window = Window(tuple(range(n)))
-            images = {codes.circular_code(o) for o in orders.all_linear_orders(window)}
-            assert len(images) == math.factorial(n - 1), (
-                f"expected {math.factorial(n - 1)} circular images on {n}, got {len(images)}"
-            )
-            sample = next(iter(images))
-            assert orders.is_circular_realizable(sample)
-
-    yield "circular-order-count", f"windows 3..{min(5, max_window)}", check_circular_count
-
-    def check_moment_curve():
-        rng = random.Random(derive_seed(seed, "verify-moment", 0))
-        for _ in range(200):
-            k = rng.randint(2, 5)
-            ts: list[Fraction] = []
-            while len(ts) < k:
-                t = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
-                if t not in ts:
-                    ts.append(t)
-            inversions = sum(
-                1 for i in range(k) for j in range(i + 1, k) if ts[i] > ts[j]
-            )
-            expected = -1 if inversions % 2 else 1
-            assert codes.moment_curve_orientation(ts) == expected, f"sign mismatch at {ts}"
-
-    yield "moment-curve-sign", "200 random rational tuples, k in 2..5", check_moment_curve
-
-    def check_reversal():
-        for n in range(2, min(4, max_window) + 1):
-            window = Window(tuple(range(n)))
-            for order in orders.all_linear_orders(window):
-                rev = orders.reverse(order)
-                assert orders.reverse(rev) == order
-                assert rev != order, "reversal must move every order"
-                assert orders.lin_order_to_config2(rev) == core.negate(
-                    orders.lin_order_to_config2(order)
-                )
-                assert orders.reversal_class_rep(order) == orders.reversal_class_rep(rev)
-
-    yield "reversal-structure", f"exhaustive, windows 2..{min(4, max_window)}", check_reversal
-
-    def check_ramsey():
-        ground = Window(tuple(range(64)))
-        for i in range(10):
-            rng = random.Random(derive_seed(seed, "verify-ramsey", i))
-            coloring = ramsey.PairColoring.from_function(
-                ground, lambda a, b: rng.randint(0, 1)
-            )
-            subset = ramsey.ramsey_mono_subset(coloring, 3)
-            assert len(subset) == 3
-            assert ramsey.is_monochromatic(coloring, subset)
-            assert subset == ramsey.ramsey_mono_subset(coloring, 3), "not deterministic"
-
-    yield "ramsey-mono-subset", "10 random colorings, ground 64, m=3", check_ramsey
-
-    witness_w = max(2, min(4, max_window))
-
-    def check_minimality():
-        ground = Window(tuple(range(20)))
-        source = stats.random_linear_order(ground, derive_seed(seed, "verify-min", 0))
-        window = Window(tuple(range(witness_w)))
-        for target in orders.all_linear_orders(window):
-            witness = ramsey.minimality_witness(source, target)
-            assert ramsey.verify_minimality(witness, source, target)
-
-    yield "minimality-witnesses", f"all targets on a {witness_w}-window", check_minimality
-
-    def check_proximality():
-        ground = Window(tuple(range(256)))
-        window = Window(tuple(range(4)))
-        for i in range(3):
-            o1 = stats.random_linear_order(ground, derive_seed(seed, "verify-prox", 2 * i))
-            o2 = stats.random_linear_order(ground, derive_seed(seed, "verify-prox", 2 * i + 1))
-            witness = ramsey.proximality_witness(o1, o2, window)
-            assert ramsey.verify_proximality(witness, o1, o2)
-        o1 = stats.random_linear_order(ground, derive_seed(seed, "verify-prox", 99))
-        witness = ramsey.proximality_witness(o1, orders.reverse(o1), window)
-        assert witness.kind == ramsey.PROXIMALITY_REVERSE
-
-    yield "proximality-witnesses", "3 random pairs + reverse fixture, ground 256", check_proximality
-
-    def check_cylinder_mass():
-        for n in range(1, 7):
-            window = Window(tuple(range(n)))
-            mass = sum(
-                stats.cylinder_measure(o) for o in orders.all_linear_orders(window)
-            )
-            assert mass == 1, f"mass {mass} != 1 on a {n}-window"
-
-    yield "cylinder-mass", "exact rational sum, windows 1..6", check_cylinder_mass
-
-    def check_orbit_average():
-        window = Window(tuple(range(3)))
-        ground = Window(tuple(range(50)))
-        source = orders.LinearOrder.natural(ground)
-        results = stats.orbit_average_all(source, window, trials, seed)
-        tol = 3 * math.sqrt((1 / 6) * (5 / 6) / trials)
-        assert sum(s.empirical for s in results) == 1
-        for s in results:
-            assert abs(s.empirical - s.exact) <= tol, (
-                f"pattern {orders.order_to_text(s.pattern)}: "
-                f"|{float(s.empirical):.5f} - 1/6| above 3 sigma"
-            )
-
-    yield "orbit-average", f"3-window, {trials} trials, 3-sigma", check_orbit_average
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    lines = []
-    failures = 0
-    checks = list(_verify_checks(cfg.max_window, cfg.seed, cfg.trials))
+    max_window, seed = cfg.max_window, cfg.seed
+
+    def window(n: int) -> Window:
+        return Window(tuple(range(n)))
+
+    def rng(label: str) -> random.Random:
+        return random.Random(derive_seed(seed, label, 0))
+
+    def random_order(n: int, label: str, i: int = 0) -> LinearOrder:
+        return stats.random_linear_order(window(n), derive_seed(seed, label, i))
+
+    small = min(5, max_window)
+    witness_w = max(2, min(4, max_window))
+    table = [
+        ("bijection-roundtrip", f"windows 2..{max_window}",
+         lambda: checks.bijection_round_trip(range(2, max_window + 1))),
+        ("action-laws", "60 random triples, k in {2,3}",
+         lambda: checks.action_laws(rng("verify-action"), 60, max_points=6)),
+        ("sign-code-alternation", f"k in {{2,3,4}}, windows to {small}",
+         lambda: checks.sign_code_alternation(
+             rng("verify-alt"), (2, 3, 4), exhaustive_to=min(4, max_window),
+             sampled_points=5, samples=30 if max_window >= 5 else 0)),
+        ("code-equivariance", "30 random cases per code",
+         lambda: checks.code_equivariance(
+             rng("verify-equiv"), ("sign-2", "sign-3"), 30, max_points=6)),
+        ("circular-order-count", f"windows 3..{small}",
+         lambda: checks.circular_image_counts(range(3, small + 1))),
+        ("moment-curve-sign", "200 random rational tuples, k in 2..5",
+         lambda: checks.moment_curve_sign(rng("verify-moment"), (2, 3, 4, 5), 50)),
+        ("reversal-structure", f"exhaustive, windows 2..{min(4, max_window)}",
+         lambda: checks.reversal_structure(range(2, min(4, max_window) + 1))),
+        ("ramsey-mono-subset", "10 random colorings, ground 64, m=3",
+         lambda: checks.ramsey_extraction(rng("verify-ramsey"), 10, 64, 3)),
+        ("minimality-witnesses", f"all targets on a {witness_w}-window",
+         lambda: checks.minimality_witnesses(
+             [random_order(20, "verify-min")], window(witness_w))),
+        ("proximality-witnesses", "3 random pairs + reverse fixture, ground 256",
+         lambda: checks.proximality_witnesses(
+             [(random_order(256, "verify-prox", 2 * i),
+               random_order(256, "verify-prox", 2 * i + 1)) for i in range(3)],
+             window(4))),
+        ("cylinder-mass", "exact rational sum, windows 1..6",
+         lambda: checks.cylinder_mass(range(1, 7))),
+        ("orbit-average", f"3-window, {cfg.trials} trials, 3-sigma",
+         lambda: checks.orbit_frequencies(
+             [LinearOrder.natural(window(50))], window(3), cfg.trials, seed)),
+    ]
     if cfg.inject_fault:
         def corrupted():
-            order = LinearOrder.natural(Window((0, 1, 2)))
-            config = orders.lin_order_to_config2(order)
+            config = orders.lin_order_to_config2(LinearOrder.natural(window(3)))
             broken = KConfig(2, config.window, (-config.values[0],) + config.values[1:])
-            assert orders.config2_is_linear_order(broken), "corrupted fixture detected"
+            checks.require(orders.config2_is_linear_order(broken), "corrupted fixture detected")
 
-        checks.append(("injected-corrupt-config", "fault injection", corrupted))
-    for name, params, thunk in checks:
+        table.append(("injected-corrupt-config", "fault injection", corrupted))
+    lines = []
+    failures = 0
+    for name, params, call in table:
         try:
-            thunk()
+            call()
             lines.append(f"PASS {name} ({params})")
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             lines.append(f"FAIL {name} ({params}): {exc}")
             failures += 1
-    lines.append(f"result: {len(checks) - failures} passed, {failures} failed")
+    lines.append(f"result: {len(table) - failures} passed, {failures} failed")
     _emit("\n".join(lines) + "\n", cfg.out)
     if cfg.out is not None:
         _report(lines[-1])
@@ -461,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"unknown code {code!r}: expected circular or sign-K")
             if not 2 <= int(parts[1]) <= core.DEFAULT_MAX_ARITY:
                 parser.error(f"sign code arity must be in 2..{core.DEFAULT_MAX_ARITY}")
+    if args.subcommand == "frequencies" and args.window > MAX_FREQUENCY_WINDOW:
+        parser.error(f"--window must be at most {MAX_FREQUENCY_WINDOW}, got {args.window}")
     cfg = _to_config(args)
     _report(cfg.line())
     handlers = {

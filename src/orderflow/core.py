@@ -326,6 +326,8 @@ def config_from_text(text: str) -> KConfig:
         raise FormatError(str(exc), 1) from None
     if k < 2:
         raise FormatError(f"arity must be at least 2, got {k}", 1)
+    if k > DEFAULT_MAX_ARITY:
+        raise FormatError(f"arity must be at most {DEFAULT_MAX_ARITY}, got {k}", 1)
     seen: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -1,202 +1,72 @@
 """End-to-end acceptance checks, one test per criterion, each at its
 stated tolerance and budget."""
 
-import math
 import random
 import time
-from fractions import Fraction
 
-from orderflow import (
-    FinPerm,
-    KConfig,
-    LinearOrder,
-    Window,
-    all_linear_orders,
-    apply_code,
-    apply_perm,
-    circular_code,
-    compose,
-    config2_is_linear_order,
-    config2_to_order,
-    cylinder_measure,
-    is_alternating,
-    is_circular_realizable,
-    lin_order_to_config2,
-    minimality_witness,
-    moment_curve_orientation,
-    orbit_average,
-    proximality_witness,
-    random_linear_order,
-    relabel,
-    reversal_class_rep,
-    reverse,
-    sign_code,
-    verify_minimality,
-    verify_proximality,
-)
+from orderflow import LinearOrder, Window, checks, random_linear_order
 from orderflow.cli import main as cli_main
 
 
-def random_window_perm(window: Window, rng: random.Random) -> FinPerm:
-    elems = list(window)
-    images = elems[:]
-    rng.shuffle(images)
-    return FinPerm.from_dict(dict(zip(elems, images)))
-
-
-def sort_sign(values) -> int:
-    inversions = sum(
-        1
-        for i in range(len(values))
-        for j in range(i + 1, len(values))
-        if values[i] > values[j]
-    )
-    return -1 if inversions % 2 else 1
+def window(n: int) -> Window:
+    return Window(tuple(range(n)))
 
 
 def test_c01_bijection_round_trip_under_one_second():
     started = time.perf_counter()
-    total = 0
-    for n in (2, 3, 4, 5):
-        window = Window(tuple(range(n)))
-        for order in all_linear_orders(window):
-            config = lin_order_to_config2(order)
-            assert config2_is_linear_order(config)
-            assert config2_to_order(config) == order
-            total += 1
-    assert total == 2 + 6 + 24 + 120
+    assert checks.bijection_round_trip((2, 3, 4, 5)) == 2 + 6 + 24 + 120
     assert time.perf_counter() - started < 1.0
 
 
 def test_c02_action_laws_on_500_random_triples():
     started = time.perf_counter()
-    rng = random.Random(20_240_901)
-    for _ in range(500):
-        k = rng.choice((2, 3))
-        n = rng.randint(k, 7)
-        window = Window(tuple(range(n)))
-        config = KConfig.from_function(k, window, lambda t: rng.choice((1, -1)))
-        alpha = random_window_perm(window, rng)
-        beta = random_window_perm(window, rng)
-        assert apply_perm(FinPerm.identity(), config) == config
-        assert apply_perm(compose(alpha, beta), config) == apply_perm(
-            alpha, apply_perm(beta, config)
-        )
+    checks.action_laws(random.Random(20_240_901), 500, max_points=7)
     assert time.perf_counter() - started < 5.0
 
 
 def test_c03_sign_code_images_alternate():
-    rng = random.Random(7)
-    violations = 0
-    for k in (2, 3, 4):
-        code = sign_code(k)
-        for n in range(k, 6):
-            window = Window(tuple(range(n)))
-            for order in all_linear_orders(window):
-                if not is_alternating(apply_code(code, order)):
-                    violations += 1
-        window = Window(tuple(range(6)))
-        for _ in range(200):
-            order = random_linear_order(window, rng.getrandbits(48))
-            if not is_alternating(apply_code(code, order)):
-                violations += 1
-    assert violations == 0
+    checks.sign_code_alternation(
+        random.Random(7), (2, 3, 4), exhaustive_to=5, sampled_points=6, samples=200
+    )
 
 
 def test_c04_moment_curve_matches_the_sorting_sign():
-    rng = random.Random(404)
-    for k in (2, 3, 4, 5):
-        for _ in range(1000):
-            ts: list[Fraction] = []
-            while len(ts) < k:
-                t = Fraction(rng.randint(-90, 90), rng.randint(1, 16))
-                if t not in ts:
-                    ts.append(t)
-            assert moment_curve_orientation(ts) == sort_sign(ts)
-            assert moment_curve_orientation(sorted(ts)) == 1
+    checks.moment_curve_sign(random.Random(404), (2, 3, 4, 5), 1000)
 
 
 def test_c05_circular_image_counts():
-    for n in (3, 4, 5):
-        window = Window(tuple(range(n)))
-        images = {circular_code(order) for order in all_linear_orders(window)}
-        assert len(images) == math.factorial(n - 1)
-        for image in images:
-            assert is_circular_realizable(image)
+    checks.circular_image_counts((3, 4, 5))
 
 
 def test_c06_codes_commute_with_the_action():
-    rng = random.Random(606)
-    cases = [
-        ("sign-2", lambda o: apply_code(sign_code(2), o), 2),
-        ("sign-3", lambda o: apply_code(sign_code(3), o), 3),
-        ("sign-4", lambda o: apply_code(sign_code(4), o), 4),
-        ("circular", circular_code, 3),
-    ]
-    for name, encode, k in cases:
-        for _ in range(500):
-            n = rng.randint(k, 7)
-            window = Window(tuple(range(n)))
-            order = random_linear_order(window, rng.getrandbits(48))
-            alpha = random_window_perm(window, rng)
-            assert encode(relabel(order, alpha)) == apply_perm(alpha, encode(order)), name
+    checks.code_equivariance(
+        random.Random(606), ("sign-2", "sign-3", "sign-4", "circular"), 500, max_points=7
+    )
 
 
 def test_c07_minimality_witness_for_every_target():
-    ground = Window(tuple(range(20)))
-    window = Window(tuple(range(4)))
-    produced = 0
-    for seed in range(5):
-        source = random_linear_order(ground, seed)
-        for target in all_linear_orders(window):
-            witness = minimality_witness(source, target)
-            assert verify_minimality(witness, source, target)
-            produced += 1
-    assert produced == 5 * 24
+    sources = [random_linear_order(window(20), seed) for seed in range(5)]
+    assert checks.minimality_witnesses(sources, window(4)) == 5 * 24
 
 
 def test_c08_proximality_witnesses_and_two_to_one_reversal():
-    ground = Window(tuple(range(256)))
-    window = Window(tuple(range(4)))
-    for pair in range(100):
-        o1 = random_linear_order(ground, 2 * pair)
-        o2 = random_linear_order(ground, 2 * pair + 1)
-        witness = proximality_witness(o1, o2, window)
-        assert verify_proximality(witness, o1, o2)
-    for n in (2, 3, 4, 5):
-        small = Window(tuple(range(n)))
-        fibers: dict[LinearOrder, set] = {}
-        for order in all_linear_orders(small):
-            assert reverse(order) != order
-            assert reverse(reverse(order)) == order
-            fibers.setdefault(reversal_class_rep(order), set()).add(order)
-        assert all(len(fiber) == 2 for fiber in fibers.values())
+    ground = window(256)
+    pairs = [
+        (random_linear_order(ground, 2 * pair), random_linear_order(ground, 2 * pair + 1))
+        for pair in range(100)
+    ]
+    checks.proximality_witnesses(pairs, window(4))
+    checks.reversal_structure((2, 3, 4, 5))
 
 
 def test_c09_unique_ergodicity_within_three_sigma():
     started = time.perf_counter()
-    trials = 100_000
-    seed = 2024
-    ground = Window(tuple(range(50)))
-    window = Window(tuple(range(3)))
-    tolerance = 3 * math.sqrt((1 / 6) * (5 / 6) / trials)
-    sources = [LinearOrder.natural(ground)] + [
-        random_linear_order(ground, s) for s in (101, 102, 103, 104)
+    sources = [LinearOrder.natural(window(50))] + [
+        random_linear_order(window(50), s) for s in (101, 102, 103, 104)
     ]
     assert len(set(sources)) == 5
-    for source in sources:
-        empiricals = []
-        for pattern in all_linear_orders(window):
-            stat = orbit_average(source, pattern, trials, seed)
-            assert stat.exact == Fraction(1, 6)
-            assert abs(stat.empirical - Fraction(1, 6)) <= tolerance
-            empiricals.append(stat.empirical)
-        assert sum(empiricals) == 1
-    for n in range(1, 7):
-        mass = sum(
-            cylinder_measure(o) for o in all_linear_orders(Window(tuple(range(n))))
-        )
-        assert mass == 1
+    checks.orbit_frequencies(sources, window(3), trials=100_000, seed=2024)
+    checks.cylinder_mass(range(1, 7))
     assert time.perf_counter() - started < 60.0
 
 

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,9 @@ from orderflow import (
     reverse,
     witness_from_text,
 )
-from orderflow.cli import main
+from orderflow.cli import MAX_FREQUENCY_WINDOW, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, capsys):
@@ -45,6 +49,29 @@ def test_verify_inject_fault_fails_by_name(capsys):
     assert any(
         line.startswith("FAIL injected-corrupt-config") for line in out.splitlines()
     )
+
+
+def run_optimized(argv):
+    """The CLI under `python -O`, which strips `assert` statements."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "orderflow", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_verify_fails_the_injected_fault_under_python_O():
+    proc = run_optimized(["verify", "--max-window", "3", "--trials", "2000", "--inject-fault"])
+    assert proc.returncode == 1
+    assert "FAIL injected-corrupt-config" in proc.stdout
+
+
+def test_verify_defaults_pass_under_python_O():
+    proc = run_optimized(["verify"])
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 12
+    assert lines[-1] == "result: 12 passed, 0 failed"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +117,15 @@ def test_frequencies_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frequencies", "--trials", "0"])
     assert excinfo.value.code == 2
+
+
+def test_frequencies_rejects_windows_above_the_bound(capsys):
+    assert MAX_FREQUENCY_WINDOW == 8
+    with pytest.raises(SystemExit) as excinfo:
+        main(["frequencies", "--window", "9", "--trials", "10"])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--window must be at most 8" in err
 
 
 def test_frequencies_csv_mirrors_json(tmp_path, capsys):

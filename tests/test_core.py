@@ -310,7 +310,7 @@ def test_config_text_errors_carry_line_numbers():
         config_from_text("\n".join([lines[0], lines[1], "0 1 : banana"]))
     with pytest.raises(FormatError, match="line 1"):
         config_from_text("nonsense")
-    for header in ("k=1 window=0,1", "k=-1 window=0,1"):
+    for header in ("k=1 window=0,1", "k=-1 window=0,1", "k=100 window=0,1"):
         with pytest.raises(FormatError, match="line 1"):
             config_from_text(header)
     with pytest.raises(FormatError, match="missing"):

@@ -18,3 +18,15 @@ def test_circular_census_checks_every_image(monkeypatch, capsys):
     out = capsys.readouterr().out
     checked = [line.split()[1] for line in out.splitlines() if "realizable" in line]
     assert checked == ["2", "6", "24"]
+
+
+def test_frequency_convergence_prints_a_row_per_budget(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "sys.argv", ["frequency_convergence.py", "--trials", "1000", "2000", "--sources", "2"]
+    )
+    runpy.run_path(str(SCRIPTS / "frequency_convergence.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pattern window size 3, exact frequency 0.166667"
+    assert lines[1].split() == ["trials", "source0", "source1", "3-sigma"]
+    assert [line.split()[0] for line in lines[2:]] == ["1000", "2000"]
+    assert all(len(line.split()) == 4 for line in lines[2:])
