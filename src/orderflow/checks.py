@@ -80,9 +80,12 @@ def sign_code_alternation(
     exhaustive_to: int,
     sampled_points: int,
     samples: int,
-) -> None:
+) -> int:
     """Sign-code images alternate: on every order of k..exhaustive_to points,
-    then on `samples` random orders of `sampled_points` points, per arity."""
+    then on `samples` random orders of `sampled_points` points, per arity.
+
+    Returns the number of images checked."""
+    total = 0
     for k in arities:
         code = codes.sign_code(k)
         pool = [
@@ -98,6 +101,8 @@ def sign_code_alternation(
                 core.is_alternating(codes.apply_code(code, order)),
                 "sign-%d image of %s not alternating", k, order,
             )
+        total += len(pool)
+    return total
 
 
 def moment_curve_sign(rng: random.Random, arities: Sequence[int], per_arity: int) -> None:
@@ -116,8 +121,11 @@ def moment_curve_sign(rng: random.Random, arities: Sequence[int], per_arity: int
             require(codes.moment_curve_orientation(sorted(ts)) == 1, "sorted %s not +1", ts)
 
 
-def circular_image_counts(sizes: Iterable[int]) -> None:
-    """On n points the circular code has (n-1)! images, each realizable."""
+def circular_image_counts(sizes: Iterable[int]) -> int:
+    """On n points the circular code has (n-1)! images, each realizable.
+
+    Returns the number of images checked."""
+    total = 0
     for n in sizes:
         images = {codes.circular_code(o) for o in orders.all_linear_orders(_window(n))}
         expected = math.factorial(n - 1)
@@ -127,6 +135,8 @@ def circular_image_counts(sizes: Iterable[int]) -> None:
         )
         for image in images:
             require(orders.is_circular_realizable(image), "image %s not realizable", image)
+        total += len(images)
+    return total
 
 
 def code_equivariance(
@@ -145,9 +155,12 @@ def code_equivariance(
             require(lhs == rhs, "%s does not commute with the action", name)
 
 
-def reversal_structure(sizes: Iterable[int]) -> None:
+def reversal_structure(sizes: Iterable[int]) -> int:
     """Reversal is a fixed-point-free involution that negates the pair
-    configuration, and its classes are fibers of size 2 of the class map."""
+    configuration, and its classes are fibers of size 2 of the class map.
+
+    Returns the number of orders checked."""
+    total = 0
     for n in sizes:
         fibers: dict[LinearOrder, set[LinearOrder]] = {}
         for order in orders.all_linear_orders(_window(n)):
@@ -165,6 +178,8 @@ def reversal_structure(sizes: Iterable[int]) -> None:
             )
             fibers.setdefault(rep, set()).add(order)
         require(all(len(f) == 2 for f in fibers.values()), "reversal fiber not of size 2 on %d", n)
+        total += 2 * len(fibers)
+    return total
 
 
 def ramsey_extraction(rng: random.Random, colorings: int, ground_size: int, m: int) -> None:

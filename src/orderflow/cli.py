@@ -135,15 +135,23 @@ def cmd_verify(cfg: RunConfig) -> int:
 
         table.append(("injected-corrupt-config", "fault injection", corrupted))
     lines = []
-    failures = 0
+    failures = skipped = 0
     for name, params, call in table:
         try:
-            call()
-            lines.append(f"PASS {name} ({params})")
+            checked = call()
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             lines.append(f"FAIL {name} ({params}): {exc}")
             failures += 1
-    lines.append(f"result: {len(table) - failures} passed, {failures} failed")
+            continue
+        if checked == 0:
+            lines.append(f"SKIP {name} ({params}): nothing to check")
+            skipped += 1
+        else:
+            lines.append(f"PASS {name} ({params})")
+    passed = len(table) - failures - skipped
+    lines.append(
+        f"result: {passed} passed, {failures} failed" + (f", {skipped} skipped" if skipped else "")
+    )
     _emit("\n".join(lines) + "\n", cfg.out)
     if cfg.out is not None:
         _report(lines[-1])
@@ -224,7 +232,10 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 
 def cmd_factor(cfg: RunConfig) -> int:
-    text = Path(cfg.order_file).read_text()
+    try:
+        text = Path(cfg.order_file).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{cfg.order_file}: {exc}") from None
     stripped = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not stripped:
         raise OrderflowError(f"{cfg.order_file}: no order found")

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .core import DEFAULT_MAX_ARITY, KConfig, tuple_rank
+import numpy as np
+
+from .core import DEFAULT_MAX_ARITY, KConfig, format_sign, parse_sign, position_tuples, tuple_rank
 from .errors import DegenerateInput, FormatError, WindowTooSmall
-from .orders import LinearOrder, OrderType, all_order_types, compose_types, order_type
+from .orders import LinearOrder, OrderType, all_order_types, compose_types
 
 
 @dataclass(frozen=True)
@@ -42,37 +44,35 @@ class BlockCode:
             raise ValueError("table values must be +1 or -1")
 
     @classmethod
-    def from_function(
-        cls,
-        k: int,
-        fn: Callable[[OrderType], int],
-        max_arity: int = DEFAULT_MAX_ARITY,
-    ) -> "BlockCode":
-        if not 2 <= k <= max_arity:
-            raise ValueError(f"arity must be in 2..{max_arity}, got {k}")
+    def from_function(cls, k: int, fn: Callable[[OrderType], int]) -> "BlockCode":
+        if not 2 <= k <= DEFAULT_MAX_ARITY:
+            raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
         return cls(k, tuple(int(fn(ot)) for ot in all_order_types(k)))
 
     def value(self, ot: OrderType) -> int:
-        return self.table[tuple_rank([s - 1 for s in ot.sigma], self.k)]
+        return self.table[int(tuple_rank(np.subtract(ot.sigma, 1), self.k))]
 
     def items(self) -> Iterator[tuple[OrderType, int]]:
         return zip(all_order_types(self.k), self.table)
 
 
 def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
-    """Configuration reading the code table at each tuple's order type."""
-    if len(order.window) < code.k:
-        raise WindowTooSmall(
-            f"window size {len(order.window)} below arity {code.k}"
-        )
-    return KConfig.from_function(
-        code.k, order.window, lambda t: code.value(order_type(t, order)), max_arity=code.k
-    )
+    """Configuration reading the code table at each tuple's order type.
+
+    Sorting a tuple's ranks gives its order type's sigma - 1, ranked among
+    the k! order types by tuple_rank; all tuples are read at once.
+    """
+    n = len(order.window)
+    if n < code.k:
+        raise WindowTooSmall(f"window size {n} below arity {code.k}")
+    sigma = np.argsort(np.asarray(order.ranks)[position_tuples(n, code.k)], axis=1)
+    values = np.asarray(code.table)[tuple_rank(sigma, code.k)]
+    return KConfig(code.k, order.window, tuple(values.tolist()))
 
 
-def sign_code(k: int, max_arity: int = DEFAULT_MAX_ARITY) -> BlockCode:
+def sign_code(k: int) -> BlockCode:
     """Code sending each order type to its parity; its images alternate."""
-    return BlockCode.from_function(k, lambda ot: ot.sign, max_arity=max_arity)
+    return BlockCode.from_function(k, lambda ot: ot.sign)
 
 
 def circular_code(order: LinearOrder) -> KConfig:
@@ -162,7 +162,7 @@ def code_to_text(code: BlockCode) -> str:
     """Arity on the first line, then `sigma : +1|-1` per order type."""
     lines = [str(code.k)]
     for ot, v in code.items():
-        lines.append(f"{' '.join(map(str, ot.sigma))} : {'+1' if v > 0 else '-1'}")
+        lines.append(f"{' '.join(map(str, ot.sigma))} : {format_sign(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,12 +187,7 @@ def code_from_text(text: str) -> BlockCode:
             raise FormatError(str(exc), lineno) from None
         if ot in table:
             raise FormatError(f"duplicate order type {ot.sigma}", lineno)
-        if sign.strip() == "+1":
-            table[ot] = 1
-        elif sign.strip() == "-1":
-            table[ot] = -1
-        else:
-            raise FormatError(f"expected +1 or -1, got {sign.strip()!r}", lineno)
+        table[ot] = parse_sign(sign.strip(), lineno)
     try:
         values = tuple(table[ot] for ot in all_order_types(k))
     except KeyError as exc:

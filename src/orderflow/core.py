@@ -15,6 +15,8 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DomainEscape, FormatError, OutOfWindow
 
 #: Arity cap for configuration builders.  Falling-factorial growth makes
@@ -85,27 +87,34 @@ def as_entries(t: InjTuple | Sequence[int]) -> tuple[int, ...]:
     return t.entries if isinstance(t, InjTuple) else tuple(t)
 
 
-def tuple_rank(positions: Sequence[int], n: int) -> int:
-    """Lexicographic index of an injective tuple of positions over range(n).
+def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
+    """Lexicographic indices of injective tuples of positions over range(n).
 
-    Mixed-radix (Lehmer-style) encoding: digit i is the position reduced by
-    the count of earlier, smaller positions, with radix n - i.  Agrees with
-    the enumeration order of itertools.permutations(range(n), k).
+    rows holds one tuple per row, shape (..., k); the result has shape (...)
+    and agrees with the enumeration order of itertools.permutations(range(n),
+    k).  Mixed-radix (Lehmer) encoding: digit i is the position reduced by the
+    count of earlier, smaller positions, with radix n - i.
     """
-    rank = 0
-    for i, p in enumerate(positions):
-        d = p - sum(1 for q in positions[:i] if q < p)
-        rank = rank * (n - i) + d
+    rows = np.asarray(rows)
+    rank = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        digit = rows[..., i] - (rows[..., :i] < rows[..., i : i + 1]).sum(-1)
+        rank = rank * (n - i) + digit
     return rank
+
+
+def position_tuples(n: int, k: int) -> np.ndarray:
+    """All injective k-tuples over range(n), one per row, lexicographically."""
+    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
 
 
 @dataclass(frozen=True)
 class KConfig:
     """Total +1/-1 assignment on the injective k-tuples over a window.
 
-    Values are stored flat, indexed by the lexicographic rank of the tuple
-    of window positions: O(k^2) lookup, and iteration is a plain zip with
-    itertools.permutations.
+    Values are stored flat in the lexicographic order of the tuples, so
+    iteration is a plain zip with itertools.permutations.  Lookups read
+    `array`, the same values indexed by window positions.
     """
 
     k: int
@@ -130,22 +139,31 @@ class KConfig:
         k: int,
         window: Window,
         fn: Callable[[tuple[int, ...]], int],
-        max_arity: int = DEFAULT_MAX_ARITY,
     ) -> "KConfig":
         """Evaluate fn on every injective k-tuple over the window."""
-        if not 2 <= k <= max_arity:
-            raise ValueError(f"arity must be in 2..{max_arity}, got {k}")
+        if not 2 <= k <= DEFAULT_MAX_ARITY:
+            raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
         values = tuple(int(fn(t)) for t in permutations(window.elements, k))
         return cls(k, window, values)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Read-only (n,)*k int8 array of the values at window positions,
+        0 where a position repeats."""
+        n = len(self.window)
+        dense = np.zeros((n,) * self.k, dtype=np.int8)
+        dense[tuple(position_tuples(n, self.k).T)] = self.values
+        dense.flags.writeable = False
+        return dense
 
     def value(self, t: InjTuple | Sequence[int]) -> int:
         entries = as_entries(t)
         if len(entries) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {entries}")
-        positions = [self.window.position(x) for x in entries]
-        if len(set(positions)) != len(positions):
+        v = int(self.array[tuple(self.window.position(x) for x in entries)])
+        if v == 0:
             raise ValueError(f"tuple entries must be pairwise distinct: {entries}")
-        return self.values[tuple_rank(positions, len(self.window))]
+        return v
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         """All injective k-tuples over the window, lexicographically."""
@@ -247,20 +265,16 @@ def apply_perm(alpha: FinPerm, config: KConfig, window: Window | None = None) ->
     inv = inverse(alpha)
     if window is None:
         window = alpha.image_window(config.window)
-    preimage_pos: dict[int, int] = {}
-    for x in window:
+    pre = np.zeros(len(window), dtype=np.intp)
+    for i, x in enumerate(window):
         y = inv(x)
         if y not in config.window:
             raise DomainEscape(
                 f"preimage {y} of {x} lies outside window {config.window.elements}"
             )
-        preimage_pos[x] = config.window.position(y)
-    n = len(config.window)
-    values = tuple(
-        config.values[tuple_rank([preimage_pos[x] for x in t], n)]
-        for t in permutations(window.elements, config.k)
-    )
-    return KConfig(config.k, window, values)
+        pre[i] = config.window.position(y)
+    values = config.array[tuple(pre[position_tuples(len(window), config.k)].T)]
+    return KConfig(config.k, window, tuple(values.tolist()))
 
 
 def restrict(config: KConfig, window: Window) -> KConfig:
@@ -279,13 +293,8 @@ def is_alternating(config: KConfig) -> bool:
     Adjacent transpositions generate the symmetric group, so checking them
     is sufficient.
     """
-    k = config.k
-    for t, v in config.items():
-        for j in range(k - 1):
-            swapped = t[:j] + (t[j + 1], t[j]) + t[j + 2 :]
-            if config.value(swapped) != -v:
-                return False
-    return True
+    a = config.array
+    return all(np.array_equal(a.swapaxes(j, j + 1), -a) for j in range(config.k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .core import InjTuple, KConfig, FinPerm, Window, as_entries
+import numpy as np
+
+from .core import InjTuple, KConfig, FinPerm, Window, as_entries, position_tuples
 from .errors import ArityMismatch, DegenerateWindow, FormatError, NotALinearOrder
 
 
@@ -118,24 +120,21 @@ def lin_order_to_config2(order: LinearOrder) -> KConfig:
     """Pair configuration with +1 exactly on the ascending pairs."""
     if len(order.window) < 2:
         raise DegenerateWindow("need a window of size at least 2")
-    rank = dict(zip(order.window, order.ranks))
-    return KConfig.from_function(
-        2, order.window, lambda t: 1 if rank[t[0]] < rank[t[1]] else -1
-    )
+    r = np.asarray(order.ranks)[position_tuples(len(order.window), 2)]
+    values = np.where(r[:, 0] < r[:, 1], 1, -1)
+    return KConfig(2, order.window, tuple(values.tolist()))
 
 
-def _decoded_order(
-    window: Window, below: Callable[[int, int], bool]
-) -> LinearOrder | None:
-    """Order ranking each x by the count of window elements y with below(y, x).
+def _decoded_order(window: Window, below: np.ndarray) -> LinearOrder | None:
+    """Order ranking the window element at position x by the count of
+    positions y with below[y, x] (the diagonal must be False).
 
     None when those counts are not a ranking of the window.
     """
-    elems = window.elements
-    ranks = tuple(sum(1 for y in elems if y != x and below(y, x)) for x in elems)
-    if sorted(ranks) != list(range(len(elems))):
+    ranks = below.sum(axis=0)
+    if not np.array_equal(np.sort(ranks), np.arange(len(window))):
         return None
-    return LinearOrder(window, ranks)
+    return LinearOrder(window, tuple(ranks.tolist()))
 
 
 def config2_to_order(config: KConfig) -> LinearOrder:
@@ -146,7 +145,7 @@ def config2_to_order(config: KConfig) -> LinearOrder:
     """
     if config.k != 2:
         raise ArityMismatch(f"expected arity 2, got {config.k}")
-    order = _decoded_order(config.window, lambda y, x: config.value((y, x)) == 1)
+    order = _decoded_order(config.window, config.array == 1)
     if order is None or (len(config.window) >= 2 and lin_order_to_config2(order) != config):
         raise NotALinearOrder("configuration is not alternating and transitive")
     return order
@@ -220,10 +219,9 @@ def is_circular_realizable(config: KConfig) -> bool:
     window = config.window
     if len(window) < 3:
         return True
-    a = window.elements[0]
-    candidate = _decoded_order(
-        window, lambda y, x: y == a or (x != a and config.value((a, y, x)) == 1)
-    )
+    below = config.array[0] == 1
+    below[0, 1:] = True
+    candidate = _decoded_order(window, below)
     return candidate is not None and circular_code(candidate) == config
 
 

@@ -97,13 +97,7 @@ def _chunk_pattern_counts(
     sampled = _sample_positions(len(source_ranks), w, chunk_seed, count)
     r = source_ranks[sampled]
     induced = (r[:, None, :] < r[:, :, None]).sum(axis=2)
-    codes = np.zeros(count, dtype=np.int64)
-    for i in range(w):
-        d = induced[:, i].copy()
-        for j in range(i):
-            d -= induced[:, j] < induced[:, i]
-        codes = codes * (w - i) + d
-    return np.bincount(codes, minlength=math.factorial(w))
+    return np.bincount(tuple_rank(induced, w), minlength=math.factorial(w))
 
 
 def _pattern_counts(
@@ -159,7 +153,7 @@ def orbit_average(
     for different patterns from one seed partition the trials.
     """
     counts = _pattern_counts(source, pattern.window, trials, seed, jobs)
-    hits = int(counts[tuple_rank(pattern.ranks, len(pattern.window))])
+    hits = int(counts[int(tuple_rank(pattern.ranks, len(pattern.window)))])
     return PatternStat(
         pattern=pattern,
         exact=cylinder_measure(pattern),

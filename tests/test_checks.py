@@ -90,6 +90,20 @@ def test_check_catches_its_planted_fault(name, monkeypatch):
         call()
 
 
+def test_counting_checks_count_what_they_checked():
+    rng = random.Random(0)
+    assert checks.bijection_round_trip(range(2, 4)) == 2 + 6
+    alternation = checks.sign_code_alternation(rng, (2, 3), 3, sampled_points=4, samples=5)
+    assert alternation == (2 + 6 + 5) + (6 + 5)
+    assert checks.circular_image_counts(range(3, 5)) == 2 + 6
+    assert checks.reversal_structure(range(2, 4)) == 2 + 6
+    # empty budgets check nothing and say so
+    assert checks.bijection_round_trip(range(2, 2)) == 0
+    assert checks.sign_code_alternation(rng, (2, 3, 4), 1, sampled_points=5, samples=0) == 0
+    assert checks.circular_image_counts(range(3, 3)) == 0
+    assert checks.reversal_structure(range(2, 2)) == 0
+
+
 def test_require_raises_with_lazy_message():
     checks.require(True, "never formatted %d", "not a number")
     with pytest.raises(AssertionError, match="^bad 3 of 4$"):

@@ -51,6 +51,27 @@ def test_verify_inject_fault_fails_by_name(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "max_window, skipped",
+    [
+        (1, ["bijection-roundtrip", "sign-code-alternation", "circular-order-count",
+             "reversal-structure"]),
+        (2, ["circular-order-count"]),
+    ],
+)
+def test_verify_skips_checks_with_nothing_to_check(max_window, skipped, capsys):
+    code, out, _ = run_cli(
+        ["verify", "--max-window", str(max_window), "--trials", "2000"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    skip_lines = [line for line in lines if line.startswith("SKIP ")]
+    assert [line.split()[1] for line in skip_lines] == skipped
+    assert all(line.endswith("): nothing to check") for line in skip_lines)
+    assert sum(line.startswith("PASS ") for line in lines) == 12 - len(skipped)
+    assert lines[-1] == f"result: {12 - len(skipped)} passed, 0 failed, {len(skipped)} skipped"
+
+
 def run_optimized(argv):
     """The CLI under `python -O`, which strips `assert` statements."""
     env = dict(os.environ)
@@ -273,6 +294,15 @@ def test_factor_malformed_file_names_the_line(tmp_path, capsys):
     code, _, err = run_cli(["factor", "circular", str(order_file)], capsys)
     assert code == 2
     assert "line 1" in err
+
+
+def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_bytes(b"\xff\xfe 3 1\n")
+    code, out, err = run_cli(["factor", "circular", str(order_file)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(f"error: {order_file}: ")
 
 
 def test_factor_rejects_unknown_codes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from orderflow import (
     BlockCode,
     DegenerateInput,
     FinPerm,
+    KConfig,
     LinearOrder,
     Window,
     WindowTooSmall,
@@ -25,6 +26,7 @@ from orderflow import (
     is_alternating_code,
     lin_order_to_config2,
     moment_curve_orientation,
+    order_type,
     relabel,
     sign_code,
 )
@@ -118,6 +120,32 @@ def test_sign4_on_an_increasing_quadruple():
     assert config.value((1, 0, 2, 3)) == -1
 
 
+def per_tuple_apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
+    """Reference route: one order type per tuple, looked up in the code table."""
+    table = {ot.sigma: v for ot, v in code.items()}
+    return KConfig.from_function(
+        code.k, order.window, lambda t: table[order_type(t, order).sigma]
+    )
+
+
+def test_apply_code_matches_the_per_tuple_route_exhaustively():
+    for k in (2, 3, 4):
+        code = sign_code(k)
+        for n in range(k, 7):
+            for order in all_linear_orders(Window(tuple(range(n)))):
+                assert apply_code(code, order) == per_tuple_apply_code(code, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_code_matches_the_per_tuple_route_on_random_tables(data):
+    k = data.draw(st.integers(2, 4))
+    table = data.draw(st.tuples(*[st.sampled_from((1, -1))] * math.factorial(k)))
+    ranked = data.draw(st.lists(st.integers(-30, 30), unique=True, min_size=k, max_size=7))
+    code, order = BlockCode(k, table), LinearOrder.from_ranked_elements(ranked)
+    assert apply_code(code, order) == per_tuple_apply_code(code, order)
+
+
 # ---------------------------------------------------------------------------
 # alternation of codes
 
@@ -130,14 +158,6 @@ def test_sign_codes_are_alternating():
 def test_constant_code_is_not_alternating():
     assert not is_alternating_code(BlockCode(2, (1, 1)))
     assert not is_alternating_code(BlockCode(3, (1,) * 6))
-
-
-def test_sign_code_images_alternate():
-    for k in (2, 3, 4):
-        for n in range(k, 6):
-            window = Window(tuple(range(n)))
-            for order in all_linear_orders(window):
-                assert is_alternating(apply_code(sign_code(k), order))
 
 
 @settings(max_examples=40, deadline=None)

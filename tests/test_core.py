@@ -1,6 +1,7 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,9 +117,16 @@ def test_inj_tuple_validation():
 
 
 def test_tuple_rank_matches_enumeration_order():
-    for n, k in [(3, 2), (4, 2), (4, 3), (5, 3)]:
-        for i, t in enumerate(permutations(range(n), k)):
-            assert tuple_rank(t, n) == i
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            table = np.array(list(permutations(range(n), k)))
+            assert tuple_rank(table, n).tolist() == list(range(len(table)))
+            # leading axes are kept: one rank per row
+            assert tuple_rank(table.reshape(2, -1, k), n).tolist() == np.arange(
+                len(table)
+            ).reshape(2, -1).tolist()
+            for i, t in enumerate(permutations(range(n), k)):
+                assert int(tuple_rank(t, n)) == i
 
 
 def test_kconfig_value_count_is_falling_factorial():
@@ -126,6 +134,32 @@ def test_kconfig_value_count_is_falling_factorial():
         window = Window(tuple(range(n)))
         config = KConfig.from_function(k, window, lambda t: 1 if t[0] < t[1] else -1)
         assert len(config.values) == math.perm(n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dense_array_agrees_with_the_stored_values(data):
+    k = data.draw(st.sampled_from((2, 3)))
+    window = data.draw(window_st(0, 5))
+    n = len(window)
+    values = data.draw(st.tuples(*[st.sampled_from((1, -1))] * math.perm(n, k)))
+    config = KConfig(k, window, values)
+    stored = dict(config.items())
+    array = config.array
+    assert array.shape == (n,) * k and array.dtype == np.int8
+    for positions in product(range(n), repeat=k):
+        t = tuple(window.elements[p] for p in positions)
+        if len(set(positions)) == k:
+            assert array[positions] == stored[t] == config.value(t)
+        else:
+            assert array[positions] == 0
+            with pytest.raises(ValueError):
+                config.value(t)
+    assert not array.flags.writeable
+    if n:
+        with pytest.raises(ValueError):
+            array[(0,) * k] = 0
+    assert config.array is array
 
 
 def test_kconfig_rejects_bad_values():
@@ -231,6 +265,16 @@ def test_restrict_and_negate():
     assert negate(config).value((0, 1)) == -1
     with pytest.raises(DomainEscape):
         restrict(config, Window((0, 9)))
+
+
+def test_moving_onto_a_window_below_the_arity_gives_an_empty_config():
+    config = KConfig.from_function(
+        3, Window((0, 1, 2, 3)), lambda t: 1 if t[0] < t[1] else -1
+    )
+    for sub in (Window(()), Window((2,)), Window((1, 3))):
+        assert restrict(config, sub) == KConfig(3, sub, ())
+    empty = KConfig(3, Window((0, 1)), ())
+    assert apply_perm(FinPerm.from_cycles((0, 5)), empty) == KConfig(3, Window((1, 5)), ())
 
 
 @settings(max_examples=60, deadline=None)

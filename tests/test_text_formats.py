@@ -1,0 +1,124 @@
+"""Property tests for the text formats: formatting then parsing gives the
+value back, and any text either parses or raises FormatError."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orderflow import (
+    MINIMALITY,
+    PROXIMALITY_AGREE,
+    PROXIMALITY_REVERSE,
+    BlockCode,
+    FinPerm,
+    FormatError,
+    Window,
+    Witness,
+    code_from_text,
+    code_to_text,
+    config_from_text,
+    order_from_text,
+    perm_from_text,
+    perm_to_text,
+    witness_from_text,
+    witness_to_text,
+)
+
+# ---------------------------------------------------------------------------
+# values
+
+
+@st.composite
+def code_st(draw):
+    k = draw(st.integers(2, 4))
+    return BlockCode(k, draw(st.tuples(*[st.sampled_from((1, -1))] * math.factorial(k))))
+
+
+@st.composite
+def perm_st(draw):
+    sources = draw(st.lists(st.integers(-1000, 1000), unique=True, max_size=10))
+    targets = draw(st.permutations(sources))
+    return FinPerm.from_dict(dict(zip(sources, targets)))
+
+
+window_st = st.lists(st.integers(-1000, 1000), unique=True, max_size=8).map(Window.of)
+
+witness_st = st.builds(
+    Witness,
+    perm_st(),
+    window_st,
+    st.sampled_from((MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_st())
+def test_code_text_round_trips_random_tables(code):
+    assert code_from_text(code_to_text(code)) == code
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_st())
+def test_perm_text_round_trips_random_perms(alpha):
+    assert perm_from_text(perm_to_text(alpha)) == alpha
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_st)
+def test_witness_text_round_trips_random_witnesses(witness):
+    assert witness_from_text(witness_to_text(witness)) == witness
+
+
+# ---------------------------------------------------------------------------
+# arbitrary text
+
+PARSERS = {
+    "config": config_from_text,
+    "code": code_from_text,
+    "order": order_from_text,
+    "perm": perm_from_text,
+    "witness": witness_from_text,
+}
+
+#: Characters the formats are made of, so that drawn text gets past the
+#: first token more often than uniformly random text does.
+FORMAT_CHARS = "0123456789 -+,:=>\nkwindoaphlstr"
+
+SAMPLES = {
+    "config": "k=2 window=0,3\n0 3 : +1\n3 0 : -1\n",
+    "code": "2\n1 2 : +1\n2 1 : -1\n",
+    "order": "7 3 9",
+    "perm": "0->2,2->5,5->0",
+    "witness": "kind=minimality\nwindow=0,1\nalpha=0->1,1->0\n",
+}
+
+
+@st.composite
+def edited_sample_st(draw, name):
+    """A valid sample with a few characters deleted, replaced or inserted."""
+    text = SAMPLES[name]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:i] + draw(st.text(FORMAT_CHARS, max_size=3)) + text[i + cut :]
+    return text
+
+
+def text_st(name):
+    return st.one_of(st.text(), st.text(FORMAT_CHARS, max_size=60), edited_sample_st(name))
+
+
+def parses_or_raises_format_error(parse, text):
+    try:
+        parse(text)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_arbitrary_text_raises_only_format_error(name, data):
+    parses_or_raises_format_error(PARSERS[name], data.draw(text_st(name)))
