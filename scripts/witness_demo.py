@@ -8,7 +8,6 @@ proximality case, and the re-verification of both certificates.
 import argparse
 
 from orderflow import (
-    PairColoring,
     Window,
     minimality_witness,
     order_to_text,
@@ -19,6 +18,7 @@ from orderflow import (
     verify_minimality,
     verify_proximality,
 )
+from orderflow.ramsey import AgreementColoring
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
 
     o1 = random_linear_order(ground, args.seed + 2)
     o2 = random_linear_order(ground, args.seed + 3)
-    coloring = PairColoring.from_orders(o1, o2)
+    coloring = AgreementColoring(o1, o2)
     mono = ramsey_mono_subset(coloring, args.window)
     witness = proximality_witness(o1, o2, window)
     print("proximality")

@@ -7,6 +7,7 @@ from .codes import (
     BlockCode,
     apply_code,
     circular_code,
+    code_from_name,
     code_from_text,
     code_to_text,
     is_alternating_code,
@@ -16,7 +17,6 @@ from .codes import (
 from .core import (
     DEFAULT_MAX_ARITY,
     FinPerm,
-    InjTuple,
     KConfig,
     Window,
     apply_perm,
@@ -46,10 +46,7 @@ from .errors import (
 )
 from .orders import (
     LinearOrder,
-    OrderType,
     all_linear_orders,
-    all_order_types,
-    compose_types,
     config2_is_linear_order,
     config2_to_order,
     cyclic_shift,
@@ -57,7 +54,6 @@ from .orders import (
     lin_order_to_config2,
     order_from_text,
     order_to_text,
-    order_type,
     relabel,
     reversal_class_rep,
     reverse,

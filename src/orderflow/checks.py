@@ -36,15 +36,6 @@ def _random_perm(window: Window, rng: random.Random) -> FinPerm:
     return FinPerm.from_dict(dict(zip(elems, images)))
 
 
-def _encoder(name: str):
-    """(encode, least window size) for `circular` or `sign-K`."""
-    if name == "circular":
-        return codes.circular_code, 3
-    k = int(name.split("-", 1)[1])
-    code = codes.sign_code(k)
-    return (lambda order: codes.apply_code(code, order)), k
-
-
 def bijection_round_trip(sizes: Iterable[int]) -> int:
     """Every order's pair configuration is recognized and decodes back to it.
 
@@ -145,13 +136,13 @@ def code_equivariance(
     """Each named code (`circular` or `sign-K`) commutes with relabelling by
     a random window permutation, on random orders."""
     for name in code_names:
-        encode, k = _encoder(name)
+        code = codes.code_from_name(name)
         for _ in range(per_code):
-            window = _window(rng.randint(k, max_points))
+            window = _window(rng.randint(code.k, max_points))
             order = stats.random_linear_order(window, rng.getrandbits(48))
             alpha = _random_perm(window, rng)
-            lhs = encode(orders.relabel(order, alpha))
-            rhs = core.apply_perm(alpha, encode(order))
+            lhs = codes.apply_code(code, orders.relabel(order, alpha))
+            rhs = core.apply_perm(alpha, codes.apply_code(code, order))
             require(lhs == rhs, "%s does not commute with the action", name)
 
 

@@ -231,7 +231,7 @@ def cmd_witness(cfg: RunConfig) -> int:
 # factor
 
 
-def cmd_factor(cfg: RunConfig) -> int:
+def cmd_factor(cfg: RunConfig, code: codes.BlockCode) -> int:
     try:
         text = Path(cfg.order_file).read_text()
     except UnicodeDecodeError as exc:
@@ -242,12 +242,7 @@ def cmd_factor(cfg: RunConfig) -> int:
     if len(stripped) > 1:
         raise FormatError("expected a single order line", stripped[1][0])
     lineno, line = stripped[0]
-    order = orders.order_from_text(line, lineno)
-    if cfg.code == "circular":
-        config = codes.circular_code(order)
-    else:
-        k = int(cfg.code.split("-", 1)[1])
-        config = codes.apply_code(codes.sign_code(k), order)
+    config = codes.apply_code(code, orders.order_from_text(line, lineno))
     _emit(core.config_to_text(config), cfg.out)
     _report(f"alternating: {'yes' if core.is_alternating(config) else 'no'}")
     if config.k == 3:
@@ -326,14 +321,12 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = None
     if args.subcommand == "factor":
-        code = args.code
-        if code != "circular":
-            parts = code.split("-", 1)
-            if parts[0] != "sign" or len(parts) != 2 or not parts[1].isdigit():
-                parser.error(f"unknown code {code!r}: expected circular or sign-K")
-            if not 2 <= int(parts[1]) <= core.DEFAULT_MAX_ARITY:
-                parser.error(f"sign code arity must be in 2..{core.DEFAULT_MAX_ARITY}")
+        try:
+            code = codes.code_from_name(args.code)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.subcommand == "frequencies" and args.window > MAX_FREQUENCY_WINDOW:
         parser.error(f"--window must be at most {MAX_FREQUENCY_WINDOW}, got {args.window}")
     cfg = _to_config(args)
@@ -342,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
         "frequencies": cmd_frequencies,
         "witness": cmd_witness,
-        "factor": cmd_factor,
+        "factor": lambda cfg: cmd_factor(cfg, code),
     }
     try:
         return handlers[cfg.subcommand](cfg)

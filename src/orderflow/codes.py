@@ -1,10 +1,13 @@
 """Order-type block codes and the moment-curve orientation predicate.
 
 A block code turns a linear order into a k-configuration whose value on a
-tuple depends only on the tuple's order type.  The sign code sends each
-order type to its parity; for k = 2 it reproduces the pair encoding of the
-order, and for k = 3 its image is exactly a circular order (the cyclic
-rotations of a triple are its even rearrangements).
+tuple depends only on the tuple's order type.  An order type is a 0-based
+sorting permutation, one row of `position_tuples(k, k)`, and a code's table
+is indexed by that row's `tuple_rank`; the text format prints each row
+1-based.  The sign code sends each order type to its parity; for k = 2 it
+reproduces the pair encoding of the order, and for k = 3 its image is
+exactly a circular order (the cyclic rotations of a triple are its even
+rearrangements).
 """
 
 from __future__ import annotations
@@ -12,21 +15,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ARITY, KConfig, format_sign, parse_sign, position_tuples, tuple_rank
+from .core import (
+    DEFAULT_MAX_ARITY,
+    KConfig,
+    Window,
+    format_sign,
+    is_alternating,
+    parse_sign,
+    position_tuples,
+    tuple_rank,
+)
 from .errors import DegenerateInput, FormatError, WindowTooSmall
-from .orders import LinearOrder, OrderType, all_order_types, compose_types
+from .orders import LinearOrder
 
 
 @dataclass(frozen=True)
 class BlockCode:
     """Tuple-local recoding rule: one output sign per order type.
 
-    The table is stored flat, indexed by the lexicographic rank of the
-    order type among all k! of them.
+    table[i] is the sign of the order type in row i of
+    `position_tuples(k, k)`, the sorting permutation sigma with
+    `tuple_rank(sigma, k) == i`.
     """
 
     k: int
@@ -43,24 +56,12 @@ class BlockCode:
         if any(v not in (1, -1) for v in self.table):
             raise ValueError("table values must be +1 or -1")
 
-    @classmethod
-    def from_function(cls, k: int, fn: Callable[[OrderType], int]) -> "BlockCode":
-        if not 2 <= k <= DEFAULT_MAX_ARITY:
-            raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
-        return cls(k, tuple(int(fn(ot)) for ot in all_order_types(k)))
-
-    def value(self, ot: OrderType) -> int:
-        return self.table[int(tuple_rank(np.subtract(ot.sigma, 1), self.k))]
-
-    def items(self) -> Iterator[tuple[OrderType, int]]:
-        return zip(all_order_types(self.k), self.table)
-
 
 def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
     """Configuration reading the code table at each tuple's order type.
 
-    Sorting a tuple's ranks gives its order type's sigma - 1, ranked among
-    the k! order types by tuple_rank; all tuples are read at once.
+    Sorting a tuple's ranks gives its order type, ranked among the k! order
+    types by tuple_rank; all tuples are read at once.
     """
     n = len(order.window)
     if n < code.k:
@@ -72,30 +73,42 @@ def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
 
 def sign_code(k: int) -> BlockCode:
     """Code sending each order type to its parity; its images alternate."""
-    return BlockCode.from_function(k, lambda ot: ot.sign)
+    if not 2 <= k <= DEFAULT_MAX_ARITY:
+        raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
+    sigma = position_tuples(k, k)
+    inversions = np.triu(sigma[:, :, None] > sigma[:, None, :], 1).sum(axis=(1, 2))
+    return BlockCode(k, tuple((1 - 2 * (inversions % 2)).tolist()))
 
 
 def circular_code(order: LinearOrder) -> KConfig:
     """Triple configuration with +1 on the cyclic rearrangements of ascent."""
-    if len(order.window) < 3:
-        raise WindowTooSmall(f"window size {len(order.window)} below arity 3")
     return apply_code(sign_code(3), order)
+
+
+def code_from_name(name: str) -> BlockCode:
+    """The code called `sign-K`, or `circular`, which is sign-3.
+
+    Raises ValueError for any other name and for K outside
+    2..DEFAULT_MAX_ARITY.
+    """
+    if name == "circular":
+        return sign_code(3)
+    kind, _, arity = name.partition("-")
+    if kind != "sign" or not arity.isdecimal():
+        raise ValueError(f"unknown code {name!r}: expected circular or sign-K")
+    if not 2 <= int(arity) <= DEFAULT_MAX_ARITY:
+        raise ValueError(f"sign code arity must be in 2..{DEFAULT_MAX_ARITY}")
+    return sign_code(int(arity))
 
 
 def is_alternating_code(code: BlockCode) -> bool:
     """Whether every image of the code alternates.
 
-    Permuting a tuple by tau composes its order type with the inverse of
-    tau on the left, so the table condition is
-    table[tau^-1 o sigma] == sign(tau) * table[sigma] for all sigma, tau.
+    Whether an image alternates at a tuple depends only on the tuple's
+    order type, and the natural order on k points has one k-tuple of each
+    order type, so its image alternates exactly when every image does.
     """
-    types = all_order_types(code.k)
-    for tau in types:
-        tau_inv = tau.inverse()
-        for sigma in types:
-            if code.value(compose_types(tau_inv, sigma)) != tau.sign * code.value(sigma):
-                return False
-    return True
+    return is_alternating(apply_code(code, LinearOrder.natural(Window(tuple(range(code.k))))))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +172,11 @@ def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
 
 
 def code_to_text(code: BlockCode) -> str:
-    """Arity on the first line, then `sigma : +1|-1` per order type."""
+    """Arity on the first line, then `sigma : +1|-1` per order type, with
+    sigma printed 1-based."""
     lines = [str(code.k)]
-    for ot, v in code.items():
-        lines.append(f"{' '.join(map(str, ot.sigma))} : {format_sign(v)}")
+    for sigma, v in zip((position_tuples(code.k, code.k) + 1).tolist(), code.table):
+        lines.append(f"{' '.join(map(str, sigma))} : {format_sign(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,22 +190,24 @@ def code_from_text(text: str) -> BlockCode:
         raise FormatError(f"bad arity line {lines[0]!r}", 1) from None
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", 1)
-    table: dict[OrderType, int] = {}
+    table: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         head, sep, sign = line.partition(":")
         if not sep:
             raise FormatError(f"missing ':' in {line!r}", lineno)
         try:
-            ot = OrderType(tuple(int(x) for x in head.split()))
+            sigma = tuple(int(x) for x in head.split())
         except ValueError as exc:
             raise FormatError(str(exc), lineno) from None
-        if ot in table:
-            raise FormatError(f"duplicate order type {ot.sigma}", lineno)
-        table[ot] = parse_sign(sign.strip(), lineno)
+        if sorted(sigma) != list(range(1, len(sigma) + 1)):
+            raise FormatError(f"not a permutation of 1..{len(sigma)}: {sigma}", lineno)
+        if sigma in table:
+            raise FormatError(f"duplicate order type {sigma}", lineno)
+        table[sigma] = parse_sign(sign.strip(), lineno)
     try:
-        values = tuple(table[ot] for ot in all_order_types(k))
+        values = tuple(table[tuple(sigma)] for sigma in (position_tuples(k, k) + 1).tolist())
     except KeyError as exc:
-        raise FormatError(f"missing entry for order type {exc.args[0].sigma}") from None
+        raise FormatError(f"missing entry for order type {exc.args[0]}") from None
     if len(table) != math.factorial(k):
         raise FormatError("table has entries of the wrong arity")
     return BlockCode(k, values)

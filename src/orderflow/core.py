@@ -61,32 +61,6 @@ class Window:
         return x in self._pos
 
 
-@dataclass(frozen=True)
-class InjTuple:
-    """Tuple of pairwise distinct integers indexing one configuration value."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) < 2:
-            raise ValueError("injective tuples have arity at least 2")
-        if len(set(entries)) != len(entries):
-            raise ValueError(f"tuple entries must be pairwise distinct: {entries}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-
-def as_entries(t: InjTuple | Sequence[int]) -> tuple[int, ...]:
-    """Normalize a tuple argument to a plain tuple of ints."""
-    return t.entries if isinstance(t, InjTuple) else tuple(t)
-
-
 def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
     """Lexicographic indices of injective tuples of positions over range(n).
 
@@ -156,8 +130,8 @@ class KConfig:
         dense.flags.writeable = False
         return dense
 
-    def value(self, t: InjTuple | Sequence[int]) -> int:
-        entries = as_entries(t)
+    def value(self, t: Sequence[int]) -> int:
+        entries = tuple(t)
         if len(entries) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {entries}")
         v = int(self.array[tuple(self.window.position(x) for x in entries)])
@@ -377,9 +351,12 @@ def perm_from_text(text: str) -> FinPerm:
         if not sep:
             raise FormatError(f"expected 'a->b', got {token!r}")
         try:
-            mapping[int(src)] = int(dst)
+            a, b = int(src), int(dst)
         except ValueError:
             raise FormatError(f"bad pair {token!r}") from None
+        if a in mapping:
+            raise FormatError(f"duplicate source {a}")
+        mapping[a] = b
     try:
         return FinPerm.from_dict(mapping)
     except ValueError as exc:

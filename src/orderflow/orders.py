@@ -1,8 +1,13 @@
-"""Linear orders on windows, order types of tuples, reversal, and
-circular-order realizability.
+"""Linear orders on windows, reversal, and circular-order realizability.
 
-A linear order is a ranking of a window; rank 0 is the least element.  A
-pair configuration encodes an order by giving +1 exactly to the ascending
+A linear order is a ranking of a window; rank 0 is the least element.  The
+order type of a k-tuple under an order is its sorting permutation: the row
+sigma of `core.position_tuples(k, k)` whose slot sigma[0] holds the least
+entry, sigma[1] the next, and so on.  It has no class of its own:
+`codes.apply_code` computes the order types of all tuples at once, and the
+code text format prints them 1-based.
+
+A pair configuration encodes an order by giving +1 exactly to the ascending
 pairs, and every alternating, transitive pair configuration arises this
 way.  Both kinds of order image are recognized the same way: decode the
 one candidate order, re-encode it, and compare with the input.
@@ -16,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import InjTuple, KConfig, FinPerm, Window, as_entries, position_tuples
+from .core import KConfig, FinPerm, Window, position_tuples
 from .errors import ArityMismatch, DegenerateWindow, FormatError, NotALinearOrder
 
 
@@ -58,52 +63,6 @@ class LinearOrder:
         for x, r in zip(self.window, self.ranks):
             inv[r] = x
         return tuple(inv)
-
-
-@dataclass(frozen=True)
-class OrderType:
-    """Sorting permutation of a tuple, one-line notation on 1..k.
-
-    sigma[j] is the slot (1-based) holding the (j+1)-th smallest entry.
-    """
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self):
-        sigma = tuple(int(s) for s in self.sigma)
-        object.__setattr__(self, "sigma", sigma)
-        if sorted(sigma) != list(range(1, len(sigma) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(sigma)}: {sigma}")
-
-    @property
-    def k(self) -> int:
-        return len(self.sigma)
-
-    @property
-    def sign(self) -> int:
-        inversions = sum(
-            1
-            for i in range(len(self.sigma))
-            for j in range(i + 1, len(self.sigma))
-            if self.sigma[i] > self.sigma[j]
-        )
-        return -1 if inversions % 2 else 1
-
-    def inverse(self) -> "OrderType":
-        inv = [0] * len(self.sigma)
-        for j, s in enumerate(self.sigma, start=1):
-            inv[s - 1] = j
-        return OrderType(tuple(inv))
-
-
-def compose_types(a: OrderType, b: OrderType) -> OrderType:
-    """Composite permutation applying b first, then a."""
-    return OrderType(tuple(a.sigma[s - 1] for s in b.sigma))
-
-
-def all_order_types(k: int) -> list[OrderType]:
-    """All k! order types in lexicographic order."""
-    return [OrderType(p) for p in permutations(range(1, k + 1))]
 
 
 def all_linear_orders(window: Window) -> Iterator[LinearOrder]:
@@ -158,19 +117,6 @@ def config2_is_linear_order(config: KConfig) -> bool:
     except NotALinearOrder:
         return False
     return True
-
-
-def order_type(t: InjTuple | Sequence[int], order: LinearOrder) -> OrderType:
-    """Sorting permutation of the tuple under the order.
-
-    Convention: the entry in slot sigma[0] is least, then slot sigma[1], etc.
-    """
-    entries = as_entries(t)
-    if len(set(entries)) != len(entries):
-        raise ValueError(f"tuple entries must be pairwise distinct: {entries}")
-    ranks = [order.rank_of(x) for x in entries]
-    by_rank = sorted(range(len(entries)), key=ranks.__getitem__)
-    return OrderType(tuple(p + 1 for p in by_rank))
 
 
 def reverse(order: LinearOrder) -> LinearOrder:

@@ -318,6 +318,8 @@ def witness_from_text(text: str) -> Witness:
         key, sep, value = line.partition("=")
         if not sep or key not in ("kind", "window", "alpha"):
             raise FormatError(f"expected kind=/window=/alpha=, got {line!r}", lineno)
+        if key in fields:
+            raise FormatError(f"duplicate {key}= line", lineno)
         fields[key] = value
     missing = {"kind", "window", "alpha"} - set(fields)
     if missing:

@@ -308,9 +308,17 @@ def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
 def test_factor_rejects_unknown_codes(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_text("0 1 2\n")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["factor", "sgn-3", str(order_file)])
-    assert excinfo.value.code == 2
+    for name in ("sgn-3", "sign", "sign-x", "sign-1", "sign-7", "foo"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["factor", name, str(order_file)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "runconfig" not in err
+        if name in ("sign-1", "sign-7"):
+            expected = "sign code arity must be in 2..6"
+        else:
+            expected = f"unknown code {name!r}: expected circular or sign-K"
+        assert err.splitlines()[-1] == f"orderflow: error: {expected}"
 
 
 def test_factor_missing_file(tmp_path, capsys):

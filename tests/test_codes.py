@@ -1,32 +1,34 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderflow import (
+    DEFAULT_MAX_ARITY,
     BlockCode,
     DegenerateInput,
     FinPerm,
+    FormatError,
     KConfig,
     LinearOrder,
     Window,
     WindowTooSmall,
     all_linear_orders,
-    all_order_types,
     apply_code,
     apply_perm,
     circular_code,
+    code_from_name,
     code_from_text,
     code_to_text,
     is_alternating,
     is_alternating_code,
     lin_order_to_config2,
     moment_curve_orientation,
-    order_type,
     relabel,
     sign_code,
 )
@@ -68,13 +70,11 @@ def random_distinct_fractions(rng, k):
 
 
 def test_sign_code_tables():
-    two = sign_code(2)
-    assert dict((ot.sigma, v) for ot, v in two.items()) == {(1, 2): 1, (2, 1): -1}
+    assert sign_code(2).table == (1, -1)
     three = sign_code(3)
-    values = [v for _, v in three.items()]
-    assert values.count(1) == 3 and values.count(-1) == 3
-    for ot, v in three.items():
-        assert v == ot.sign
+    assert three.table.count(1) == 3 and three.table.count(-1) == 3
+    for k in range(2, DEFAULT_MAX_ARITY + 1):
+        assert sign_code(k).table == tuple(map(sort_sign, permutations(range(k))))
 
 
 def test_sign2_reproduces_the_order_encoding():
@@ -121,10 +121,13 @@ def test_sign4_on_an_increasing_quadruple():
 
 
 def per_tuple_apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
-    """Reference route: one order type per tuple, looked up in the code table."""
-    table = {ot.sigma: v for ot, v in code.items()}
+    """Reference route: one order type per tuple, the slots sorted by rank,
+    looked up in the code table."""
+    table = dict(zip(permutations(range(code.k)), code.table))
     return KConfig.from_function(
-        code.k, order.window, lambda t: table[order_type(t, order).sigma]
+        code.k,
+        order.window,
+        lambda t: table[tuple(sorted(range(code.k), key=lambda i: order.rank_of(t[i])))],
     )
 
 
@@ -158,6 +161,48 @@ def test_sign_codes_are_alternating():
 def test_constant_code_is_not_alternating():
     assert not is_alternating_code(BlockCode(2, (1, 1)))
     assert not is_alternating_code(BlockCode(3, (1,) * 6))
+
+
+def reference_is_alternating_code(code: BlockCode) -> bool:
+    """Table criterion over all pairs of order types: permuting a tuple by
+    tau composes its order type with tau^-1 on the left, so an alternating
+    code has table[tau^-1 o sigma] == sign(tau) * table[sigma]."""
+    types = list(permutations(range(code.k)))
+    value = dict(zip(types, code.table))
+    for tau in types:
+        tau_inv = tuple(sorted(range(code.k), key=tau.__getitem__))
+        sign = sort_sign(tau)
+        for sigma in types:
+            if value[tuple(tau_inv[s] for s in sigma)] != sign * value[sigma]:
+                return False
+    return True
+
+
+def test_code_alternation_matches_the_table_criterion_on_every_small_table():
+    for k in (2, 3):
+        for table in product((1, -1), repeat=math.factorial(k)):
+            code = BlockCode(k, table)
+            assert is_alternating_code(code) == reference_is_alternating_code(code)
+
+
+@st.composite
+def near_sign_code_st(draw):
+    """A k = 4 or 5 table: uniformly random, or +-sign_code(k) with up to
+    two entries flipped, so that alternating tables are drawn too."""
+    k = draw(st.sampled_from((4, 5)))
+    size = math.factorial(k)
+    if draw(st.booleans()):
+        return BlockCode(k, draw(st.tuples(*[st.sampled_from((1, -1))] * size)))
+    table = [draw(st.sampled_from((1, -1))) * v for v in sign_code(k).table]
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        table[i] = -table[i]
+    return BlockCode(k, tuple(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_sign_code_st())
+def test_code_alternation_matches_the_table_criterion_on_larger_tables(code):
+    assert is_alternating_code(code) == reference_is_alternating_code(code)
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,9 +301,59 @@ def test_code_text_round_trip():
     assert text.splitlines()[1] == "1 2 3 : +1"
 
 
-def test_code_text_errors():
-    from orderflow import FormatError
+#: sha256 of code_to_text(sign_code(k)), recorded when order types were
+#: still formatted through a separate 1-based permutation class.
+SIGN_CODE_TEXT_SHA256 = {
+    2: "d8a50480046c53bfcdcf4802154f2fc66e0805bf2f9b8e20d8d6e7bb10115643",
+    3: "1cf09b516ed32aa7aefcdc3570a7b9ed089308dc207be74afa9dccf8628afca5",
+    4: "3c26a8c9a1982909b55318fa362d4ba2ad12bf048592bc6f89922b95203f6abd",
+    5: "d3fc9ee6b0b09331df22504c245d25e943c913929d2f8cabd41d813568b9a2b0",
+    6: "1fb3d643feeafa5a39a4213d05c65b5477213785d9b9fd7a8fb3d524bece8f10",
+}
 
+
+@pytest.mark.parametrize("k", sorted(SIGN_CODE_TEXT_SHA256))
+def test_sign_code_text_is_pinned(k):
+    text = code_to_text(sign_code(k))
+    expected = [str(k)] + [
+        f"{' '.join(str(s + 1) for s in sigma)} : {'+1' if sort_sign(sigma) > 0 else '-1'}"
+        for sigma in permutations(range(k))
+    ]
+    assert text == "\n".join(expected) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SIGN_CODE_TEXT_SHA256[k]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty code text"),
+        ("x\n", "line 1: bad arity line 'x'"),
+        ("2\n1 2 +1\n", "line 2: missing ':' in '1 2 +1'"),
+        ("2\n1 x : +1\n2 1 : -1\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("2\n1 3 : +1\n2 1 : -1\n", "line 2: not a permutation of 1..2: (1, 3)"),
+        ("2\n0 1 : +1\n", "line 2: not a permutation of 1..2: (0, 1)"),
+        ("2\n1 2 : up\n", "line 2: expected +1 or -1, got 'up'"),
+        ("2\n1 2 : +1\n1 2 : -1\n", "line 3: duplicate order type (1, 2)"),
+        # line numbers count the non-blank lines only
+        ("2\n\n1 2 : +1\n\n1 2 : +1\n", "line 3: duplicate order type (1, 2)"),
+        ("3\n1 2 3 : +1\n", "missing entry for order type (1, 3, 2)"),
+        ("2\n2 1 : +1\n", "missing entry for order type (1, 2)"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n", "table has entries of the wrong arity"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 2 3 : +1\n", "table has entries of the wrong arity"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n1 : -1\n", "line 5: duplicate order type (1,)"),
+        # an empty sigma is the one order type of arity 0
+        ("2\n : +1\n1 2 : +1\n2 1 : -1\n", "table has entries of the wrong arity"),
+        ("2\n : +1\n : -1\n", "line 3: duplicate order type ()"),
+        ("2\n : +1\n", "missing entry for order type (1, 2)"),
+    ],
+)
+def test_code_text_error_messages_are_pinned(text, message):
+    with pytest.raises(FormatError) as excinfo:
+        code_from_text(text)
+    assert str(excinfo.value) == message
+
+
+def test_code_text_errors():
     with pytest.raises(FormatError):
         code_from_text("")
     with pytest.raises(FormatError, match="line 2"):
@@ -268,7 +363,7 @@ def test_code_text_errors():
 
 
 def test_code_text_arity_is_bounded_before_enumeration():
-    from orderflow import DEFAULT_MAX_ARITY, FormatError
+    from orderflow import DEFAULT_MAX_ARITY
 
     # 30! order types would never finish enumerating; the bound comes first.
     for arity in (-1, 0, 1, DEFAULT_MAX_ARITY + 1, 30):
@@ -283,6 +378,21 @@ def test_block_code_validation():
         BlockCode(2, (1,))
     with pytest.raises(ValueError):
         BlockCode(2, (1, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arity must be in 2..6, got 9"):
         sign_code(9)
-    assert len(all_order_types(3)) == 6
+    with pytest.raises(ValueError, match="arity must be in 2..6, got 1"):
+        sign_code(1)
+
+
+def test_code_names():
+    assert code_from_name("circular") == sign_code(3)
+    for k in range(2, DEFAULT_MAX_ARITY + 1):
+        assert code_from_name(f"sign-{k}") == sign_code(k)
+    for name in ("sign", "sign-", "sign-x", "sign--3", "sign-3x", "sgn-3", "foo", "sign-\u00b2"):
+        with pytest.raises(ValueError) as excinfo:
+            code_from_name(name)
+        assert str(excinfo.value) == f"unknown code {name!r}: expected circular or sign-K"
+    for name in ("sign-0", "sign-1", "sign-7", "sign-30"):
+        with pytest.raises(ValueError) as excinfo:
+            code_from_name(name)
+        assert str(excinfo.value) == "sign code arity must be in 2..6"

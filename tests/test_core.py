@@ -10,7 +10,6 @@ from orderflow import (
     DomainEscape,
     FinPerm,
     FormatError,
-    InjTuple,
     KConfig,
     OutOfWindow,
     Window,
@@ -106,14 +105,6 @@ def test_window_position_and_membership():
     assert 9 in w and 4 not in w
     with pytest.raises(OutOfWindow):
         w.position(4)
-
-
-def test_inj_tuple_validation():
-    assert tuple(InjTuple((3, 1, 2))) == (3, 1, 2)
-    with pytest.raises(ValueError):
-        InjTuple((1, 1))
-    with pytest.raises(ValueError):
-        InjTuple((1,))
 
 
 def test_tuple_rank_matches_enumeration_order():
@@ -371,3 +362,5 @@ def test_perm_text_round_trip():
         perm_from_text("0->1")  # not a bijection
     with pytest.raises(FormatError):
         perm_from_text("0=1")
+    with pytest.raises(FormatError, match="duplicate source 0"):
+        perm_from_text("0->1,0->1,1->0")

@@ -4,7 +4,7 @@ value back, and any text either parses or raises FormatError."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orderflow import (
@@ -69,6 +69,34 @@ def test_perm_text_round_trips_random_perms(alpha):
 @given(witness_st)
 def test_witness_text_round_trips_random_witnesses(witness):
     assert witness_from_text(witness_to_text(witness)) == witness
+
+
+# ---------------------------------------------------------------------------
+# repeated keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_st(), st.data())
+def test_perm_text_with_a_repeated_source_is_rejected(alpha, data):
+    assume(alpha.mapping)
+    pairs = perm_to_text(alpha).split(",")
+    source = data.draw(st.sampled_from(alpha.support()))
+    target = data.draw(st.integers(-1000, 1000))
+    pairs.insert(data.draw(st.integers(0, len(pairs))), f"{source}->{target}")
+    with pytest.raises(FormatError, match=f"^duplicate source {source}$"):
+        perm_from_text(",".join(pairs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_st, st.data())
+def test_witness_text_with_a_repeated_field_is_rejected_at_its_line(witness, data):
+    lines = witness_to_text(witness).splitlines()
+    first = data.draw(st.integers(0, len(lines) - 1))
+    key, _, value = lines[first].partition("=")
+    at = data.draw(st.integers(first + 1, len(lines)))
+    lines.insert(at, f"{key}={data.draw(st.sampled_from((value, '0')))}")
+    with pytest.raises(FormatError, match=f"^line {at + 1}: duplicate {key}= line$"):
+        witness_from_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
