@@ -72,7 +72,9 @@ def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
     rows = np.asarray(rows)
     rank = np.zeros(rows.shape[:-1], dtype=np.int64)
     for i in range(rows.shape[-1]):
-        digit = rows[..., i] - (rows[..., :i] < rows[..., i : i + 1]).sum(-1)
+        digit = rows[..., i].astype(np.int64)
+        for m in range(i):
+            digit -= rows[..., m] < rows[..., i]
         rank = rank * (n - i) + digit
     return rank
 

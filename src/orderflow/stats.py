@@ -5,6 +5,14 @@ exchangeable measure, and the empirical frequency of a pattern along
 uniformly random relocations of any fixed source order converges to that
 value, whatever the source.
 
+A trial relocates a uniformly random injective w-tuple of ground
+positions onto the window.  The tuple is drawn as w Lehmer digits, digit i
+uniform on [0, n - i), and decoded by w - 1 vectorized passes (Knuth, TAOCP
+vol. 2, section 3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w)
+draws and memory whatever the ground size n.  Its pattern is the rank
+vector of the w source ranks it lands on, counted by w broadcast
+comparisons and encoded by `core.tuple_rank`.
+
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are reduced in index order, so a
 run is reproducible for a fixed master seed at any worker count.
@@ -15,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,17 +86,31 @@ def derive_seed(master: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
+def _positions_from_digits(digits: np.ndarray) -> np.ndarray:
+    """Decode Lehmer digits into injective tuples of positions, in place.
+
+    Row digit i lies in [0, n - i) and picks the digit-th smallest position
+    not taken by the earlier entries, so this inverts the digits of
+    `tuple_rank`.  Decoding runs from the right: inserting entry i shifts
+    every later entry at or above it up by one.  Returns `digits`, now
+    holding the positions.
+    """
+    for i in range(digits.shape[1] - 2, -1, -1):
+        digits[:, i + 1 :] += digits[:, i + 1 :] >= digits[:, i : i + 1]
+    return digits
+
+
 def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     """(count, w) matrix of distinct window positions, uniform injections.
 
-    Row = the w smallest of n iid uniforms, listed in increasing value,
-    which is distributed as the first w entries of a uniform permutation.
+    Each row draws w independent Lehmer digits, digit i uniform on
+    [0, n - i), and decodes them (Knuth, TAOCP vol. 2, section 3.4.2;
+    Bentley and Floyd, CACM 1987).  Decoding is a bijection from the
+    digit tuples onto the n!/(n - w)! injections, so uniform digits give
+    a uniform injection in O(w) draws and O(w^2) comparisons per row.
     """
     rng = np.random.default_rng(chunk_seed)
-    u = rng.random((count, n))
-    idx = np.argpartition(u, w - 1, axis=1)[:, :w]
-    picked = np.take_along_axis(u, idx, axis=1)
-    return np.take_along_axis(idx, np.argsort(picked, axis=1), axis=1)
+    return _positions_from_digits(rng.integers(0, n - np.arange(w), size=(count, w)))
 
 
 def _chunk_pattern_counts(
@@ -96,7 +119,9 @@ def _chunk_pattern_counts(
     """Pattern histogram of `count` random relocations onto a w-window."""
     sampled = _sample_positions(len(source_ranks), w, chunk_seed, count)
     r = source_ranks[sampled]
-    induced = (r[:, None, :] < r[:, :, None]).sum(axis=2)
+    induced = np.zeros(r.shape, dtype=np.int64)
+    for j in range(w):
+        induced += r[:, j : j + 1] < r
     return np.bincount(tuple_rank(induced, w), minlength=math.factorial(w))
 
 
@@ -184,6 +209,26 @@ def orbit_average_all(
         )
         for i, pattern in enumerate(all_linear_orders(window))
     ]
+
+
+def fit_summary(results: Sequence[PatternStat]) -> tuple[float, int, float]:
+    """Distance of a full pattern histogram from its exact law.
+
+    `results` holds one stat per pattern on a window of at least two points,
+    all from one sample stream, as `orbit_average_all` returns them.  Gives
+    the chi-square statistic over the w! cells, its w! - 1 degrees of
+    freedom, and the largest |z| = |hits - trials p| / sqrt(trials p (1 - p))
+    with p = 1/w!.
+    """
+    if len(results) < 2:
+        raise ValueError(f"need at least two patterns, got {len(results)}")
+    trials = results[0].trials
+    p = float(results[0].exact)
+    expected = trials * p
+    deviations = [float(s.empirical * trials) - expected for s in results]
+    chi2 = sum(d * d for d in deviations) / expected
+    max_z = max(abs(d) for d in deviations) / math.sqrt(expected * (1 - p))
+    return chi2, len(results) - 1, max_z
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from orderflow import (
     reverse,
     witness_from_text,
 )
-from orderflow.cli import MAX_FREQUENCY_WINDOW, main
+from orderflow import cli
+from orderflow.cli import MAX_FREQUENCY_GROUND, MAX_FREQUENCY_WINDOW, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +73,18 @@ def test_verify_skips_checks_with_nothing_to_check(max_window, skipped, capsys):
     assert lines[-1] == f"result: {12 - len(skipped)} passed, 0 failed, {len(skipped)} skipped"
 
 
+@pytest.mark.parametrize(
+    "max_window, label",
+    [(3, "k in {2,3}, windows to 3"), (5, "k in {2,3,4}, windows to 5")],
+)
+def test_verify_names_only_the_arities_it_checked(max_window, label, capsys):
+    code, out, _ = run_cli(
+        ["verify", "--max-window", str(max_window), "--trials", "2000"], capsys
+    )
+    assert code == 0
+    assert f"PASS sign-code-alternation ({label})" in out.splitlines()
+
+
 def run_optimized(argv):
     """The CLI under `python -O`, which strips `assert` statements."""
     env = dict(os.environ)
@@ -125,13 +138,29 @@ def test_frequencies_json_rows_near_one_sixth(tmp_path, capsys):
 
 
 def test_frequencies_single_point_window(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["frequencies", "--window", "1", "--ground", "5", "--trials", "100"], capsys
     )
     assert code == 0
     rows = json.loads(out)
     assert len(rows) == 1
     assert rows[0]["empirical"] == 1.0
+    assert "chi-square" not in err
+
+
+def test_frequencies_reports_the_fit_on_stderr(capsys):
+    trials = 12
+    code, out, err = run_cli(
+        ["frequencies", "--window", "2", "--ground", "3", "--trials", str(trials)], capsys
+    )
+    assert code == 0
+    hits = [round(row["empirical"] * trials) for row in json.loads(out)]
+    assert sum(hits) == trials
+    chi2 = sum((h - trials / 2) ** 2 / (trials / 2) for h in hits)
+    max_z = max(abs(h - trials / 2) for h in hits) / math.sqrt(trials / 4)
+    fit_lines = [line for line in err.splitlines() if line.startswith("chi-square")]
+    assert fit_lines == [f"chi-square: {chi2:.3f} on 1 df; max |z|: {max_z:.3f}"]
+    assert "chi-square" not in out
 
 
 def test_frequencies_rejects_zero_trials(capsys):
@@ -147,6 +176,20 @@ def test_frequencies_rejects_windows_above_the_bound(capsys):
     assert excinfo.value.code == 2
     _, err = capsys.readouterr()
     assert "--window must be at most 8" in err
+
+
+def test_frequencies_rejects_grounds_above_the_bound(monkeypatch, capsys):
+    assert MAX_FREQUENCY_GROUND == 1_000_000
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a ground above the bound")
+
+    monkeypatch.setattr(cli.stats, "orbit_average_all", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["frequencies", "--ground", "1000001", "--trials", "10"])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--ground must be at most 1000000, got 1000001" in err
 
 
 def test_frequencies_csv_mirrors_json(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orderflow import (
@@ -25,7 +28,7 @@ from orderflow import (
     stat_from_dict,
     stat_to_dict,
 )
-from orderflow import stats
+from orderflow import core, stats
 
 # 0.999 quantile of the chi-square distribution with 5 degrees of freedom
 CHI2_Q999_DF5 = 20.515005652432873
@@ -118,6 +121,28 @@ def test_worker_count_does_not_change_the_result():
     serial = orbit_average_all(source, window, trials=25_000, seed=5, jobs=1)
     threaded = orbit_average_all(source, window, trials=25_000, seed=5, jobs=4)
     assert [s.empirical for s in serial] == [s.empirical for s in threaded]
+
+
+def test_lehmer_decode_enumerates_the_injections_in_rank_order():
+    for n in range(1, 8):
+        for w in range(1, n + 1):
+            radices = [range(n - i) for i in range(w)]
+            digits = np.array(list(itertools.product(*radices)), dtype=np.int64)
+            decoded = stats._positions_from_digits(digits)
+            assert np.array_equal(decoded, core.position_tuples(n, w)), (n, w)
+
+
+def test_sampling_memory_does_not_grow_with_the_ground():
+    source = LinearOrder.natural(Window(tuple(range(100_000))))
+    window = Window(tuple(range(4)))
+    tracemalloc.start()
+    try:
+        results = orbit_average_all(source, window, trials=20_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(s.empirical for s in results) == 1
+    assert peak < 64 * 2**20
 
 
 def test_sampler_matches_the_full_action_route():
