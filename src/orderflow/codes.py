@@ -181,17 +181,18 @@ def code_to_text(code: BlockCode) -> str:
 
 
 def code_from_text(text: str) -> BlockCode:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise FormatError("empty code text")
+    arity_lineno, arity_line = lines[0]
     try:
-        k = int(lines[0])
+        k = int(arity_line)
     except ValueError:
-        raise FormatError(f"bad arity line {lines[0]!r}", 1) from None
+        raise FormatError(f"bad arity line {arity_line!r}", arity_lineno) from None
     if not 2 <= k <= DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", 1)
+        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", arity_lineno)
     table: dict[tuple[int, ...], int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         head, sep, sign = line.partition(":")
         if not sep:
             raise FormatError(f"missing ':' in {line!r}", lineno)

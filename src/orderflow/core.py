@@ -79,9 +79,26 @@ def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
     return rank
 
 
+def positions_from_digits(digits: np.ndarray) -> np.ndarray:
+    """Decode Lehmer digits into injective tuples of positions, in place.
+
+    digits holds one tuple per row, shape (m, k), with digit i in [0, n - i):
+    it picks the digit-th smallest position not taken by the earlier
+    entries, so this inverts the digits of `tuple_rank`.  Decoding runs from
+    the right: inserting entry i shifts every later entry at or above it up
+    by one.  Returns `digits`, now holding the positions.
+    """
+    for i in range(digits.shape[1] - 2, -1, -1):
+        digits[:, i + 1 :] += digits[:, i + 1 :] >= digits[:, i : i + 1]
+    return digits
+
+
 def position_tuples(n: int, k: int) -> np.ndarray:
-    """All injective k-tuples over range(n), one per row, lexicographically."""
-    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    """All injective k-tuples over range(n), one per row, lexicographically:
+    every digit tuple in mixed-radix order, decoded at once."""
+    radices = np.maximum(n - np.arange(k), 0)
+    digits = np.indices(radices, dtype=np.intp).reshape(k, math.perm(n, k)).T
+    return positions_from_digits(digits)
 
 
 @dataclass(frozen=True)
@@ -289,15 +306,42 @@ def parse_sign(token: str, lineno: int | None = None) -> int:
     raise FormatError(f"expected +1 or -1, got {token!r}", lineno)
 
 
+#: Line ending of each value in the configuration text, and its inverse.
+_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
+_SUFFIX_SIGN = {suffix: v for v, suffix in _SIGN_SUFFIX.items()}
+
+
+def _tuple_heads(window: Window, k: int) -> Iterator[str]:
+    """`i1 ... ik` for every injective k-tuple over the window,
+    lexicographically."""
+    return map(" ".join, permutations(list(map(str, window)), k))
+
+
 def config_to_text(config: KConfig) -> str:
     """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
-    lines = [f"k={config.k} window={','.join(map(str, config.window))}"]
-    for t, v in config.items():
-        lines.append(f"{' '.join(map(str, t))} : {format_sign(v)}")
-    return "\n".join(lines) + "\n"
+    header = f"k={config.k} window={','.join(map(str, config.window))}"
+    body = map(str.__add__, _tuple_heads(config.window, config.k),
+               map(_SIGN_SUFFIX.__getitem__, config.values))
+    return "\n".join([header, *body]) + "\n"
+
+
+def _canonical_values(body: list[str], window: Window, k: int) -> tuple[int, ...] | None:
+    """The values of a body that is exactly the text `config_to_text` prints,
+    else None.  The line count is checked first, so that no more tuple
+    heads are built than the text has lines."""
+    if len(body) != math.perm(len(window), k):
+        return None
+    cut = -len(_SIGN_SUFFIX[1])
+    if [line[:cut] for line in body] != list(_tuple_heads(window, k)):
+        return None
+    values = tuple(map(_SUFFIX_SIGN.get, [line[cut:] for line in body]))
+    return None if None in values else values
 
 
 def config_from_text(text: str) -> KConfig:
+    """Inverse of `config_to_text`.  Other line orders, blank lines and extra
+    whitespace are accepted too, through a per-line parser that also names
+    the bad line of a malformed text."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty configuration text")
@@ -313,6 +357,9 @@ def config_from_text(text: str) -> KConfig:
         raise FormatError(f"arity must be at least 2, got {k}", 1)
     if k > DEFAULT_MAX_ARITY:
         raise FormatError(f"arity must be at most {DEFAULT_MAX_ARITY}, got {k}", 1)
+    values = _canonical_values(lines[1:], window, k)
+    if values is not None:
+        return KConfig(k, window, values)
     seen: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

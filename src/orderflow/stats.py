@@ -7,11 +7,12 @@ value, whatever the source.
 
 A trial relocates a uniformly random injective w-tuple of ground
 positions onto the window.  The tuple is drawn as w Lehmer digits, digit i
-uniform on [0, n - i), and decoded by w - 1 vectorized passes (Knuth, TAOCP
-vol. 2, section 3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w)
-draws and memory whatever the ground size n.  Its pattern is the rank
-vector of the w source ranks it lands on, counted by w broadcast
-comparisons and encoded by `core.tuple_rank`.
+uniform on [0, n - i), and decoded by `core.positions_from_digits` in
+w - 1 vectorized passes (Knuth, TAOCP vol. 2, section 3.4.2; Bentley and
+Floyd, CACM 1987), so a trial costs O(w) draws and memory whatever the
+ground size n.  Its pattern is the rank vector of the w source ranks it
+lands on, counted by w broadcast comparisons and encoded by
+`core.tuple_rank`.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are reduced in index order, so a
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, tuple_rank
+from .core import Window, positions_from_digits, tuple_rank
 from .errors import DegenerateWindow, FormatError, GroundTooSmall
 from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
 
@@ -86,20 +87,6 @@ def derive_seed(master: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _positions_from_digits(digits: np.ndarray) -> np.ndarray:
-    """Decode Lehmer digits into injective tuples of positions, in place.
-
-    Row digit i lies in [0, n - i) and picks the digit-th smallest position
-    not taken by the earlier entries, so this inverts the digits of
-    `tuple_rank`.  Decoding runs from the right: inserting entry i shifts
-    every later entry at or above it up by one.  Returns `digits`, now
-    holding the positions.
-    """
-    for i in range(digits.shape[1] - 2, -1, -1):
-        digits[:, i + 1 :] += digits[:, i + 1 :] >= digits[:, i : i + 1]
-    return digits
-
-
 def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     """(count, w) matrix of distinct window positions, uniform injections.
 
@@ -110,7 +97,7 @@ def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray
     a uniform injection in O(w) draws and O(w^2) comparisons per row.
     """
     rng = np.random.default_rng(chunk_seed)
-    return _positions_from_digits(rng.integers(0, n - np.arange(w), size=(count, w)))
+    return positions_from_digits(rng.integers(0, n - np.arange(w), size=(count, w)))
 
 
 def _chunk_pattern_counts(

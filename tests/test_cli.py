@@ -19,6 +19,7 @@ from orderflow import cli
 from orderflow.cli import MAX_FREQUENCY_GROUND, MAX_FREQUENCY_WINDOW, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
 
 
 def run_cli(argv, capsys):
@@ -329,6 +330,18 @@ def test_factor_sign4_on_an_increasing_order(tmp_path, capsys):
     config = config_from_text(out)
     assert config.value((0, 1, 2, 3)) == 1
     assert "alternating: yes" in err
+
+
+@pytest.mark.parametrize(
+    "expected", sorted(FACTOR_FIXTURES.glob("*.out")), ids=lambda path: path.stem
+)
+def test_factor_stdout_matches_the_recorded_fixtures(expected, capsys):
+    # each <order>.<code>.out holds the stdout recorded for `factor <code>
+    # <order>.txt` before the text format was built column-wise
+    order, name = expected.stem.split(".")
+    code, out, _ = run_cli(["factor", name, str(FACTOR_FIXTURES / f"{order}.txt")], capsys)
+    assert code == 0
+    assert out == expected.read_text()
 
 
 def test_factor_malformed_file_names_the_line(tmp_path, capsys):

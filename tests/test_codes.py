@@ -334,8 +334,10 @@ def test_sign_code_text_is_pinned(k):
         ("2\n0 1 : +1\n", "line 2: not a permutation of 1..2: (0, 1)"),
         ("2\n1 2 : up\n", "line 2: expected +1 or -1, got 'up'"),
         ("2\n1 2 : +1\n1 2 : -1\n", "line 3: duplicate order type (1, 2)"),
-        # line numbers count the non-blank lines only
-        ("2\n\n1 2 : +1\n\n1 2 : +1\n", "line 3: duplicate order type (1, 2)"),
+        # line numbers count physical lines, blank ones included
+        ("2\n\n1 2 : +1\n\n1 2 : +1\n", "line 5: duplicate order type (1, 2)"),
+        ("\n\nx\n", "line 3: bad arity line 'x'"),
+        ("2\n\n1 x : +1\n", "line 3: invalid literal for int() with base 10: 'x'"),
         ("3\n1 2 3 : +1\n", "missing entry for order type (1, 3, 2)"),
         ("2\n2 1 : +1\n", "missing entry for order type (1, 2)"),
         ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n", "table has entries of the wrong arity"),
