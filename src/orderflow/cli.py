@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -39,6 +40,16 @@ MAX_FREQUENCY_WINDOW = 8
 #: ground size, but the natural source order is built point by point: at
 #: this size a run takes about 0.5 s and 160 MB peak RSS on a 2-core Xeon.
 MAX_FREQUENCY_GROUND = 1_000_000
+
+#: Largest `verify --max-window`: the bijection round trip enumerates all n!
+#: orders of every window up to it, about 1 s at 7 and 9 s at 8 on a 2-core
+#: Xeon; 9 would cost about nine times 8.
+MAX_VERIFY_WINDOW = 8
+
+#: Largest `witness --ground`: the ground and its two random orders are held
+#: as Python tuples; at this size a run takes 4-5.5 s and about 270 MB peak
+#: RSS on a 2-core Xeon.
+MAX_WITNESS_GROUND = 4**10
 
 
 @dataclass(frozen=True)
@@ -278,7 +289,10 @@ def _positive(name: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `parse_args` leaves it
+    unchanged, so every in-process `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog=PROG, description="desk-scale experiments over order configurations"
     )
@@ -340,6 +354,10 @@ def main(argv: list[str] | None = None) -> int:
             code = codes.code_from_name(args.code)
         except ValueError as exc:
             parser.error(str(exc))
+    if args.subcommand == "verify" and args.max_window > MAX_VERIFY_WINDOW:
+        parser.error(f"--max-window must be at most {MAX_VERIFY_WINDOW}, got {args.max_window}")
+    if args.subcommand == "witness" and args.ground > MAX_WITNESS_GROUND:
+        parser.error(f"--ground must be at most {MAX_WITNESS_GROUND}, got {args.ground}")
     if args.subcommand == "frequencies":
         if args.window > MAX_FREQUENCY_WINDOW:
             parser.error(f"--window must be at most {MAX_FREQUENCY_WINDOW}, got {args.window}")

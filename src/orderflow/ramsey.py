@@ -5,8 +5,10 @@ A minimality witness is a finitely supported permutation carrying a large
 source order onto a prescribed pattern on a target window.  A proximality
 witness carries two source orders onto the same window so that they either
 agree there or are exact reverses; the monochromatic set behind it comes
-from a greedy pivot extraction on the agree/disagree pair coloring, whose
-colors are read on demand from the two rank tables.
+from a greedy pivot extraction on the agree/disagree pair coloring.  The
+extraction reads one row of colors per pivot, the pivot against every live
+ground position at once, and keeps its majority class by a boolean mask;
+the agreement colors of that row come from two cached rank arrays.
 
 Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
@@ -17,7 +19,10 @@ pair configuration read only where it is checked: its value at (x, y) is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .core import FinPerm, Window, extend_bijection, inverse, perm_from_text, perm_to_text
 from .errors import DegenerateWindow, DomainEscape, FormatError, GroundTooSmall
@@ -28,6 +33,12 @@ PROXIMALITY_AGREE = "proximality-agree"
 PROXIMALITY_REVERSE = "proximality-reverse"
 
 _KINDS = (MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)
+
+
+def _pair_index(n: int, i: int, j: int | np.ndarray) -> int | np.ndarray:
+    """Flat index of the pair of positions (i, j), i < j, among the pairs of
+    an n-window in lexicographic order; j may be an array."""
+    return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,18 @@ class PairColoring:
             raise ValueError(f"pair elements must be distinct, got {a}")
         if i > j:
             i, j = j, i
-        n = len(self.ground)
-        return self.colors[i * (2 * n - i - 1) // 2 + (j - i - 1)]
+        return self.colors[_pair_index(len(self.ground), i, j)]
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = np.array(self.colors, dtype=bool)
+        table.flags.writeable = False
+        return table
+
+    def colors_after(self, i: int, js: np.ndarray) -> np.ndarray:
+        """Colors of the pairs of ground positions (i, j), j in js, as a
+        boolean array; every j must exceed i."""
+        return self._table[_pair_index(len(self.ground), i, js)]
 
 
 def _agreement_color(r1: Sequence[int], r2: Sequence[int], i: int, j: int) -> int:
@@ -89,8 +110,8 @@ class AgreementColoring:
     """Agree/disagree pair coloring of two orders on a shared ground, read
     on demand from their rank tables instead of tabulated.
 
-    Offers the `ground` and `color_of` interface of PairColoring, with the
-    same colors.
+    Offers the `ground`, `color_of` and `colors_after` interface of
+    PairColoring, with the same colors.
     """
 
     o1: LinearOrder
@@ -111,6 +132,16 @@ class AgreementColoring:
             raise ValueError(f"pair elements must be distinct, got {a}")
         return _agreement_color(self.o1.ranks, self.o2.ranks, i, j)
 
+    @cached_property
+    def _rank_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.o1.ranks), np.array(self.o2.ranks)
+
+    def colors_after(self, i: int, js: np.ndarray) -> np.ndarray:
+        """Colors of the pairs of ground positions (i, j), j in js, as a
+        boolean array; every j must exceed i."""
+        r1, r2 = self._rank_arrays
+        return (r1[i] < r1[js]) != (r2[i] < r2[js])
+
 
 Coloring = PairColoring | AgreementColoring
 
@@ -129,11 +160,14 @@ def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
     """Monochromatic m-subset of the ground, by greedy pivot extraction.
 
     Repeatedly take the least live element as a pivot and keep its larger
-    color class among the remaining live elements.  Every pair of pivots
-    gets the color the earlier pivot kept, so the pivots of the more common
-    kept color form a monochromatic set.  Keeping the majority class at
-    least halves the live count, hence ground size 4**m guarantees 2m
-    pivots and so m of one color.
+    color class among the remaining live elements, color 0 on a tie.  Every
+    pair of pivots gets the color the earlier pivot kept, so the pivots of
+    the more common kept color form a monochromatic set.  Keeping the
+    majority class at least halves the live count, hence ground size 4**m
+    guarantees 2m pivots and so m of one color.
+
+    The live elements are held as an array of ground positions, and each
+    pivot reads its colors against all of them in one `colors_after` row.
     """
     if m < 1:
         raise ValueError(f"target size must be positive, got {m}")
@@ -141,20 +175,19 @@ def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
     bound = 4**m
     if n < bound:
         raise GroundTooSmall(f"ground size {n} below the required {bound} (= 4^{m})")
-    live = list(coloring.ground)
+    live = np.arange(n)
     pivots: list[tuple[int, int]] = []
     counts = [0, 0]
-    while live and max(counts) < m:
-        p = live.pop(0)
-        kept: tuple[list[int], list[int]] = ([], [])
-        for x in live:
-            kept[coloring.color_of(p, x)].append(x)
-        c = 0 if len(kept[0]) >= len(kept[1]) else 1
+    while live.size and max(counts) < m:
+        p, live = int(live[0]), live[1:]
+        row = coloring.colors_after(p, live)
+        c = 1 if 2 * np.count_nonzero(row) > live.size else 0
         pivots.append((p, c))
         counts[c] += 1
-        live = kept[c]
+        live = live[row] if c else live[~row]
     c = 0 if counts[0] >= counts[1] else 1
-    subset = tuple(p for p, pc in pivots if pc == c)[:m]
+    elems = coloring.ground.elements
+    subset = tuple(elems[p] for p, pc in pivots if pc == c)[:m]
     if len(subset) < m:
         raise GroundTooSmall(
             f"extraction stalled at {len(subset)} of {m} on a {n}-ground"

@@ -16,10 +16,17 @@ from orderflow import (
     witness_from_text,
 )
 from orderflow import cli
-from orderflow.cli import MAX_FREQUENCY_GROUND, MAX_FREQUENCY_WINDOW, main
+from orderflow.cli import (
+    MAX_FREQUENCY_GROUND,
+    MAX_FREQUENCY_WINDOW,
+    MAX_VERIFY_WINDOW,
+    MAX_WITNESS_GROUND,
+    main,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
+WITNESS_FIXTURES = Path(__file__).resolve().parent / "data" / "witness"
 
 
 def run_cli(argv, capsys):
@@ -84,6 +91,20 @@ def test_verify_names_only_the_arities_it_checked(max_window, label, capsys):
     )
     assert code == 0
     assert f"PASS sign-code-alternation ({label})" in out.splitlines()
+
+
+def test_verify_rejects_max_windows_above_the_bound(monkeypatch, capsys):
+    assert MAX_VERIFY_WINDOW == 8
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated a window above the bound")
+
+    monkeypatch.setattr(cli.checks, "bijection_round_trip", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-window", "9"])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--max-window must be at most 8, got 9" in err
 
 
 def run_optimized(argv):
@@ -284,6 +305,46 @@ def test_witness_proximality_on_a_4096_ground(reverse_pair, capsys):
             assert (o2.ranks[x] < o2.ranks[y]) == agree
 
 
+def test_witness_rejects_grounds_above_the_bound(monkeypatch, capsys):
+    assert MAX_WITNESS_GROUND == 4**10
+
+    def never(*args, **kwargs):
+        raise AssertionError("built an order on a ground above the bound")
+
+    monkeypatch.setattr(cli.stats, "random_linear_order", never)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["witness", "proximality", "--ground", str(4**10 + 1)])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert f"--ground must be at most {4**10}, got {4**10 + 1}" in err
+
+
+#: Each tests/data/witness/<name>.out holds the stdout of `witness <argv>`
+#: as the per-pair extraction printed it; extraction must keep it byte for
+#: byte.
+WITNESS_CASES = {
+    f"proximality-{ground}{'-reverse' * reverse_pair}{'-json' * json_format}": [
+        "proximality", "--ground", str(ground), "--window", str(window), "--seed", str(seed)
+    ] + ["--reverse-pair"] * reverse_pair + ["--format", "json"] * json_format
+    for ground, window, seed in ((256, 4, 7), (4096, 6, 0))
+    for reverse_pair in (False, True)
+    for json_format in (False, True)
+}
+WITNESS_CASES["minimality-20"] = [
+    "minimality", "--ground", "20", "--window", "4", "--seed", "1"
+]
+
+
+@pytest.mark.parametrize(
+    "expected", sorted(WITNESS_FIXTURES.glob("*.out")), ids=lambda path: path.stem
+)
+def test_witness_stdout_matches_the_recorded_fixtures(expected, capsys):
+    code, out, err = run_cli(["witness", *WITNESS_CASES[expected.stem]], capsys)
+    assert code == 0
+    assert "verification: PASS" in err.splitlines()
+    assert out == expected.read_text()
+
+
 def test_witness_json_format(capsys):
     code, out, _ = run_cli(
         ["witness", "minimality", "--ground", "10", "--window", "3", "--format", "json"],
@@ -412,6 +473,36 @@ def test_worker_count_does_not_change_the_output(tmp_path, capsys):
     run_cli(base + ["--jobs", "1", "--out", str(one)], capsys)
     run_cli(base + ["--jobs", "4", "--out", str(four)], capsys)
     assert one.read_bytes() == four.read_bytes()
+
+
+def test_in_process_calls_match_their_runs_alone(monkeypatch, capsys):
+    # main shares one parser across calls: a usage error or a flag given to
+    # one call must leave nothing behind for the next
+    monkeypatch.setenv("COLUMNS", "80")
+    prox = ["witness", "proximality", "--ground", "256", "--seed", "7"]
+    sequence = [
+        ["witness", "proximality", "--ground", "0"],
+        ["factor", "sign-3", str(FACTOR_FIXTURES / "four.txt")],
+        prox + ["--reverse-pair"],
+        prox,
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    results = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert [r[0] for r in results] == [2, 0, 0, 0]
+    assert results[2][1] != results[3][1]
+    for argv, result in zip(sequence, results):
+        alone = subprocess.run(
+            [sys.executable, "-m", "orderflow", *argv], capture_output=True, text=True, env=env
+        )
+        assert (alone.returncode, alone.stdout, alone.stderr) == result
 
 
 def test_module_entry_point_runs():

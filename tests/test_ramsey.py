@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +43,25 @@ def random_coloring(ground: Window, seed: int) -> PairColoring:
     return PairColoring.from_function(ground, lambda a, b: rng.randint(0, 1))
 
 
+def _reference_mono_subset(coloring, m):
+    """Greedy pivot extraction with one color_of call per live element per
+    pivot: least live element as pivot, larger class kept, 0 on a tie."""
+    live = list(coloring.ground)
+    pivots = []
+    counts = [0, 0]
+    while live and max(counts) < m:
+        p = live.pop(0)
+        kept = ([], [])
+        for x in live:
+            kept[coloring.color_of(p, x)].append(x)
+        c = 0 if len(kept[0]) >= len(kept[1]) else 1
+        pivots.append((p, c))
+        counts[c] += 1
+        live = kept[c]
+    c = 0 if counts[0] >= counts[1] else 1
+    return tuple(p for p, pc in pivots if pc == c)[:m]
+
+
 # ---------------------------------------------------------------------------
 # pair colorings
 
@@ -76,6 +96,11 @@ def test_on_demand_coloring_matches_the_table():
         assert lazy.ground == table.ground
         for a, b in itertools.permutations(ground.elements[:12], 2):
             assert lazy.color_of(a, b) == table.color_of(a, b)
+        for i, a in enumerate(ground.elements):
+            later = np.arange(i + 1, len(ground))
+            row = [table.color_of(a, ground.elements[j]) for j in later]
+            assert lazy.colors_after(i, later).tolist() == row
+            assert table.colors_after(i, later).tolist() == row
         assert ramsey_mono_subset(lazy, 2) == ramsey_mono_subset(table, 2)
     with pytest.raises(ValueError):
         lazy.color_of(5, 5)
@@ -102,6 +127,45 @@ def test_random_coloring_yields_verified_monochromatic_set():
         assert subset == tuple(sorted(subset))
         assert is_monochromatic(coloring, subset)
         assert subset == ramsey_mono_subset(coloring, 4)  # deterministic
+
+
+def test_a_tied_pivot_keeps_color_zero():
+    # pivot 0 sees 8 even (color 0) and 8 odd (color 1) elements; keeping
+    # the evens makes 2 the next pivot, keeping the odds would give (1, 3)
+    coloring = PairColoring.from_function(Window(tuple(range(17))), lambda a, b: (a + b) % 2)
+    assert ramsey_mono_subset(coloring, 2) == _reference_mono_subset(coloring, 2) == (0, 2)
+
+
+@st.composite
+def extraction_cases(draw):
+    """A coloring on a ground range(base, base + n) with n >= 4^m: random,
+    the agreement coloring of two orders (tabulated or on demand), or one
+    whose pivots often see even splits, colored by a bit of b - a."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.just(4**m), st.integers(4**m + 1, 4**m + 40)))
+    base = draw(st.integers(-5, 5))
+    ground = Window(tuple(range(base, base + n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(("random", "table", "on-demand", "even")))
+    if kind == "random":
+        return random_coloring(ground, seed), m
+    if kind == "even":
+        bit = draw(st.integers(0, 3))
+        return PairColoring.from_function(ground, lambda a, b: ((b - a) >> bit) & 1), m
+    o1 = random_linear_order(ground, seed)
+    o2 = draw(st.sampled_from((o1, reverse(o1), random_linear_order(ground, seed + 1))))
+    if kind == "table":
+        return PairColoring.from_orders(o1, o2), m
+    return AgreementColoring(o1, o2), m
+
+
+@settings(max_examples=120, deadline=None)
+@given(extraction_cases())
+def test_extraction_matches_the_per_pair_reference(case):
+    coloring, m = case
+    subset = ramsey_mono_subset(coloring, m)
+    assert subset == _reference_mono_subset(coloring, m)
+    assert all(type(x) is int for x in subset)
 
 
 def test_ground_too_small():
