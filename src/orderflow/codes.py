@@ -23,9 +23,10 @@ from .core import (
     DEFAULT_MAX_ARITY,
     KConfig,
     Window,
-    format_sign,
+    _rows_from_text,
+    _rows_to_text,
     is_alternating,
-    parse_sign,
+    numbered_lines,
     position_tuples,
     tuple_rank,
 )
@@ -174,41 +175,19 @@ def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
 def code_to_text(code: BlockCode) -> str:
     """Arity on the first line, then `sigma : +1|-1` per order type, with
     sigma printed 1-based."""
-    lines = [str(code.k)]
-    for sigma, v in zip((position_tuples(code.k, code.k) + 1).tolist(), code.table):
-        lines.append(f"{' '.join(map(str, sigma))} : {format_sign(v)}")
-    return "\n".join(lines) + "\n"
+    return _rows_to_text(str(code.k), range(1, code.k + 1), code.k, code.table)
 
 
 def code_from_text(text: str) -> BlockCode:
-    lines = [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    lines = numbered_lines(text)
     if not lines:
         raise FormatError("empty code text")
-    arity_lineno, arity_line = lines[0]
+    lineno, line = lines[0]
     try:
-        k = int(arity_line)
+        k = int(line)
     except ValueError:
-        raise FormatError(f"bad arity line {arity_line!r}", arity_lineno) from None
+        raise FormatError(f"bad arity line {line!r}", lineno) from None
     if not 2 <= k <= DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", arity_lineno)
-    table: dict[tuple[int, ...], int] = {}
-    for lineno, line in lines[1:]:
-        head, sep, sign = line.partition(":")
-        if not sep:
-            raise FormatError(f"missing ':' in {line!r}", lineno)
-        try:
-            sigma = tuple(int(x) for x in head.split())
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        if sorted(sigma) != list(range(1, len(sigma) + 1)):
-            raise FormatError(f"not a permutation of 1..{len(sigma)}: {sigma}", lineno)
-        if sigma in table:
-            raise FormatError(f"duplicate order type {sigma}", lineno)
-        table[sigma] = parse_sign(sign.strip(), lineno)
-    try:
-        values = tuple(table[tuple(sigma)] for sigma in (position_tuples(k, k) + 1).tolist())
-    except KeyError as exc:
-        raise FormatError(f"missing entry for order type {exc.args[0]}") from None
-    if len(table) != math.factorial(k):
-        raise FormatError("table has entries of the wrong arity")
-    return BlockCode(k, values)
+        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
+    what = f"a permutation of 1..{k}"
+    return BlockCode(k, _rows_from_text(lines[1:], k, range(1, k + 1), "order type", what))

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import DomainEscape, FormatError, OutOfWindow
 
-#: Arity cap for configuration builders.  Falling-factorial growth makes
-#: larger arities impractical; every construction here uses k <= 4.
+#: Arity cap for configuration builders and the text formats.  Falling-
+#: factorial growth makes larger arities impractical; `factor sign-5` and
+#: `factor sign-6` build configurations at the top of the range.
 DEFAULT_MAX_ARITY = 6
 
 
@@ -294,69 +295,97 @@ def is_alternating(config: KConfig) -> bool:
 # Text formats
 
 
-def format_sign(v: int) -> str:
-    return "+1" if v > 0 else "-1"
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of the text with their 1-based physical line numbers."""
+    return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def parse_sign(token: str, lineno: int | None = None) -> int:
-    if token == "+1":
-        return 1
-    if token == "-1":
-        return -1
-    raise FormatError(f"expected +1 or -1, got {token!r}", lineno)
+def window_to_text(window: Window) -> str:
+    """Window elements joined by commas; the empty window is empty text."""
+    return ",".join(map(str, window))
 
 
-#: Line ending of each value in the configuration text.
-_SIGN_SUFFIX = {v: " : " + format_sign(v) for v in (1, -1)}
+def window_from_text(text: str, lineno: int | None = None) -> Window:
+    """Inverse of `window_to_text`: every comma-separated token must be an int."""
+    try:
+        return Window(tuple(map(int, text.split(","))) if text else ())
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
 
 
-def config_to_text(config: KConfig) -> str:
-    """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
-    header = f"k={config.k} window={','.join(map(str, config.window))}"
-    heads = map(" ".join, permutations(list(map(str, config.window)), config.k))
-    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, config.values))
+#: The row text's line ending for each value, and value for each sign.
+_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
+_SIGNS = {"+1": 1, "-1": -1}
+
+
+def _rows_to_text(header: str, points: Iterable[int], k: int, values: Iterable[int]) -> str:
+    """The header line, then `i1 ... ik : +1|-1` per value, the tuples
+    running over the injective k-tuples of the points in permutations order.
+    The text is built a column at a time: tuple heads, then sign suffixes."""
+    heads = map(" ".join, permutations(list(map(str, points)), k))
+    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, values))
     return "\n".join([header, *body]) + "\n"
 
 
-def config_from_text(text: str) -> KConfig:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty configuration text")
-    header = lines[0].split()
-    if len(header) != 2 or not header[0].startswith("k=") or not header[1].startswith("window="):
-        raise FormatError(f"bad header {lines[0]!r}", 1)
-    try:
-        k = int(header[0][2:])
-        window = Window(tuple(int(x) for x in header[1][7:].split(",") if x != ""))
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from None
-    if k < 2:
-        raise FormatError(f"arity must be at least 2, got {k}", 1)
-    if k > DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be at most {DEFAULT_MAX_ARITY}, got {k}", 1)
+def _rows_from_text(
+    rows: Iterable[tuple[int, str]], k: int, points: Sequence[int], noun: str, what: str
+) -> tuple[int, ...]:
+    """Values of numbered `i1 ... ik : +1|-1` rows in the order `_rows_to_text`
+    writes them.
+
+    Each row is checked at its own line: k distinct entries among the
+    points (else the error says the row is not `what`), a sign, and no
+    `noun` twice.  The values are then read out in permutations order,
+    which stops at the first missing tuple, so the work stays bounded by
+    the rows given.
+    """
+    allowed = set(points)
     seen: dict[tuple[int, ...], int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in rows:
         head, sep, sign = line.partition(":")
         if not sep:
             raise FormatError(f"missing ':' in {line!r}", lineno)
         try:
-            t = tuple(int(x) for x in head.split())
-        except ValueError:
-            raise FormatError(f"bad tuple in {line!r}", lineno) from None
-        if len(t) != k:
-            raise FormatError(f"expected a {k}-tuple, got {t}", lineno)
+            t = tuple(map(int, head.split()))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
+        if len(t) != k or len(allowed.intersection(t)) != k:
+            raise FormatError(f"not {what}: {t}", lineno)
         if t in seen:
-            raise FormatError(f"duplicate tuple {t}", lineno)
-        seen[t] = parse_sign(sign.strip(), lineno)
+            raise FormatError(f"duplicate {noun} {t}", lineno)
+        sign = sign.strip()
+        if sign not in _SIGNS:
+            raise FormatError(f"expected +1 or -1, got {sign!r}", lineno)
+        seen[t] = _SIGNS[sign]
     try:
-        values = tuple(seen.pop(t) for t in permutations(window.elements, k))
+        return tuple(seen[t] for t in permutations(points, k))
     except KeyError as exc:
-        raise FormatError(f"missing value for tuple {exc.args[0]}") from None
-    if seen:
-        raise FormatError(f"value for {next(iter(seen))} is outside the window")
-    return KConfig(k, window, values)
+        raise FormatError(f"missing entry for {noun} {exc.args[0]}") from None
+
+
+def config_to_text(config: KConfig) -> str:
+    """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
+    header = f"k={config.k} window={window_to_text(config.window)}"
+    return _rows_to_text(header, config.window, config.k, config.values)
+
+
+def config_from_text(text: str) -> KConfig:
+    lines = numbered_lines(text)
+    if not lines:
+        raise FormatError("empty configuration text")
+    lineno, line = lines[0]
+    header = line.split()
+    if len(header) != 2 or not header[0].startswith("k=") or not header[1].startswith("window="):
+        raise FormatError(f"bad header {line!r}", lineno)
+    try:
+        k = int(header[0][2:])
+    except ValueError as exc:
+        raise FormatError(str(exc), lineno) from None
+    if not 2 <= k <= DEFAULT_MAX_ARITY:
+        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
+    window = window_from_text(header[1][7:], lineno)
+    what = f"{k} distinct points of the window"
+    return KConfig(k, window, _rows_from_text(lines[1:], k, window.elements, "tuple", what))
 
 
 def perm_to_text(alpha: FinPerm) -> str:
@@ -364,7 +393,7 @@ def perm_to_text(alpha: FinPerm) -> str:
     return ",".join(f"{a}->{b}" for a, b in alpha.mapping)
 
 
-def perm_from_text(text: str) -> FinPerm:
+def perm_from_text(text: str, lineno: int | None = None) -> FinPerm:
     text = text.strip()
     if not text:
         return FinPerm.identity()
@@ -372,15 +401,15 @@ def perm_from_text(text: str) -> FinPerm:
     for token in text.split(","):
         src, sep, dst = token.partition("->")
         if not sep:
-            raise FormatError(f"expected 'a->b', got {token!r}")
+            raise FormatError(f"expected 'a->b', got {token!r}", lineno)
         try:
             a, b = int(src), int(dst)
         except ValueError:
-            raise FormatError(f"bad pair {token!r}") from None
+            raise FormatError(f"bad pair {token!r}", lineno) from None
         if a in mapping:
-            raise FormatError(f"duplicate source {a}")
+            raise FormatError(f"duplicate source {a}", lineno)
         mapping[a] = b
     try:
         return FinPerm.from_dict(mapping)
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(str(exc), lineno) from None

@@ -24,7 +24,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import FinPerm, Window, extend_bijection, inverse, perm_from_text, perm_to_text
+from .core import (
+    FinPerm,
+    Window,
+    extend_bijection,
+    inverse,
+    numbered_lines,
+    perm_from_text,
+    perm_to_text,
+    window_from_text,
+    window_to_text,
+)
 from .errors import DegenerateWindow, DomainEscape, FormatError, GroundTooSmall
 from .orders import LinearOrder
 
@@ -229,13 +239,15 @@ def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> list
 
 
 def _all_pairs_colored(r1: Sequence[int], r2: Sequence[int], color: int) -> bool:
-    """Whether every pair of slots gets the given agreement color."""
-    n = len(r1)
-    return all(
-        _agreement_color(r1, r2, i, j) == color
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    """Whether every pair of slots gets the given agreement color.
+
+    Each list holds distinct ranks, so every pair agrees exactly when both
+    lists sort the slots alike, and every pair disagrees exactly when they
+    sort them in reverse.
+    """
+    by_r1 = sorted(range(len(r1)), key=r1.__getitem__)
+    by_r2 = sorted(range(len(r2)), key=r2.__getitem__)
+    return by_r1 == (by_r2[::-1] if color else by_r2)
 
 
 def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder) -> bool:
@@ -338,30 +350,26 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
 def witness_to_text(witness: Witness) -> str:
     return (
         f"kind={witness.kind}\n"
-        f"window={','.join(map(str, witness.checked_window))}\n"
+        f"window={window_to_text(witness.checked_window)}\n"
         f"alpha={perm_to_text(witness.alpha)}\n"
     )
 
 
 def witness_from_text(text: str) -> Witness:
     fields = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(text):
         key, sep, value = line.partition("=")
         if not sep or key not in ("kind", "window", "alpha"):
             raise FormatError(f"expected kind=/window=/alpha=, got {line!r}", lineno)
         if key in fields:
             raise FormatError(f"duplicate {key}= line", lineno)
-        fields[key] = value
+        fields[key] = (value, lineno)
     missing = {"kind", "window", "alpha"} - set(fields)
     if missing:
         raise FormatError(f"missing fields: {sorted(missing)}")
+    window = window_from_text(*fields["window"])
+    alpha = perm_from_text(*fields["alpha"])
     try:
-        window = Window(tuple(int(x) for x in fields["window"].split(",") if x != ""))
+        return Witness(alpha, window, fields["kind"][0])
     except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    try:
-        return Witness(perm_from_text(fields["alpha"]), window, fields["kind"])
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        raise FormatError(str(exc), fields["kind"][1]) from None

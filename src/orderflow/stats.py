@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, positions_from_digits, tuple_rank
+from .core import Window, positions_from_digits, tuple_rank, window_from_text, window_to_text
 from .errors import DegenerateWindow, FormatError, GroundTooSmall
 from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
 
@@ -225,7 +225,7 @@ def fit_summary(results: Sequence[PatternStat]) -> tuple[float, int, float]:
 def stat_to_dict(stat: PatternStat) -> dict:
     return {
         "pattern": order_to_text(stat.pattern),
-        "window": ",".join(map(str, stat.pattern.window)),
+        "window": window_to_text(stat.pattern.window),
         "exact_num": stat.exact.numerator,
         "exact_den": stat.exact.denominator,
         "empirical": float(stat.empirical),
@@ -260,7 +260,7 @@ def stat_from_dict(data: dict) -> PatternStat:
             if not isinstance(data[key], str):
                 raise FormatError(f"bad pattern stat: {key} must be text, got {data[key]!r}")
         pattern = order_from_text(data["pattern"])
-        window = Window(tuple(int(x) for x in data["window"].split(",")))
+        window = window_from_text(data["window"])
         exact = Fraction(int(data["exact_num"]), int(data["exact_den"]))
         trials = int(data["trials"])
         if trials < 1:

@@ -17,6 +17,7 @@ from orderflow import (
 )
 from orderflow import cli
 from orderflow.cli import (
+    MAX_FACTOR_TUPLES,
     MAX_FREQUENCY_GROUND,
     MAX_FREQUENCY_WINDOW,
     MAX_VERIFY_WINDOW,
@@ -438,6 +439,42 @@ def test_factor_rejects_unknown_codes(tmp_path, capsys):
         assert err.splitlines()[-1] == f"orderflow: error: {expected}"
 
 
+@pytest.mark.parametrize(
+    "points, code, tuples",
+    [(34, "sign-4", 1_113_024), (2_000, "sign-6", math.perm(2_000, 6))],
+)
+def test_factor_rejects_orders_with_too_many_tuples(
+    points, code, tuples, tmp_path, monkeypatch, capsys
+):
+    assert MAX_FACTOR_TUPLES == 10**6
+
+    def never(*args, **kwargs):
+        raise AssertionError("applied a code past the tuple bound")
+
+    monkeypatch.setattr(cli.codes, "apply_code", never)
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(" ".join(map(str, range(points))) + "\n")
+    rc, out, err = run_cli(["factor", code, str(order_file)], capsys)
+    assert rc == 2
+    assert out == ""
+    k = int(code[-1])
+    assert err.splitlines()[-1] == (
+        f"error: line 1: {points} points give {tuples} {k}-tuples, more than {MAX_FACTOR_TUPLES}"
+    )
+
+
+def test_factor_accepts_orders_at_the_tuple_bound(tmp_path, monkeypatch, capsys):
+    # with the bound lowered to 4! = 24, sign-4 runs on 4 points, not on 5
+    monkeypatch.setattr(cli, "MAX_FACTOR_TUPLES", 24)
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("3 1 0 2\n")
+    assert run_cli(["factor", "sign-4", str(order_file)], capsys)[0] == 0
+    order_file.write_text("3 1 0 2 4\n")
+    code, out, err = run_cli(["factor", "sign-4", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: line 1: 5 points give 120 4-tuples, more than 24"
+
+
 def test_factor_missing_file(tmp_path, capsys):
     code, _, err = run_cli(["factor", "circular", str(tmp_path / "nope.txt")], capsys)
     assert code == 2
@@ -503,6 +540,27 @@ def test_in_process_calls_match_their_runs_alone(monkeypatch, capsys):
             [sys.executable, "-m", "orderflow", *argv], capture_output=True, text=True, env=env
         )
         assert (alone.returncode, alone.stdout, alone.stderr) == result
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify"],
+         "subcommand=verify max_window=5 seed=0 trials=20000 inject_fault=False"),
+        (["frequencies", "--out", "f.json"],
+         "subcommand=frequencies window=3 ground=50 trials=100000 seed=0 jobs=1 "
+         "format=json out=f.json"),
+        (["witness", "minimality", "--seed", "4"],
+         "subcommand=witness kind=minimality ground=20 window=4 seed=4 reverse_pair=False "
+         "format=text"),
+        (["factor", "sign-3", "order.txt"],
+         "subcommand=factor code=sign-3 order_file=order.txt"),
+    ],
+)
+def test_runconfig_names_only_the_subcommands_own_options(argv, line, monkeypatch, capsys):
+    for name in ("cmd_verify", "cmd_frequencies", "cmd_witness", "cmd_factor"):
+        monkeypatch.setattr(cli, name, lambda *args: 0)
+    assert run_cli(argv, capsys)[2] == f"runconfig: {line}\n"
 
 
 def test_module_entry_point_runs():

@@ -340,13 +340,13 @@ def test_sign_code_text_is_pinned(k):
         ("2\n\n1 x : +1\n", "line 3: invalid literal for int() with base 10: 'x'"),
         ("3\n1 2 3 : +1\n", "missing entry for order type (1, 3, 2)"),
         ("2\n2 1 : +1\n", "missing entry for order type (1, 2)"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n", "table has entries of the wrong arity"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 2 3 : +1\n", "table has entries of the wrong arity"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n1 : -1\n", "line 5: duplicate order type (1,)"),
-        # an empty sigma is the one order type of arity 0
-        ("2\n : +1\n1 2 : +1\n2 1 : -1\n", "table has entries of the wrong arity"),
-        ("2\n : +1\n : -1\n", "line 3: duplicate order type ()"),
-        ("2\n : +1\n", "missing entry for order type (1, 2)"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n", "line 4: not a permutation of 1..2: (1,)"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 2 3 : +1\n", "line 4: not a permutation of 1..2: (1, 2, 3)"),
+        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n1 : -1\n", "line 4: not a permutation of 1..2: (1,)"),
+        # a row of the wrong arity is reported at its own line
+        ("2\n : +1\n1 2 : +1\n2 1 : -1\n", "line 2: not a permutation of 1..2: ()"),
+        ("2\n : +1\n : -1\n", "line 2: not a permutation of 1..2: ()"),
+        ("2\n : +1\n", "line 2: not a permutation of 1..2: ()"),
     ],
 )
 def test_code_text_error_messages_are_pinned(text, message):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from orderflow import (
     witness_from_text,
     witness_to_text,
 )
-from orderflow.ramsey import AgreementColoring
+from orderflow.ramsey import AgreementColoring, _all_pairs_colored
 
 
 def random_coloring(ground: Window, seed: int) -> PairColoring:
@@ -389,6 +390,61 @@ def test_window_verification_matches_the_configuration_route(case):
     )
 
 
+def _reference_all_pairs_colored(r1, r2, color):
+    """Every pair of slots compared in turn: color 0 where the two rank
+    lists order the pair alike, 1 where they order it oppositely."""
+    n = len(r1)
+    return all(
+        ((r1[i] < r1[j]) != (r2[i] < r2[j])) == color
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+@st.composite
+def rank_list_pairs(draw):
+    """Two lists of distinct ranks of one length: unrelated, equal or
+    reversed in order, or one of those with a single pair of slots swapped."""
+    n = draw(st.integers(0, 9))
+    values = st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True)
+    r1 = draw(values)
+    relation = draw(st.sampled_from(("random", "alike", "reversed")))
+    if relation == "random":
+        r2 = draw(values)
+    else:
+        by_r1 = sorted(range(n), key=r1.__getitem__)
+        if relation == "reversed":
+            by_r1.reverse()
+        fresh = sorted(draw(values))
+        r2 = [0] * n
+        for rank, slot in enumerate(by_r1):
+            r2[slot] = fresh[rank]
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        r2[i], r2[j] = r2[j], r2[i]
+    return r1, r2
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_list_pairs(), st.sampled_from((0, 1)))
+def test_sorting_permutations_match_the_pairwise_check(pair, color):
+    r1, r2 = pair
+    assert _all_pairs_colored(r1, r2, color) == _reference_all_pairs_colored(r1, r2, color)
+
+
+def test_a_ten_thousand_point_minimality_witness_verifies_within_a_second():
+    n = 10_000
+    window = Window(tuple(range(n)))
+    source = random_linear_order(window, 1)
+    target = random_linear_order(window, 2)
+    witness = minimality_witness(source, target)
+    started = time.perf_counter()
+    assert verify_minimality(witness, source, target)
+    assert time.perf_counter() - started < 1.0
+    swap = compose(FinPerm.from_cycles((0, 1)), witness.alpha)
+    assert not verify_minimality(Witness(swap, window, MINIMALITY), source, target)
+
+
 def test_verification_errors():
     ground = Window(tuple(range(6)))
     order = random_linear_order(ground, 1)
@@ -438,5 +494,14 @@ def test_witness_text_errors():
         witness_from_text("kind=minimality\nwindow=0,1\n")
     with pytest.raises(FormatError, match="line 1"):
         witness_from_text("species=minimality\nwindow=0,1\nalpha=\n")
+    # each field's errors name the line it sits on, blank lines counted
+    for window in ("1,,2", "1,2,", "2,1", "x"):
+        with pytest.raises(FormatError, match="^line 2: "):
+            witness_from_text(f"kind=minimality\nwindow={window}\nalpha=\n")
+    for alpha in ("0->1", "0=1", "0->x", "0->1,0->1,1->0"):
+        with pytest.raises(FormatError, match="^line 4: "):
+            witness_from_text(f"kind=minimality\nwindow=0,1\n\nalpha={alpha}\n")
+    with pytest.raises(FormatError, match="^line 3: unknown witness kind 'unheard-of'$"):
+        witness_from_text("window=0,1\nalpha=\nkind=unheard-of\n")
     with pytest.raises(ValueError):
         Witness(FinPerm.identity(), Window((0, 1)), "unheard-of")

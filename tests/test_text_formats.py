@@ -2,6 +2,7 @@
 value back, and any text either parses or raises FormatError."""
 
 import math
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,8 @@ from orderflow import (
     witness_from_text,
     witness_to_text,
 )
+from orderflow.core import window_from_text, window_to_text
+from orderflow.stats import stat_from_dict
 
 # ---------------------------------------------------------------------------
 # values
@@ -71,6 +74,62 @@ def test_perm_text_round_trips_random_perms(alpha):
 @given(witness_st)
 def test_witness_text_round_trips_random_witnesses(witness):
     assert witness_from_text(witness_to_text(witness)) == witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_st)
+def test_window_text_round_trips_random_windows(window):
+    assert window_from_text(window_to_text(window)) == window
+
+
+# ---------------------------------------------------------------------------
+# one window rule and line numbers for every reader
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1", "1;2", "2,1"])
+def test_every_reader_rejects_the_same_windows(text):
+    with pytest.raises(FormatError, match="^line 1: "):
+        config_from_text(f"k=2 window={text}\n")
+    with pytest.raises(FormatError, match="^line 2: "):
+        witness_from_text(f"kind=minimality\nwindow={text}\nalpha=\n")
+    with pytest.raises(FormatError):
+        stat_from_dict({"pattern": "1 2", "window": text, "exact_num": 1, "exact_den": 2,
+                        "empirical": 0.5, "trials": 2, "seed": 0})
+
+
+def test_empty_text_is_the_empty_window():
+    assert window_to_text(Window(())) == ""
+    assert window_from_text("") == Window(())
+    with pytest.raises(FormatError):
+        window_from_text(" ")
+    assert config_from_text("k=2 window=\n") == KConfig(2, Window(()), ())
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0 : -1", "not 2 distinct points of the window: (0,)"),
+        ("0 1 3 : -1", "not 2 distinct points of the window: (0, 1, 3)"),
+        ("1 1 : -1", "not 2 distinct points of the window: (1, 1)"),
+        ("0 3 : -1", "not 2 distinct points of the window: (0, 3)"),
+        ("0 x : -1", "invalid literal for int() with base 10: 'x'"),
+        ("0 1 : +1", "duplicate tuple (0, 1)"),
+    ],
+)
+def test_a_bad_configuration_row_is_reported_at_its_line(row, message):
+    text = f"k=2 window=0,1\n0 1 : +1\n\n{row}\n1 0 : -1\n"
+    with pytest.raises(FormatError) as excinfo:
+        config_from_text(text)
+    assert str(excinfo.value) == f"line 4: {message}"
+
+
+def test_a_sparse_configuration_fails_in_time_bounded_by_its_rows():
+    # 10000 * 9999 * ... * 9995 tuples on the header, one on the rows
+    text = f"k=6 window={','.join(map(str, range(10_000)))}\n0 1 2 3 4 5 : +1\n"
+    started = time.perf_counter()
+    with pytest.raises(FormatError, match=r"^missing entry for tuple \(0, 1, 2, 3, 4, 6\)$"):
+        config_from_text(text)
+    assert time.perf_counter() - started < 1.0
 
 
 # ---------------------------------------------------------------------------
