@@ -10,7 +10,6 @@ from .codes import (
     code_from_name,
     code_from_text,
     code_to_text,
-    is_alternating_code,
     moment_curve_orientation,
     sign_code,
 )
@@ -29,7 +28,6 @@ from .core import (
     negate,
     perm_from_text,
     perm_to_text,
-    restrict,
     tuple_rank,
 )
 from .errors import (
@@ -77,7 +75,6 @@ from .stats import (
     PatternStat,
     cylinder_measure,
     derive_seed,
-    orbit_average,
     orbit_average_all,
     random_linear_order,
     stat_from_dict,

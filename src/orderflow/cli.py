@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import checks, codes, core, orders, ramsey, stats
 from .core import KConfig, Window
-from .errors import FormatError, OrderflowError
+from .errors import FormatError, GroundTooSmall, OrderflowError
 from .orders import LinearOrder
 from .stats import derive_seed
 
@@ -37,8 +37,9 @@ PROG = "orderflow"
 MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
-#: ground size, but the natural source order is built point by point: at
-#: this size a run takes about 0.5 s and 160 MB peak RSS on a 2-core Xeon.
+#: ground size and the source order is one array, but the ground window is a
+#: tuple of Python ints: at this size a run takes about 0.8 s and 100 MB peak
+#: RSS at the default window and trials on a 2-core Xeon.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `verify --max-window`: the bijection round trip enumerates all n!
@@ -46,9 +47,10 @@ MAX_FREQUENCY_GROUND = 1_000_000
 #: Xeon; 9 would cost about nine times 8.
 MAX_VERIFY_WINDOW = 8
 
-#: Largest `witness --ground`: the ground and its two random orders are held
-#: as Python tuples; at this size a run takes 4-5.5 s and about 270 MB peak
-#: RSS on a 2-core Xeon.
+#: Largest `witness --ground`: the ground is a tuple of Python ints, and each
+#: random order is a Python list shuffled by `random.Random` (the stream the
+#: witness fixtures pin) before it becomes an array; at this size a run takes
+#: 2-3.5 s and 185-245 MB peak RSS on a 2-core Xeon.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -129,7 +131,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.inject_fault:
         def corrupted():
             config = orders.lin_order_to_config2(LinearOrder.natural(window(3)))
-            broken = KConfig(2, config.window, (-config.values[0],) + config.values[1:])
+            values = config.values.copy()
+            values[0] = -values[0]
+            broken = KConfig(2, config.window, values)
             checks.require(orders.config2_is_linear_order(broken), "corrupted fixture detected")
 
         table.append(("injected-corrupt-config", "fault injection", corrupted))
@@ -198,6 +202,9 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
+    if args.window > args.ground:
+        # checked before any order is built, whatever the window size
+        raise GroundTooSmall(f"ground size {args.ground} below the window size {args.window}")
     ground = Window(tuple(range(args.ground)))
     window = Window(tuple(range(args.window)))
     if args.kind == "minimality":

@@ -22,10 +22,8 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_ARITY,
     KConfig,
-    Window,
     _rows_from_text,
     _rows_to_text,
-    is_alternating,
     numbered_lines,
     position_tuples,
     tuple_rank,
@@ -67,9 +65,8 @@ def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
     n = len(order.window)
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
-    sigma = np.argsort(np.asarray(order.ranks)[position_tuples(n, code.k)], axis=1)
-    values = np.asarray(code.table)[tuple_rank(sigma, code.k)]
-    return KConfig(code.k, order.window, tuple(values.tolist()))
+    sigma = np.argsort(order.ranks[position_tuples(n, code.k)], axis=1)
+    return KConfig(code.k, order.window, np.asarray(code.table)[tuple_rank(sigma, code.k)])
 
 
 def sign_code(k: int) -> BlockCode:
@@ -100,16 +97,6 @@ def code_from_name(name: str) -> BlockCode:
     if not 2 <= int(arity) <= DEFAULT_MAX_ARITY:
         raise ValueError(f"sign code arity must be in 2..{DEFAULT_MAX_ARITY}")
     return sign_code(int(arity))
-
-
-def is_alternating_code(code: BlockCode) -> bool:
-    """Whether every image of the code alternates.
-
-    Whether an image alternates at a tuple depends only on the tuple's
-    order type, and the natural order on k points has one k-tuple of each
-    order type, so its image alternates exactly when every image does.
-    """
-    return is_alternating(apply_code(code, LinearOrder.natural(Window(tuple(range(code.k))))))
 
 
 # ---------------------------------------------------------------------------

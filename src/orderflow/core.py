@@ -2,9 +2,9 @@
 supported permutation action on them.
 
 A configuration assigns +1 or -1 to every injective k-tuple drawn from a
-finite window of integers.  A finitely supported permutation alpha acts by
-relocation: the new configuration on alpha(W) reads, at a tuple t, the old
-value at the entrywise preimage of t.
+finite window of integers, held as one read-only int8 array.  A finitely
+supported permutation alpha acts by relocation: the new configuration on
+alpha(W) reads, at a tuple t, the old value at the entrywise preimage of t.
 """
 
 from __future__ import annotations
@@ -102,30 +102,53 @@ def position_tuples(n: int, k: int) -> np.ndarray:
     return positions_from_digits(digits)
 
 
-@dataclass(frozen=True)
+def _frozen(values: np.ndarray, dtype) -> np.ndarray:
+    """Read-only copy of validated values in the given dtype."""
+    out = values.astype(dtype)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class KConfig:
     """Total +1/-1 assignment on the injective k-tuples over a window.
 
-    Values are stored flat in the lexicographic order of the tuples, so
-    iteration is a plain zip with itertools.permutations.  Lookups read
-    `array`, the same values indexed by window positions.
+    `values` is a read-only int8 array in the lexicographic order of the
+    tuples, the row order of `position_tuples(len(window), k)`; `array`
+    holds the same values indexed by window positions.  Equality and hash
+    read (k, window, value bytes).
     """
 
     k: int
     window: Window
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"arity must be at least 2, got {self.k}")
+        values = np.asarray(self.values)
         expected = math.perm(len(self.window), self.k)
-        if len(self.values) != expected:
+        if values.shape != (expected,):
             raise ValueError(
                 f"need {expected} values for arity {self.k} on a "
-                f"{len(self.window)}-window, got {len(self.values)}"
+                f"{len(self.window)}-window, got shape {values.shape}"
             )
-        if any(v not in (1, -1) for v in self.values):
+        # numeric dtypes only: text, None and ints past int64 make other kinds
+        if values.dtype.kind not in "biuf" or np.count_nonzero(np.abs(values) == 1) != expected:
             raise ValueError("configuration values must be +1 or -1")
+        object.__setattr__(self, "values", _frozen(values, np.int8))
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.k, self.window, self.values.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KConfig):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def from_function(
@@ -137,8 +160,7 @@ class KConfig:
         """Evaluate fn on every injective k-tuple over the window."""
         if not 2 <= k <= DEFAULT_MAX_ARITY:
             raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
-        values = tuple(int(fn(t)) for t in permutations(window.elements, k))
-        return cls(k, window, values)
+        return cls(k, window, [int(fn(t)) for t in permutations(window.elements, k)])
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -158,13 +180,6 @@ class KConfig:
         if v == 0:
             raise ValueError(f"tuple entries must be pairwise distinct: {entries}")
         return v
-
-    def tuples(self) -> Iterator[tuple[int, ...]]:
-        """All injective k-tuples over the window, lexicographically."""
-        return permutations(self.window.elements, self.k)
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return zip(self.tuples(), self.values)
 
 
 @dataclass(frozen=True)
@@ -249,6 +264,18 @@ def extend_bijection(partial: dict[int, int]) -> FinPerm:
     return FinPerm.from_dict(full)
 
 
+def _preimage_positions(inv: FinPerm, window: Window, domain: Window) -> np.ndarray:
+    """Positions in `domain` of the preimages inv(x) of the window points x,
+    in window order.  Raises DomainEscape at the first preimage off it."""
+    positions = np.empty(len(window), dtype=np.intp)
+    for i, x in enumerate(window):
+        y = inv(x)
+        if y not in domain:
+            raise DomainEscape(f"preimage {y} of {x} lies outside window {domain.elements}")
+        positions[i] = domain.position(y)
+    return positions
+
+
 def apply_perm(alpha: FinPerm, config: KConfig, window: Window | None = None) -> KConfig:
     """Relocated configuration reading values through the inverse of alpha.
 
@@ -256,29 +283,16 @@ def apply_perm(alpha: FinPerm, config: KConfig, window: Window | None = None) ->
     window may be requested (e.g. to restrict to a subwindow); every
     requested point must pull back into the configuration's window.
     """
-    inv = inverse(alpha)
     if window is None:
         window = alpha.image_window(config.window)
-    pre = np.zeros(len(window), dtype=np.intp)
-    for i, x in enumerate(window):
-        y = inv(x)
-        if y not in config.window:
-            raise DomainEscape(
-                f"preimage {y} of {x} lies outside window {config.window.elements}"
-            )
-        pre[i] = config.window.position(y)
+    pre = _preimage_positions(inverse(alpha), window, config.window)
     values = config.array[tuple(pre[position_tuples(len(window), config.k)].T)]
-    return KConfig(config.k, window, tuple(values.tolist()))
-
-
-def restrict(config: KConfig, window: Window) -> KConfig:
-    """Restriction of a configuration to a subwindow."""
-    return apply_perm(FinPerm.identity(), config, window=window)
+    return KConfig(config.k, window, values)
 
 
 def negate(config: KConfig) -> KConfig:
     """Configuration with every value flipped."""
-    return KConfig(config.k, config.window, tuple(-v for v in config.values))
+    return KConfig(config.k, config.window, -config.values)
 
 
 def is_alternating(config: KConfig) -> bool:
@@ -366,7 +380,7 @@ def _rows_from_text(
 def config_to_text(config: KConfig) -> str:
     """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
     header = f"k={config.k} window={window_to_text(config.window)}"
-    return _rows_to_text(header, config.window, config.k, config.values)
+    return _rows_to_text(header, config.window, config.k, config.values.tolist())
 
 
 def config_from_text(text: str) -> KConfig:

@@ -1,9 +1,10 @@
 """Linear orders on windows, reversal, and circular-order realizability.
 
-A linear order is a ranking of a window; rank 0 is the least element.  The
-order type of a k-tuple under an order is its sorting permutation: the row
-sigma of `core.position_tuples(k, k)` whose slot sigma[0] holds the least
-entry, sigma[1] the next, and so on.  It has no class of its own:
+A linear order is a ranking of a window, held as a read-only int64 array
+of ranks by window position; rank 0 is the least element.  The order type
+of a k-tuple under an order is its sorting permutation: the row sigma of
+`core.position_tuples(k, k)` whose slot sigma[0] holds the least entry,
+sigma[1] the next, and so on.  It has no class of its own:
 `codes.apply_code` computes the order types of all tuples at once, and the
 code text format prints them 1-based.
 
@@ -16,31 +17,52 @@ one candidate order, re-encode it, and compare with the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import KConfig, FinPerm, Window, position_tuples
+from .core import KConfig, FinPerm, Window, _frozen, position_tuples
 from .errors import ArityMismatch, DegenerateWindow, FormatError, NotALinearOrder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOrder:
-    """Ranking of a window: ranks[i] is the rank of window.elements[i]."""
+    """Ranking of a window: ranks[i] is the rank of window.elements[i].
+
+    `ranks` is a read-only int64 array; equality and hash read (window,
+    rank bytes).
+    """
 
     window: Window
-    ranks: tuple[int, ...]
+    ranks: np.ndarray
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
-        object.__setattr__(self, "ranks", ranks)
-        if sorted(ranks) != list(range(len(self.window))):
-            raise ValueError(f"ranks must be a bijection onto 0..{len(self.window) - 1}: {ranks}")
+        ranks = np.asarray(self.ranks)
+        n = len(self.window)
+        if (
+            ranks.dtype.kind not in "biuf"
+            or ranks.shape != (n,)
+            or np.count_nonzero(np.sort(ranks) == np.arange(n)) != n
+        ):
+            raise ValueError(f"ranks must be a bijection onto 0..{n - 1}: {ranks.tolist()}")
+        object.__setattr__(self, "ranks", _frozen(ranks, np.int64))
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.window, self.ranks.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearOrder):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def natural(cls, window: Window) -> "LinearOrder":
-        return cls(window, tuple(range(len(window))))
+        return cls(window, np.arange(len(window)))
 
     @classmethod
     def from_ranked_elements(cls, seq: Sequence[int]) -> "LinearOrder":
@@ -49,25 +71,20 @@ class LinearOrder:
         if len(window) != len(seq):
             raise ValueError(f"ranked elements must be distinct: {tuple(seq)}")
         rank_of = {x: r for r, x in enumerate(seq)}
-        return cls(window, tuple(rank_of[x] for x in window))
+        return cls(window, [rank_of[x] for x in window])
 
     def rank_of(self, x: int) -> int:
-        return self.ranks[self.window.position(x)]
-
-    def less(self, x: int, y: int) -> bool:
-        return self.rank_of(x) < self.rank_of(y)
+        return int(self.ranks[self.window.position(x)])
 
     def ranked_elements(self) -> tuple[int, ...]:
         """Window elements listed in increasing rank order."""
-        inv = [0] * len(self.window)
-        for x, r in zip(self.window, self.ranks):
-            inv[r] = x
-        return tuple(inv)
+        elems = self.window.elements
+        return tuple(elems[i] for i in np.argsort(self.ranks).tolist())
 
 
 def all_linear_orders(window: Window) -> Iterator[LinearOrder]:
     """All |W|! orders on the window, lexicographic in their rank tuples."""
-    for ranks in permutations(range(len(window))):
+    for ranks in position_tuples(len(window), len(window)):
         yield LinearOrder(window, ranks)
 
 
@@ -79,9 +96,8 @@ def lin_order_to_config2(order: LinearOrder) -> KConfig:
     """Pair configuration with +1 exactly on the ascending pairs."""
     if len(order.window) < 2:
         raise DegenerateWindow("need a window of size at least 2")
-    r = np.asarray(order.ranks)[position_tuples(len(order.window), 2)]
-    values = np.where(r[:, 0] < r[:, 1], 1, -1)
-    return KConfig(2, order.window, tuple(values.tolist()))
+    r = order.ranks[position_tuples(len(order.window), 2)]
+    return KConfig(2, order.window, np.where(r[:, 0] < r[:, 1], 1, -1))
 
 
 def _decoded_order(window: Window, below: np.ndarray) -> LinearOrder | None:
@@ -90,10 +106,10 @@ def _decoded_order(window: Window, below: np.ndarray) -> LinearOrder | None:
 
     None when those counts are not a ranking of the window.
     """
-    ranks = below.sum(axis=0)
-    if not np.array_equal(np.sort(ranks), np.arange(len(window))):
+    try:
+        return LinearOrder(window, below.sum(axis=0))
+    except ValueError:
         return None
-    return LinearOrder(window, tuple(ranks.tolist()))
 
 
 def config2_to_order(config: KConfig) -> LinearOrder:
@@ -121,8 +137,7 @@ def config2_is_linear_order(config: KConfig) -> bool:
 
 def reverse(order: LinearOrder) -> LinearOrder:
     """Order with all comparisons flipped."""
-    n = len(order.window)
-    return LinearOrder(order.window, tuple(n - 1 - r for r in order.ranks))
+    return LinearOrder(order.window, len(order.window) - 1 - order.ranks)
 
 
 def reversal_class_rep(order: LinearOrder) -> LinearOrder:
@@ -147,7 +162,7 @@ def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
     """Order on alpha(W) with rank(alpha(x)) = rank(x)."""
     new_window = alpha.image_window(order.window)
     rank_at = {alpha(x): order.rank_of(x) for x in order.window}
-    return LinearOrder(new_window, tuple(rank_at[x] for x in new_window))
+    return LinearOrder(new_window, [rank_at[x] for x in new_window])
 
 
 def is_circular_realizable(config: KConfig) -> bool:

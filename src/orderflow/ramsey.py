@@ -8,7 +8,7 @@ agree there or are exact reverses; the monochromatic set behind it comes
 from a greedy pivot extraction on the agree/disagree pair coloring.  The
 extraction reads one row of colors per pivot, the pivot against every live
 ground position at once, and keeps its majority class by a boolean mask;
-the agreement colors of that row come from two cached rank arrays.
+the agreement colors of that row compare the two orders' rank arrays.
 
 Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     FinPerm,
     Window,
+    _preimage_positions,
     extend_bijection,
     inverse,
     numbered_lines,
@@ -35,7 +36,7 @@ from .core import (
     window_from_text,
     window_to_text,
 )
-from .errors import DegenerateWindow, DomainEscape, FormatError, GroundTooSmall
+from .errors import DegenerateWindow, FormatError, GroundTooSmall
 from .orders import LinearOrder
 
 MINIMALITY = "minimality"
@@ -118,7 +119,7 @@ def _agreement_color(r1: Sequence[int], r2: Sequence[int], i: int, j: int) -> in
 @dataclass(frozen=True)
 class AgreementColoring:
     """Agree/disagree pair coloring of two orders on a shared ground, read
-    on demand from their rank tables instead of tabulated.
+    on demand from their rank arrays instead of tabulated.
 
     Offers the `ground`, `color_of` and `colors_after` interface of
     PairColoring, with the same colors.
@@ -142,14 +143,10 @@ class AgreementColoring:
             raise ValueError(f"pair elements must be distinct, got {a}")
         return _agreement_color(self.o1.ranks, self.o2.ranks, i, j)
 
-    @cached_property
-    def _rank_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.o1.ranks), np.array(self.o2.ranks)
-
     def colors_after(self, i: int, js: np.ndarray) -> np.ndarray:
         """Colors of the pairs of ground positions (i, j), j in js, as a
         boolean array; every j must exceed i."""
-        r1, r2 = self._rank_arrays
+        r1, r2 = self.o1.ranks, self.o2.ranks
         return (r1[i] < r1[js]) != (r2[i] < r2[js])
 
 
@@ -164,6 +161,12 @@ def is_monochromatic(coloring: Coloring, subset: Iterable[int]) -> bool:
         for j in range(i + 1, len(elems))
     }
     return len(colors) <= 1
+
+
+def _power_of_four(m: int) -> str:
+    """4^m for an error message: in decimal up to 4^32 (20 digits), past
+    that as the power alone."""
+    return f"{4**m} (= 4^{m})" if m <= 32 else f"4^{m}"
 
 
 def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
@@ -182,9 +185,8 @@ def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError(f"target size must be positive, got {m}")
     n = len(coloring.ground)
-    bound = 4**m
-    if n < bound:
-        raise GroundTooSmall(f"ground size {n} below the required {bound} (= 4^{m})")
+    if n < 4**m:
+        raise GroundTooSmall(f"ground size {n} below the required {_power_of_four(m)}")
     live = np.arange(n)
     pivots: list[tuple[int, int]] = []
     counts = [0, 0]
@@ -219,35 +221,27 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> list[int]:
+def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> np.ndarray:
     """Ranks under the order at the preimages inv(x) of the window points x,
     in window order; inv is the inverse of the witness's alpha.
 
     Raises DegenerateWindow for an order on fewer than 2 points (it has no
     pair configuration) and DomainEscape for a preimage off its ground.
     """
-    ground = order.window
-    if len(ground) < 2:
+    if len(order.window) < 2:
         raise DegenerateWindow("need a window of size at least 2")
-    ranks = []
-    for x in window:
-        y = inv(x)
-        if y not in ground:
-            raise DomainEscape(f"preimage {y} of {x} lies outside window {ground.elements}")
-        ranks.append(order.rank_of(y))
-    return ranks
+    return order.ranks[_preimage_positions(inv, window, order.window)]
 
 
-def _all_pairs_colored(r1: Sequence[int], r2: Sequence[int], color: int) -> bool:
+def _all_pairs_colored(r1: np.ndarray, r2: np.ndarray, color: int) -> bool:
     """Whether every pair of slots gets the given agreement color.
 
-    Each list holds distinct ranks, so every pair agrees exactly when both
-    lists sort the slots alike, and every pair disagrees exactly when they
-    sort them in reverse.
+    Each array holds distinct ranks, so every pair agrees exactly when both
+    sort the slots alike, and every pair disagrees exactly when they sort
+    them in reverse.
     """
-    by_r1 = sorted(range(len(r1)), key=r1.__getitem__)
-    by_r2 = sorted(range(len(r2)), key=r2.__getitem__)
-    return by_r1 == (by_r2[::-1] if color else by_r2)
+    by_r2 = np.argsort(r2)
+    return np.array_equal(np.argsort(r1), by_r2[::-1] if color else by_r2)
 
 
 def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder) -> bool:
@@ -324,11 +318,10 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     """
     coloring = AgreementColoring(o1, o2)
     ground = coloring.ground
-    bound = 4 ** len(W)
-    if len(ground) < bound:
+    if len(ground) < 4 ** len(W):
         raise GroundTooSmall(
-            f"ground size {len(ground)} below the required {bound} "
-            f"(= 4^{len(W)}) for window size {len(W)}"
+            f"ground size {len(ground)} below the required {_power_of_four(len(W))} "
+            f"for window size {len(W)}"
         )
     mono = ramsey_mono_subset(coloring, len(W))
     by_o1 = sorted(mono, key=o1.rank_of)

@@ -78,7 +78,7 @@ def random_linear_order(window: Window, seed: int) -> LinearOrder:
     """Uniformly random ranking of the window, deterministic in the seed."""
     ranks = list(range(len(window)))
     random.Random(seed).shuffle(ranks)
-    return LinearOrder(window, tuple(ranks))
+    return LinearOrder(window, ranks)
 
 
 def derive_seed(master: int, label: str, index: int) -> int:
@@ -128,14 +128,13 @@ def _pattern_counts(
         )
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    source_ranks = np.asarray(source.ranks)
     sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
     if trials % CHUNK_SIZE:
         sizes.append(trials % CHUNK_SIZE)
 
     def run_chunk(i: int) -> np.ndarray:
         return _chunk_pattern_counts(
-            source_ranks, w, derive_seed(seed, _SAMPLER_LABEL, i), sizes[i]
+            source.ranks, w, derive_seed(seed, _SAMPLER_LABEL, i), sizes[i]
         )
 
     if jobs > 1:
@@ -149,32 +148,6 @@ def _pattern_counts(
     return total
 
 
-def orbit_average(
-    source: LinearOrder,
-    pattern: LinearOrder,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-) -> PatternStat:
-    """Empirical frequency of one pattern over random relocations.
-
-    Each trial relocates a uniformly random |W|-point subset of the ground
-    onto the pattern window by a uniformly random assignment and asks
-    whether the source order lands exactly on the pattern.  The sample
-    stream depends only on (seed, trials), never on the pattern, so stats
-    for different patterns from one seed partition the trials.
-    """
-    counts = _pattern_counts(source, pattern.window, trials, seed, jobs)
-    hits = int(counts[int(tuple_rank(pattern.ranks, len(pattern.window)))])
-    return PatternStat(
-        pattern=pattern,
-        exact=cylinder_measure(pattern),
-        empirical=Fraction(hits, trials),
-        trials=trials,
-        seed=seed,
-    )
-
-
 def orbit_average_all(
     source: LinearOrder,
     window: Window,
@@ -182,8 +155,14 @@ def orbit_average_all(
     seed: int,
     jobs: int = 1,
 ) -> list[PatternStat]:
-    """One PatternStat per pattern on the window, from a single sample
-    stream.  Equals per-pattern orbit_average calls with the same seed."""
+    """Empirical frequency of every pattern on the window, one PatternStat
+    per pattern in the order of all_linear_orders.
+
+    Each trial relocates a uniformly random |W|-point subset of the ground
+    onto the window by a uniformly random assignment and counts the pattern
+    the source order lands on, so the stats of one call partition the
+    trials.  The sample stream depends only on (seed, trials).
+    """
     counts = _pattern_counts(source, window, trials, seed, jobs)
     exact = Fraction(1, math.factorial(len(window)))
     return [

@@ -28,6 +28,7 @@ from orderflow.cli import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
 WITNESS_FIXTURES = Path(__file__).resolve().parent / "data" / "witness"
+FREQUENCY_FIXTURES = Path(__file__).resolve().parent / "data" / "frequencies"
 
 
 def run_cli(argv, capsys):
@@ -227,6 +228,21 @@ def test_frequencies_csv_mirrors_json(tmp_path, capsys):
     assert len(data) == len(rows) == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_frequencies_stdout_matches_the_recorded_fixtures(fmt, jobs, capsys):
+    # ground1000-window4.<format>.out holds the stdout recorded with --jobs 1
+    # before orders and configurations were held as arrays; --jobs 2 gave
+    # the same bytes.  The csv rows end in \r\n, so bytes are compared.
+    code, out, _ = run_cli(
+        ["frequencies", "--ground", "1000", "--window", "4", "--trials", "20000",
+         "--seed", "11", "--format", fmt, "--jobs", jobs],
+        capsys,
+    )
+    assert code == 0
+    assert out.encode() == (FREQUENCY_FIXTURES / f"ground1000-window4.{fmt}.out").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -274,6 +290,30 @@ def test_witness_proximality_ground_too_small(capsys):
     )
     assert code == 2
     assert "256" in err
+
+
+@pytest.mark.parametrize("kind", ["minimality", "proximality"])
+def test_witness_rejects_a_window_above_the_ground_before_building(kind, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("built an order for a window above the ground")
+
+    monkeypatch.setattr(cli.stats, "random_linear_order", never)
+    code, out, err = run_cli(["witness", kind, "--ground", "20", "--window", "1000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: ground size 20 below the window size 1000000"
+
+
+def test_witness_proximality_window_with_a_bound_past_the_digit_limit(capsys):
+    # 4^8000 has 4,817 decimal digits, past Python's int-to-text limit
+    code, out, err = run_cli(
+        ["witness", "proximality", "--ground", "8000", "--window", "8000"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: ground size 8000 below the required 4^8000 for window size 8000"
+    )
 
 
 @pytest.mark.parametrize("reverse_pair", [False, True])

@@ -24,7 +24,6 @@ from orderflow import (
     negate,
     perm_from_text,
     perm_to_text,
-    restrict,
     tuple_rank,
 )
 from orderflow.orders import LinearOrder, all_linear_orders
@@ -44,14 +43,19 @@ def naive_apply(alpha: FinPerm, config: KConfig) -> dict:
     return out
 
 
+def items(config: KConfig):
+    """(tuple, value) pairs, the tuples in the stored order."""
+    return zip(permutations(config.window.elements, config.k), config.values.tolist())
+
+
 def as_dict(config: KConfig) -> dict:
-    return dict(config.items())
+    return dict(items(config))
 
 
 def full_alternation(config: KConfig) -> bool:
     """Check every sigma in S_k, not just adjacent transpositions."""
     k = config.k
-    for t, v in config.items():
+    for t, v in items(config):
         for sigma in permutations(range(k)):
             inversions = sum(
                 1 for i in range(k) for j in range(i + 1, k) if sigma[i] > sigma[j]
@@ -135,7 +139,7 @@ def test_dense_array_agrees_with_the_stored_values(data):
     n = len(window)
     values = data.draw(st.tuples(*[st.sampled_from((1, -1))] * math.perm(n, k)))
     config = KConfig(k, window, values)
-    stored = dict(config.items())
+    stored = as_dict(config)
     array = config.array
     assert array.shape == (n,) * k and array.dtype == np.int8
     for positions in product(range(n), repeat=k):
@@ -161,6 +165,48 @@ def test_kconfig_rejects_bad_values():
         KConfig(2, w, (1, 0))
     with pytest.raises(ValueError):
         KConfig.from_function(7, Window(tuple(range(8))), lambda t: 1)
+    # values past int8 or off the integers are rejected before any cast
+    for bad in (2, 300, -129, 2**70, 1.5, -0.5, "1", None):
+        for values in ((1, bad), [bad, -1], np.array([1, bad])):
+            with pytest.raises(ValueError, match=r"^configuration values must be \+1 or -1$"):
+                KConfig(2, w, values)
+    for values in ((1, -1, 1), [[1, -1]], np.ones((2, 1))):
+        with pytest.raises(ValueError, match="^need 2 values"):
+            KConfig(2, w, values)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_kconfig_values_are_a_read_only_int8_copy(dtype):
+    source = np.array([1, -1, -1, 1, 1, -1], dtype=dtype)
+    config = KConfig(2, Window((0, 1, 2)), source)
+    assert config.values.dtype == np.int8 and config.values.shape == (6,)
+    assert not config.values.flags.writeable
+    with pytest.raises(ValueError):
+        config.values[0] = -1
+    source[0] = -1
+    assert config.values.tolist() == [1, -1, -1, 1, 1, -1]
+
+
+def test_kconfig_equality_and_hash_ignore_the_input_type():
+    w = Window((0, 1, 2))
+    values = (1, -1, -1, 1, 1, -1)
+    inputs = [
+        values,
+        list(values),
+        np.array(values),
+        np.array(values, dtype=np.int8),
+        np.array(values, dtype=np.float64),
+        np.array(values, dtype=np.int16),
+    ]
+    configs = [KConfig(2, w, v) for v in inputs]
+    assert all(c == configs[0] and hash(c) == hash(configs[0]) for c in configs)
+    assert len(set(configs)) == 1
+    flipped = KConfig(2, w, (-1,) + values[1:])
+    assert flipped != configs[0]
+    # same value bytes, different arity or window
+    assert KConfig(3, w, values) != configs[0]
+    assert KConfig(2, Window((0, 1, 3)), values) != configs[0]
+    assert configs[0] != values
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +293,20 @@ def test_apply_perm_requested_window_escape():
     config = lin_order_to_config2(LinearOrder.natural(Window((0, 1, 2))))
     with pytest.raises(DomainEscape):
         apply_perm(FinPerm.identity(), config, window=Window((0, 5)))
+    # the first escaping point in window order is named, preimage first
+    alpha = FinPerm.from_cycles((5, 6), (7, 8))
+    with pytest.raises(DomainEscape) as excinfo:
+        apply_perm(alpha, config, window=Window((0, 5, 7)))
+    assert str(excinfo.value) == "preimage 6 of 5 lies outside window (0, 1, 2)"
 
 
 def test_restrict_and_negate():
     config = lin_order_to_config2(LinearOrder.natural(Window((0, 1, 2, 3))))
-    sub = restrict(config, Window((1, 3)))
+    sub = apply_perm(FinPerm.identity(), config, window=Window((1, 3)))
     assert as_dict(sub) == {(1, 3): 1, (3, 1): -1}
     assert negate(config).value((0, 1)) == -1
     with pytest.raises(DomainEscape):
-        restrict(config, Window((0, 9)))
+        apply_perm(FinPerm.identity(), config, window=Window((0, 9)))
 
 
 def test_moving_onto_a_window_below_the_arity_gives_an_empty_config():
@@ -263,7 +314,7 @@ def test_moving_onto_a_window_below_the_arity_gives_an_empty_config():
         3, Window((0, 1, 2, 3)), lambda t: 1 if t[0] < t[1] else -1
     )
     for sub in (Window(()), Window((2,)), Window((1, 3))):
-        assert restrict(config, sub) == KConfig(3, sub, ())
+        assert apply_perm(FinPerm.identity(), config, window=sub) == KConfig(3, sub, ())
     empty = KConfig(3, Window((0, 1)), ())
     assert apply_perm(FinPerm.from_cycles((0, 5)), empty) == KConfig(3, Window((1, 5)), ())
 

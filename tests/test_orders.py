@@ -1,6 +1,7 @@
 import math
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +86,7 @@ def reference_circular_realizable(config: KConfig) -> bool:
         r = {x: i for i, x in enumerate((first, *tail))}
         if all(
             ((r[x] < r[y]) + (r[y] < r[z]) + (r[z] < r[x]) == 2) == (v == 1)
-            for (x, y, z), v in config.items()
+            for (x, y, z), v in zip(permutations(config.window, 3), config.values)
         ):
             return True
     return False
@@ -163,6 +164,62 @@ def test_order_constructors_and_text():
         order.rank_of(4)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_order_ranks_are_a_read_only_int64_copy(dtype):
+    source = np.array([2, 0, 1], dtype=dtype)
+    order = LinearOrder(Window((3, 7, 9)), source)
+    assert order.ranks.dtype == np.int64 and order.ranks.shape == (3,)
+    assert not order.ranks.flags.writeable
+    with pytest.raises(ValueError):
+        order.ranks[0] = 1
+    source[0] = 0
+    assert order.ranks.tolist() == [2, 0, 1]
+    orders = list(all_linear_orders(Window(tuple(range(3)))))
+    assert all(not o.ranks.flags.writeable for o in orders)
+    assert [o.ranks.tolist() for o in orders] == [list(p) for p in permutations(range(3))]
+
+
+def test_order_equality_and_hash_ignore_the_input_type():
+    w = Window((3, 7, 9))
+    ranks = (2, 0, 1)
+    inputs = [
+        ranks,
+        list(ranks),
+        np.array(ranks),
+        np.array(ranks, dtype=np.int8),
+        np.array(ranks, dtype=np.float64),
+        np.array(ranks, dtype=np.int16),
+    ]
+    orders = [LinearOrder(w, r) for r in inputs]
+    assert all(o == orders[0] and hash(o) == hash(orders[0]) for o in orders)
+    assert len(set(orders)) == 1
+    assert orders[0] == LinearOrder.from_ranked_elements((7, 9, 3))
+    assert LinearOrder(w, (2, 1, 0)) != orders[0]
+    assert LinearOrder(Window((3, 7, 8)), ranks) != orders[0]
+    assert orders[0] != ranks
+
+
+def test_bad_ranks_raise_value_error():
+    w = Window((3, 7, 9))
+    for ranks in (
+        (0, 0, 1),
+        (1, 2, 3),
+        (-1, 0, 1),
+        (0, 1),
+        (0, 1, 2, 3),
+        (0, 1, 1.5),
+        (0.5, 1, 2),
+        (0, 1, 2**70),
+        ("0", "1", "2"),
+        (0, 1, None),
+        np.array([0, 1, 2], dtype=object),
+        [[0, 1, 2]],
+        np.zeros((3, 1)),
+    ):
+        with pytest.raises(ValueError, match="^ranks must be a bijection onto 0..2: "):
+            LinearOrder(w, ranks)
+
+
 # ---------------------------------------------------------------------------
 # order <-> pair configuration
 
@@ -177,7 +234,7 @@ def test_descending_chain_values():
     order = LinearOrder.from_ranked_elements((2, 1, 0))
     config = lin_order_to_config2(order)
     expected = {(2, 1): 1, (1, 0): 1, (2, 0): 1, (1, 2): -1, (0, 1): -1, (0, 2): -1}
-    assert dict(config.items()) == expected
+    assert dict(zip(permutations(config.window, 2), config.values.tolist())) == expected
 
 
 def test_singleton_window_rejected():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import numpy as np
@@ -273,6 +274,24 @@ def test_proximality_ground_too_small():
         proximality_witness(o1, o2, Window(tuple(range(4))))
 
 
+def test_bounds_past_the_digit_limit_are_written_as_powers():
+    # 4^8000 has 4,817 decimal digits; the messages must not spell it out
+    o1 = LinearOrder.natural(Window(tuple(range(16))))
+    with pytest.raises(GroundTooSmall) as excinfo:
+        proximality_witness(o1, reverse(o1), Window(tuple(range(8000))))
+    assert str(excinfo.value) == "ground size 16 below the required 4^8000 for window size 8000"
+    with pytest.raises(GroundTooSmall) as excinfo:
+        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 8000)
+    assert str(excinfo.value) == "ground size 16 below the required 4^8000"
+    # up to 4^32 (20 digits) the decimal value stays in the message
+    with pytest.raises(GroundTooSmall) as excinfo:
+        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 32)
+    assert str(excinfo.value) == f"ground size 16 below the required {4**32} (= 4^32)"
+    with pytest.raises(GroundTooSmall) as excinfo:
+        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 33)
+    assert str(excinfo.value) == "ground size 16 below the required 4^33"
+
+
 def test_proximality_requires_shared_ground():
     o1 = LinearOrder.natural(Window(tuple(range(16))))
     o2 = LinearOrder.natural(Window(tuple(range(17))))
@@ -457,6 +476,13 @@ def test_verification_errors():
             order,
             LinearOrder.natural(off.checked_window),
         )
+    # the verifiers name the escaping point as apply_perm does
+    two = Witness(FinPerm.from_cycles((1, 40), (2, 50)), Window((0, 1, 2)), PROXIMALITY_AGREE)
+    message = "preimage 40 of 1 lies outside window (0, 1, 2, 3, 4, 5)"
+    with pytest.raises(DomainEscape, match=f"^{re.escape(message)}$"):
+        verify_proximality(two, order, order)
+    with pytest.raises(DomainEscape, match=f"^{re.escape(message)}$"):
+        apply_perm(two.alpha, lin_order_to_config2(order), window=two.checked_window)
     point = LinearOrder.natural(Window((0,)))
     fixed = Witness(FinPerm.identity(), Window((0,)), PROXIMALITY_AGREE)
     with pytest.raises(DegenerateWindow):

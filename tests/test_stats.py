@@ -21,7 +21,6 @@ from orderflow import (
     derive_seed,
     extend_bijection,
     lin_order_to_config2,
-    orbit_average,
     orbit_average_all,
     random_linear_order,
     relabel,
@@ -84,10 +83,16 @@ def test_random_order_uniformity_chi_square():
 # orbit averages
 
 
+def pattern_stat(source, pattern, trials, seed):
+    """The stat of one pattern, read from the histogram of its window."""
+    results = orbit_average_all(source, pattern.window, trials, seed)
+    return next(s for s in results if s.pattern == pattern)
+
+
 def test_single_point_window_always_matches():
     source = LinearOrder.natural(Window(tuple(range(10))))
     pattern = LinearOrder.natural(Window((4,)))
-    stat = orbit_average(source, pattern, trials=500, seed=0)
+    stat = pattern_stat(source, pattern, trials=500, seed=0)
     assert stat.empirical == 1
 
 
@@ -104,15 +109,6 @@ def test_orbit_average_converges_to_the_exact_measure():
         assert sum(s.empirical for s in results) == 1
         for s in results:
             assert abs(s.empirical - Fraction(1, 6)) <= tol
-
-
-def test_per_pattern_call_shares_the_sample_stream():
-    source = LinearOrder.natural(Window(tuple(range(20))))
-    window = Window(tuple(range(3)))
-    bundle = orbit_average_all(source, window, trials=5_000, seed=3)
-    for stat, pattern in zip(bundle, all_linear_orders(window)):
-        alone = orbit_average(source, pattern, trials=5_000, seed=3)
-        assert alone.empirical == stat.empirical
 
 
 def test_worker_count_does_not_change_the_result():
@@ -157,7 +153,7 @@ def test_sampler_matches_the_full_action_route():
     window = Window((0, 1, 2))
     pattern = LinearOrder.from_ranked_elements((1, 2, 0))
     trials = 200
-    stat = orbit_average(source, pattern, trials, seed=3)
+    stat = pattern_stat(source, pattern, trials, seed=3)
     sampled = stats._sample_positions(
         len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials
     )
@@ -176,9 +172,9 @@ def test_orbit_average_validation():
     source = LinearOrder.natural(Window((0, 1)))
     pattern = LinearOrder.natural(Window((0, 1, 2)))
     with pytest.raises(GroundTooSmall):
-        orbit_average(source, pattern, trials=10, seed=0)
+        orbit_average_all(source, pattern.window, trials=10, seed=0)
     with pytest.raises(ValueError):
-        orbit_average(pattern, pattern, trials=0, seed=0)
+        orbit_average_all(pattern, pattern.window, trials=0, seed=0)
 
 
 def test_pattern_stat_validation():
@@ -199,7 +195,7 @@ def test_pattern_stat_validation():
 
 def test_stat_dict_round_trip():
     source = LinearOrder.natural(Window(tuple(range(10))))
-    stat = orbit_average(
+    stat = pattern_stat(
         source, LinearOrder.from_ranked_elements((2, 0, 1)), trials=1_000, seed=4
     )
     data = stat_to_dict(stat)
