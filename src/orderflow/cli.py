@@ -38,9 +38,15 @@ MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
 #: ground size and the source order is one array, but the ground window is a
-#: tuple of Python ints: at this size a run takes about 0.8 s and 100 MB peak
-#: RSS at the default window and trials on a 2-core Xeon.
+#: tuple of Python ints: at this size a run takes 0.5-0.6 s and 96 MB peak
+#: RSS at the default window and trials, or at window 4 and 20,000 trials,
+#: on a 2-core Xeon.
 MAX_FREQUENCY_GROUND = 1_000_000
+
+#: Largest `frequencies --jobs`: the thread pool starts one OS thread per
+#: submitted chunk up to this many, and the sampler is numpy calls on
+#: 10,000-trial chunks, so on a 2-core Xeon 2 workers are no faster than 1.
+MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip enumerates all n!
 #: orders of every window up to it, about 1 s at 7 and 9 s at 8 on a 2-core
@@ -49,8 +55,8 @@ MAX_VERIFY_WINDOW = 8
 
 #: Largest `witness --ground`: the ground is a tuple of Python ints, and each
 #: random order is a Python list shuffled by `random.Random` (the stream the
-#: witness fixtures pin) before it becomes an array; at this size a run takes
-#: 2-3.5 s and 185-245 MB peak RSS on a 2-core Xeon.
+#: witness fixtures pin) before it becomes an array; at this size a run at
+#: window 10 takes 2.5-3.3 s and 194 MB peak RSS on a 2-core Xeon.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -307,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground", type=_positive("--ground", MAX_FREQUENCY_GROUND), default=50)
     p.add_argument("--trials", type=_positive("--trials"), default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive("--jobs"), default=1)
+    p.add_argument("--jobs", type=_positive("--jobs", MAX_FREQUENCY_JOBS), default=1)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--out", default=None)
 

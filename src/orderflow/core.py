@@ -10,6 +10,7 @@ alpha(W) reads, at a tuple t, the old value at the entrywise preimage of t.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -32,9 +33,9 @@ class Window:
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(int(x) for x in self.elements)
+        elems = tuple(map(int, self.elements))
         object.__setattr__(self, "elements", elems)
-        if any(a >= b for a, b in zip(elems, elems[1:])):
+        if not all(map(operator.lt, elems, elems[1:])):
             raise ValueError(f"window elements must be strictly increasing: {elems}")
 
     @classmethod
@@ -83,23 +84,26 @@ def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
 def positions_from_digits(digits: np.ndarray) -> np.ndarray:
     """Decode Lehmer digits into injective tuples of positions, in place.
 
-    digits holds one tuple per row, shape (m, k), with digit i in [0, n - i):
-    it picks the digit-th smallest position not taken by the earlier
-    entries, so this inverts the digits of `tuple_rank`.  Decoding runs from
-    the right: inserting entry i shifts every later entry at or above it up
-    by one.  Returns `digits`, now holding the positions.
+    digits is slot-major, shape (k, m): row i holds digit i of all m
+    tuples, in [0, n - i).  Digit i picks the digit-th smallest position not
+    taken by the earlier entries, so this inverts the digits of
+    `tuple_rank`.  Decoding runs from the right: inserting entry i shifts
+    every later entry at or above it up by one, a pass over whole
+    contiguous rows.  Returns `digits`, now holding the positions, still
+    slot-major.
     """
-    for i in range(digits.shape[1] - 2, -1, -1):
-        digits[:, i + 1 :] += digits[:, i + 1 :] >= digits[:, i : i + 1]
+    for i in range(len(digits) - 2, -1, -1):
+        digits[i + 1 :] += digits[i + 1 :] >= digits[i]
     return digits
 
 
 def position_tuples(n: int, k: int) -> np.ndarray:
     """All injective k-tuples over range(n), one per row, lexicographically:
-    every digit tuple in mixed-radix order, decoded at once."""
+    every digit tuple in mixed-radix order, decoded slot-major at once and
+    returned as the (perm(n, k), k) transpose."""
     radices = np.maximum(n - np.arange(k), 0)
-    digits = np.indices(radices, dtype=np.intp).reshape(k, math.perm(n, k)).T
-    return positions_from_digits(digits)
+    digits = np.indices(radices, dtype=np.intp).reshape(k, math.perm(n, k))
+    return positions_from_digits(digits).T
 
 
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:

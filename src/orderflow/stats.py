@@ -8,11 +8,11 @@ value, whatever the source.
 A trial relocates a uniformly random injective w-tuple of ground
 positions onto the window.  The tuple is drawn as w Lehmer digits, digit i
 uniform on [0, n - i), and decoded by `core.positions_from_digits` in
-w - 1 vectorized passes (Knuth, TAOCP vol. 2, section 3.4.2; Bentley and
-Floyd, CACM 1987), so a trial costs O(w) draws and memory whatever the
-ground size n.  Its pattern is the rank vector of the w source ranks it
-lands on, counted by w broadcast comparisons and encoded by
-`core.tuple_rank`.
+w - 1 vectorized passes over slot-major rows (Knuth, TAOCP vol. 2, section
+3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w) draws and
+memory whatever the ground size n.  Its pattern index is the Lehmer code
+of the w source ranks it lands on, read off them by C(w, 2) row
+comparisons without building their induced rank vector.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are reduced in index order, so a
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, positions_from_digits, tuple_rank, window_from_text, window_to_text
+from .core import Window, positions_from_digits, window_from_text, window_to_text
 from .errors import DegenerateWindow, FormatError, GroundTooSmall
 from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
 
@@ -88,28 +88,39 @@ def derive_seed(master: int, label: str, index: int) -> int:
 
 
 def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
-    """(count, w) matrix of distinct window positions, uniform injections.
+    """Slot-major (w, count) matrix of window positions: column t holds
+    trial t's w distinct positions, a uniform injection.
 
-    Each row draws w independent Lehmer digits, digit i uniform on
+    Each trial draws w independent Lehmer digits, digit i uniform on
     [0, n - i), and decodes them (Knuth, TAOCP vol. 2, section 3.4.2;
     Bentley and Floyd, CACM 1987).  Decoding is a bijection from the
     digit tuples onto the n!/(n - w)! injections, so uniform digits give
-    a uniform injection in O(w) draws and O(w^2) comparisons per row.
+    a uniform injection in O(w) draws and O(w^2) comparisons per trial.
+    The digits are drawn as a (count, w) matrix and transposed once, so
+    the decoder runs on contiguous rows, one per slot.
     """
     rng = np.random.default_rng(chunk_seed)
-    return positions_from_digits(rng.integers(0, n - np.arange(w), size=(count, w)))
+    digits = rng.integers(0, n - np.arange(w), size=(count, w))
+    return positions_from_digits(np.ascontiguousarray(digits.T))
 
 
 def _chunk_pattern_counts(
     source_ranks: np.ndarray, w: int, chunk_seed: int, count: int
 ) -> np.ndarray:
-    """Pattern histogram of `count` random relocations onto a w-window."""
-    sampled = _sample_positions(len(source_ranks), w, chunk_seed, count)
-    r = source_ranks[sampled]
-    induced = np.zeros(r.shape, dtype=np.int64)
-    for j in range(w):
-        induced += r[:, j : j + 1] < r
-    return np.bincount(tuple_rank(induced, w), minlength=math.factorial(w))
+    """Pattern histogram of `count` random relocations onto a w-window.
+
+    A trial's pattern index is the Lehmer code of the source ranks r it
+    lands on, the sum over slots i of #{j > i : r[j] < r[i]} (w - 1 - i)!.
+    That count is digit i of `core.tuple_rank` of r's induced rank vector,
+    so the index follows the order of all_linear_orders.
+    """
+    r = source_ranks[_sample_positions(len(source_ranks), w, chunk_seed, count)]
+    index = np.zeros(count, dtype=np.int64)
+    for i in range(w - 1):
+        index *= w - i
+        for j in range(i + 1, w):
+            index += r[j] < r[i]
+    return np.bincount(index, minlength=math.factorial(w))
 
 
 def _pattern_counts(
@@ -231,6 +242,15 @@ def _hits_from_float(empirical: object, trials: int) -> int:
     return hits
 
 
+def _json_int(data: dict, key: str) -> int:
+    """The field's value if it is a JSON integer; floats, text and booleans
+    are refused, not truncated or coerced."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"bad pattern stat: {key} must be an integer, got {value!r}")
+    return value
+
+
 def stat_from_dict(data: dict) -> PatternStat:
     if not isinstance(data, dict):
         raise FormatError(f"bad pattern stat: expected an object, got {type(data).__name__}")
@@ -240,8 +260,8 @@ def stat_from_dict(data: dict) -> PatternStat:
                 raise FormatError(f"bad pattern stat: {key} must be text, got {data[key]!r}")
         pattern = order_from_text(data["pattern"])
         window = window_from_text(data["window"])
-        exact = Fraction(int(data["exact_num"]), int(data["exact_den"]))
-        trials = int(data["trials"])
+        exact = Fraction(_json_int(data, "exact_num"), _json_int(data, "exact_den"))
+        trials = _json_int(data, "trials")
         if trials < 1:
             raise ValueError(f"trials must be positive, got {trials}")
         stat = PatternStat(
@@ -249,7 +269,7 @@ def stat_from_dict(data: dict) -> PatternStat:
             exact=exact,
             empirical=Fraction(_hits_from_float(data["empirical"], trials), trials),
             trials=trials,
-            seed=int(data["seed"]),
+            seed=_json_int(data, "seed"),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad pattern stat: {exc}") from None

@@ -19,6 +19,7 @@ from orderflow import cli
 from orderflow.cli import (
     MAX_FACTOR_TUPLES,
     MAX_FREQUENCY_GROUND,
+    MAX_FREQUENCY_JOBS,
     MAX_FREQUENCY_WINDOW,
     MAX_VERIFY_WINDOW,
     MAX_WITNESS_GROUND,
@@ -214,6 +215,18 @@ def test_frequencies_rejects_grounds_above_the_bound(monkeypatch, capsys):
     assert excinfo.value.code == 2
     _, err = capsys.readouterr()
     assert "--ground must be at most 1000000, got 1000001" in err
+
+
+def test_frequencies_rejects_jobs_above_the_bound(capsys):
+    # argparse alone: parsing the options starts no thread
+    assert MAX_FREQUENCY_JOBS == 32
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(["frequencies", "--jobs", "33"])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert "--jobs must be at most 32, got 33" in err
+    args = cli.build_parser().parse_args(["frequencies", "--jobs", "32"])
+    assert args.jobs == MAX_FREQUENCY_JOBS
 
 
 def test_frequencies_csv_mirrors_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -120,18 +121,44 @@ def test_worker_count_does_not_change_the_result():
 
 
 def test_lehmer_decode_enumerates_the_injections_in_rank_order():
-    # itertools.permutations is the reference: position_tuples decodes with
-    # the sampler's decoder, so comparing the two would check nothing.
+    # itertools.permutations is the reference: position_tuples and the
+    # sampler share one slot-major decoder, so comparing the two would check
+    # nothing.  The decoder takes and returns (w, m); the tables are (m, w).
     for n in range(1, 9):
         for w in range(1, min(n, 6) + 1):
             expected = np.array(list(itertools.permutations(range(n), w)), dtype=np.intp)
             radices = [range(n - i) for i in range(w)]
-            digits = np.array(list(itertools.product(*radices)), dtype=np.int64)
-            assert np.array_equal(core.positions_from_digits(digits), expected), (n, w)
+            digits = np.array(list(itertools.product(*radices)), dtype=np.int64).T
+            assert np.array_equal(core.positions_from_digits(digits).T, expected), (n, w)
             table = core.position_tuples(n, w)
             assert table.dtype == np.intp and np.array_equal(table, expected), (n, w)
         for w in (n + 1, n + 2):
             assert core.position_tuples(n, w).shape == (0, w)
+
+
+def _reference_chunk_counts(source_ranks, w, chunk_seed, count):
+    """The chunk histogram by plain Python, sharing no code with core: each
+    trial's digits are decoded by popping from the list of free positions,
+    and its pattern is looked up in itertools.permutations order."""
+    rng = np.random.default_rng(chunk_seed)
+    digits = rng.integers(0, len(source_ranks) - np.arange(w), size=(count, w)).tolist()
+    index = {p: i for i, p in enumerate(itertools.permutations(range(w)))}
+    counts = [0] * len(index)
+    for row in digits:
+        pool = list(range(len(source_ranks)))
+        r = [source_ranks[pool.pop(d)] for d in row]
+        counts[index[tuple(sorted(r).index(x) for x in r)]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_chunk_counts_match_a_pure_python_route(w):
+    for n in (w, w + 1, 50):
+        for seed in (0, 1, 7):
+            ranks = list(range(n))
+            random.Random(seed).shuffle(ranks)
+            got = stats._chunk_pattern_counts(np.array(ranks), w, seed, 300)
+            assert got.tolist() == _reference_chunk_counts(ranks, w, seed, 300), (n, w, seed)
 
 
 def test_sampling_memory_does_not_grow_with_the_ground():
@@ -160,7 +187,7 @@ def test_sampler_matches_the_full_action_route():
     source_config = lin_order_to_config2(source)
     target_config = lin_order_to_config2(pattern)
     hits = 0
-    for row in sampled:
+    for row in sampled.T:
         points = [ground.elements[p] for p in row]
         alpha = extend_bijection(dict(zip(points, window.elements)))
         if apply_perm(alpha, source_config, window=window) == target_config:
@@ -237,3 +264,16 @@ def test_stat_from_dict_rejects_non_rows_with_format_error():
     for bad in (None, [], {**row, "pattern": None}):
         with pytest.raises(FormatError):
             stat_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("exact_num", 1.9), ("exact_den", 2.7), ("trials", "10"), ("trials", 10.9), ("seed", True)],
+)
+def test_stat_from_dict_requires_json_integers(field, value):
+    row = stat_to_dict(
+        PatternStat(LinearOrder.natural(Window((0, 1))), Fraction(1, 2), Fraction(1, 2), 10, 1)
+    )
+    assert stat_from_dict(row).trials == 10
+    with pytest.raises(FormatError, match=f"^bad pattern stat: {field} must be an integer, got "):
+        stat_from_dict({**row, field: value})
