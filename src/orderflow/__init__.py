@@ -8,8 +8,6 @@ from .codes import (
     apply_code,
     circular_code,
     code_from_name,
-    code_from_text,
-    code_to_text,
     moment_curve_orientation,
     sign_code,
 )
@@ -28,7 +26,6 @@ from .core import (
     negate,
     perm_from_text,
     perm_to_text,
-    tuple_rank,
 )
 from .errors import (
     ArityMismatch,

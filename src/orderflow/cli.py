@@ -56,7 +56,7 @@ MAX_VERIFY_WINDOW = 8
 #: Largest `witness --ground`: the ground is a tuple of Python ints, and each
 #: random order is a Python list shuffled by `random.Random` (the stream the
 #: witness fixtures pin) before it becomes an array; at this size a run at
-#: window 10 takes 2.5-3.3 s and 194 MB peak RSS on a 2-core Xeon.
+#: window 10 takes 3.0-3.2 s and 147 MB peak RSS on a 2-core Xeon.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -257,13 +257,13 @@ def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
     if len(lines) > 1:
         raise FormatError("expected a single order line", lines[1][0])
     lineno, line = lines[0]
-    order = orders.order_from_text(line, lineno)
-    n, k = len(order.window), code.k
+    # bounded on the token count, before a point of the order is built
+    n, k = len(line.split()), code.k
     if math.perm(n, k) > MAX_FACTOR_TUPLES:
         raise FormatError(
             f"{n} points give {math.perm(n, k)} {k}-tuples, more than {MAX_FACTOR_TUPLES}", lineno
         )
-    config = codes.apply_code(code, order)
+    config = codes.apply_code(code, orders.order_from_text(line, lineno))
     _emit(core.config_to_text(config), args.out)
     _report(f"alternating: {'yes' if core.is_alternating(config) else 'no'}")
     if config.k == 3:

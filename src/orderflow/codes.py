@@ -3,11 +3,11 @@
 A block code turns a linear order into a k-configuration whose value on a
 tuple depends only on the tuple's order type.  An order type is a 0-based
 sorting permutation, one row of `position_tuples(k, k)`, and a code's table
-is indexed by that row's `tuple_rank`; the text format prints each row
-1-based.  The sign code sends each order type to its parity; for k = 2 it
-reproduces the pair encoding of the order, and for k = 3 its image is
-exactly a circular order (the cyclic rotations of a triple are its even
-rearrangements).
+is indexed by that row's `pattern_index`, its place in the enumeration
+order of itertools.permutations(range(k)).  The sign code sends each order
+type to its parity; for k = 2 it reproduces the pair encoding of the
+order, and for k = 3 its image is exactly a circular order (the cyclic
+rotations of a triple are its even rearrangements).
 """
 
 from __future__ import annotations
@@ -19,16 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_MAX_ARITY,
-    KConfig,
-    _rows_from_text,
-    _rows_to_text,
-    numbered_lines,
-    position_tuples,
-    tuple_rank,
-)
-from .errors import DegenerateInput, FormatError, WindowTooSmall
+from .core import DEFAULT_MAX_ARITY, KConfig, pattern_index, position_tuples
+from .errors import DegenerateInput, WindowTooSmall
 from .orders import LinearOrder
 
 
@@ -37,8 +29,8 @@ class BlockCode:
     """Tuple-local recoding rule: one output sign per order type.
 
     table[i] is the sign of the order type in row i of
-    `position_tuples(k, k)`, the sorting permutation sigma with
-    `tuple_rank(sigma, k) == i`.
+    `position_tuples(k, k)`, the sorting permutation sigma whose Lehmer
+    code, read by `pattern_index`, is i.
     """
 
     k: int
@@ -59,14 +51,14 @@ class BlockCode:
 def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
     """Configuration reading the code table at each tuple's order type.
 
-    Sorting a tuple's ranks gives its order type, ranked among the k! order
-    types by tuple_rank; all tuples are read at once.
+    Sorting a tuple's ranks gives its order type, numbered among the k!
+    order types by pattern_index; all tuples are read at once.
     """
     n = len(order.window)
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
     sigma = np.argsort(order.ranks[position_tuples(n, code.k)], axis=1)
-    return KConfig(code.k, order.window, np.asarray(code.table)[tuple_rank(sigma, code.k)])
+    return KConfig(code.k, order.window, np.asarray(code.table)[pattern_index(sigma.T)])
 
 
 def sign_code(k: int) -> BlockCode:
@@ -154,27 +146,3 @@ def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
         raise DegenerateInput("degenerate moment matrix")
     return 1 if det > 0 else -1
 
-
-# ---------------------------------------------------------------------------
-# Text format
-
-
-def code_to_text(code: BlockCode) -> str:
-    """Arity on the first line, then `sigma : +1|-1` per order type, with
-    sigma printed 1-based."""
-    return _rows_to_text(str(code.k), range(1, code.k + 1), code.k, code.table)
-
-
-def code_from_text(text: str) -> BlockCode:
-    lines = numbered_lines(text)
-    if not lines:
-        raise FormatError("empty code text")
-    lineno, line = lines[0]
-    try:
-        k = int(line)
-    except ValueError:
-        raise FormatError(f"bad arity line {line!r}", lineno) from None
-    if not 2 <= k <= DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
-    what = f"a permutation of 1..{k}"
-    return BlockCode(k, _rows_from_text(lines[1:], k, range(1, k + 1), "order type", what))

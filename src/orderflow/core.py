@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -43,15 +44,12 @@ class Window:
         """Window from any iterable of distinct integers, sorted."""
         return cls(tuple(sorted(elements)))
 
-    @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
     def position(self, x: int) -> int:
-        try:
-            return self._pos[x]
-        except KeyError:
-            raise OutOfWindow(f"{x} is not in window {self.elements}") from None
+        """Index of x in `elements`, found by bisection."""
+        i = bisect_left(self.elements, x)
+        if i == len(self.elements) or self.elements[i] != x:
+            raise OutOfWindow(f"{x} is not in window {self.elements}")
+        return i
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -60,25 +58,26 @@ class Window:
         return iter(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in self._pos
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
 
-def tuple_rank(rows: np.ndarray | Sequence[int], n: int) -> np.ndarray:
-    """Lexicographic indices of injective tuples of positions over range(n).
+def pattern_index(ranks: np.ndarray) -> np.ndarray:
+    """Lehmer code of each column of a slot-major (k, m) array of distinct
+    values: the sum over slots i of #{j > i : r[j] < r[i]} (k - 1 - i)!.
 
-    rows holds one tuple per row, shape (..., k); the result has shape (...)
-    and agrees with the enumeration order of itertools.permutations(range(n),
-    k).  Mixed-radix (Lehmer) encoding: digit i is the position reduced by the
-    count of earlier, smaller positions, with radix n - i.
+    Column r gets the index of its pattern among the k! patterns in the
+    enumeration order of itertools.permutations(range(k)), so this inverts
+    `positions_from_digits` on patterns.  Computed in Horner form by C(k, 2)
+    row comparisons; the result has shape (m,).
     """
-    rows = np.asarray(rows)
-    rank = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for i in range(rows.shape[-1]):
-        digit = rows[..., i].astype(np.int64)
-        for m in range(i):
-            digit -= rows[..., m] < rows[..., i]
-        rank = rank * (n - i) + digit
-    return rank
+    k = len(ranks)
+    index = np.zeros(ranks.shape[1:], dtype=np.int64)
+    for i in range(k - 1):
+        index *= k - i
+        for j in range(i + 1, k):
+            index += ranks[j] < ranks[i]
+    return index
 
 
 def positions_from_digits(digits: np.ndarray) -> np.ndarray:
@@ -86,8 +85,8 @@ def positions_from_digits(digits: np.ndarray) -> np.ndarray:
 
     digits is slot-major, shape (k, m): row i holds digit i of all m
     tuples, in [0, n - i).  Digit i picks the digit-th smallest position not
-    taken by the earlier entries, so this inverts the digits of
-    `tuple_rank`.  Decoding runs from the right: inserting entry i shifts
+    taken by the earlier entries; on the k! patterns (n = k) this inverts
+    `pattern_index`.  Decoding runs from the right: inserting entry i shifts
     every later entry at or above it up by one, a pass over whole
     contiguous rows.  Returns `digits`, now holding the positions, still
     slot-major.
@@ -336,58 +335,25 @@ _SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
 _SIGNS = {"+1": 1, "-1": -1}
 
 
-def _rows_to_text(header: str, points: Iterable[int], k: int, values: Iterable[int]) -> str:
-    """The header line, then `i1 ... ik : +1|-1` per value, the tuples
-    running over the injective k-tuples of the points in permutations order.
+def config_to_text(config: KConfig) -> str:
+    """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically.
     The text is built a column at a time: tuple heads, then sign suffixes."""
-    heads = map(" ".join, permutations(list(map(str, points)), k))
-    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, values))
+    header = f"k={config.k} window={window_to_text(config.window)}"
+    heads = map(" ".join, permutations(list(map(str, config.window)), config.k))
+    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, config.values.tolist()))
     return "\n".join([header, *body]) + "\n"
 
 
-def _rows_from_text(
-    rows: Iterable[tuple[int, str]], k: int, points: Sequence[int], noun: str, what: str
-) -> tuple[int, ...]:
-    """Values of numbered `i1 ... ik : +1|-1` rows in the order `_rows_to_text`
-    writes them.
-
-    Each row is checked at its own line: k distinct entries among the
-    points (else the error says the row is not `what`), a sign, and no
-    `noun` twice.  The values are then read out in permutations order,
-    which stops at the first missing tuple, so the work stays bounded by
-    the rows given.
-    """
-    allowed = set(points)
-    seen: dict[tuple[int, ...], int] = {}
-    for lineno, line in rows:
-        head, sep, sign = line.partition(":")
-        if not sep:
-            raise FormatError(f"missing ':' in {line!r}", lineno)
-        try:
-            t = tuple(map(int, head.split()))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
-        if len(t) != k or len(allowed.intersection(t)) != k:
-            raise FormatError(f"not {what}: {t}", lineno)
-        if t in seen:
-            raise FormatError(f"duplicate {noun} {t}", lineno)
-        sign = sign.strip()
-        if sign not in _SIGNS:
-            raise FormatError(f"expected +1 or -1, got {sign!r}", lineno)
-        seen[t] = _SIGNS[sign]
-    try:
-        return tuple(seen[t] for t in permutations(points, k))
-    except KeyError as exc:
-        raise FormatError(f"missing entry for {noun} {exc.args[0]}") from None
-
-
-def config_to_text(config: KConfig) -> str:
-    """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically."""
-    header = f"k={config.k} window={window_to_text(config.window)}"
-    return _rows_to_text(header, config.window, config.k, config.values.tolist())
-
-
 def config_from_text(text: str) -> KConfig:
+    """Inverse of `config_to_text`; rows may come in any order, spaced and
+    blank-lined.
+
+    The header must read `k=K window=...` with K in 2..DEFAULT_MAX_ARITY.
+    Each row is checked at its own line: k distinct window points, a sign,
+    and no tuple twice.  The values are then read out in permutations
+    order, which stops at the first missing tuple, so the work stays
+    bounded by the rows given.  Every failure is a FormatError.
+    """
     lines = numbered_lines(text)
     if not lines:
         raise FormatError("empty configuration text")
@@ -402,8 +368,29 @@ def config_from_text(text: str) -> KConfig:
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
     window = window_from_text(header[1][7:], lineno)
-    what = f"{k} distinct points of the window"
-    return KConfig(k, window, _rows_from_text(lines[1:], k, window.elements, "tuple", what))
+    allowed = set(window)
+    seen: dict[tuple[int, ...], int] = {}
+    for lineno, line in lines[1:]:
+        head, sep, sign = line.partition(":")
+        if not sep:
+            raise FormatError(f"missing ':' in {line!r}", lineno)
+        try:
+            t = tuple(map(int, head.split()))
+        except ValueError as exc:
+            raise FormatError(str(exc), lineno) from None
+        if len(t) != k or len(allowed.intersection(t)) != k:
+            raise FormatError(f"not {k} distinct points of the window: {t}", lineno)
+        if t in seen:
+            raise FormatError(f"duplicate tuple {t}", lineno)
+        sign = sign.strip()
+        if sign not in _SIGNS:
+            raise FormatError(f"expected +1 or -1, got {sign!r}", lineno)
+        seen[t] = _SIGNS[sign]
+    try:
+        values = [seen[t] for t in permutations(window.elements, k)]
+    except KeyError as exc:
+        raise FormatError(f"missing entry for tuple {exc.args[0]}") from None
+    return KConfig(k, window, values)
 
 
 def perm_to_text(alpha: FinPerm) -> str:

@@ -5,8 +5,8 @@ of ranks by window position; rank 0 is the least element.  The order type
 of a k-tuple under an order is its sorting permutation: the row sigma of
 `core.position_tuples(k, k)` whose slot sigma[0] holds the least entry,
 sigma[1] the next, and so on.  It has no class of its own:
-`codes.apply_code` computes the order types of all tuples at once, and the
-code text format prints them 1-based.
+`codes.apply_code` computes the order types of all tuples at once and
+numbers them by `core.pattern_index`.
 
 A pair configuration encodes an order by giving +1 exactly to the ascending
 pairs, and every alternating, transitive pair configuration arises this

@@ -11,8 +11,8 @@ uniform on [0, n - i), and decoded by `core.positions_from_digits` in
 w - 1 vectorized passes over slot-major rows (Knuth, TAOCP vol. 2, section
 3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w) draws and
 memory whatever the ground size n.  Its pattern index is the Lehmer code
-of the w source ranks it lands on, read off them by C(w, 2) row
-comparisons without building their induced rank vector.
+of the w source ranks it lands on, read off them by `core.pattern_index`
+without building their induced rank vector.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are reduced in index order, so a
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, positions_from_digits, window_from_text, window_to_text
+from .core import Window, pattern_index, positions_from_digits, window_from_text, window_to_text
 from .errors import DegenerateWindow, FormatError, GroundTooSmall
 from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
 
@@ -109,18 +109,12 @@ def _chunk_pattern_counts(
 ) -> np.ndarray:
     """Pattern histogram of `count` random relocations onto a w-window.
 
-    A trial's pattern index is the Lehmer code of the source ranks r it
-    lands on, the sum over slots i of #{j > i : r[j] < r[i]} (w - 1 - i)!.
-    That count is digit i of `core.tuple_rank` of r's induced rank vector,
-    so the index follows the order of all_linear_orders.
+    A trial's pattern index is `core.pattern_index` of the source ranks it
+    lands on, the same number as for their induced rank vector, so the
+    index follows the order of all_linear_orders.
     """
     r = source_ranks[_sample_positions(len(source_ranks), w, chunk_seed, count)]
-    index = np.zeros(count, dtype=np.int64)
-    for i in range(w - 1):
-        index *= w - i
-        for j in range(i + 1, w):
-            index += r[j] < r[i]
-    return np.bincount(index, minlength=math.factorial(w))
+    return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
 def _pattern_counts(

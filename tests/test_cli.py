@@ -502,9 +502,11 @@ def test_factor_rejects_orders_with_too_many_tuples(
     assert MAX_FACTOR_TUPLES == 10**6
 
     def never(*args, **kwargs):
-        raise AssertionError("applied a code past the tuple bound")
+        raise AssertionError("read an order or applied a code past the tuple bound")
 
     monkeypatch.setattr(cli.codes, "apply_code", never)
+    # the bound is read off the token count, before the order is built
+    monkeypatch.setattr(cli.orders, "order_from_text", never)
     order_file = tmp_path / "order.txt"
     order_file.write_text(" ".join(map(str, range(points))) + "\n")
     rc, out, err = run_cli(["factor", code, str(order_file)], capsys)

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import random
 from fractions import Fraction
@@ -23,8 +22,6 @@ from orderflow import (
     apply_perm,
     circular_code,
     code_from_name,
-    code_from_text,
-    code_to_text,
     is_alternating,
     lin_order_to_config2,
     moment_curve_orientation,
@@ -295,92 +292,6 @@ def test_sign4_config_matches_moment_curve_orientations():
     params = {x: Fraction(order.rank_of(x)) for x in window}
     for t, v in zip(permutations(window, 4), config.values):
         assert v == moment_curve_orientation([params[x] for x in t])
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def test_code_text_round_trip():
-    for code in (sign_code(2), sign_code(3), BlockCode(2, (1, 1))):
-        assert code_from_text(code_to_text(code)) == code
-    text = code_to_text(sign_code(3))
-    assert text.splitlines()[0] == "3"
-    assert text.splitlines()[1] == "1 2 3 : +1"
-
-
-#: sha256 of code_to_text(sign_code(k)), recorded when order types were
-#: still formatted through a separate 1-based permutation class.
-SIGN_CODE_TEXT_SHA256 = {
-    2: "d8a50480046c53bfcdcf4802154f2fc66e0805bf2f9b8e20d8d6e7bb10115643",
-    3: "1cf09b516ed32aa7aefcdc3570a7b9ed089308dc207be74afa9dccf8628afca5",
-    4: "3c26a8c9a1982909b55318fa362d4ba2ad12bf048592bc6f89922b95203f6abd",
-    5: "d3fc9ee6b0b09331df22504c245d25e943c913929d2f8cabd41d813568b9a2b0",
-    6: "1fb3d643feeafa5a39a4213d05c65b5477213785d9b9fd7a8fb3d524bece8f10",
-}
-
-
-@pytest.mark.parametrize("k", sorted(SIGN_CODE_TEXT_SHA256))
-def test_sign_code_text_is_pinned(k):
-    text = code_to_text(sign_code(k))
-    expected = [str(k)] + [
-        f"{' '.join(str(s + 1) for s in sigma)} : {'+1' if sort_sign(sigma) > 0 else '-1'}"
-        for sigma in permutations(range(k))
-    ]
-    assert text == "\n".join(expected) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == SIGN_CODE_TEXT_SHA256[k]
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "empty code text"),
-        ("x\n", "line 1: bad arity line 'x'"),
-        ("2\n1 2 +1\n", "line 2: missing ':' in '1 2 +1'"),
-        ("2\n1 x : +1\n2 1 : -1\n", "line 2: invalid literal for int() with base 10: 'x'"),
-        ("2\n1 3 : +1\n2 1 : -1\n", "line 2: not a permutation of 1..2: (1, 3)"),
-        ("2\n0 1 : +1\n", "line 2: not a permutation of 1..2: (0, 1)"),
-        ("2\n1 2 : up\n", "line 2: expected +1 or -1, got 'up'"),
-        ("2\n1 2 : +1\n1 2 : -1\n", "line 3: duplicate order type (1, 2)"),
-        # line numbers count physical lines, blank ones included
-        ("2\n\n1 2 : +1\n\n1 2 : +1\n", "line 5: duplicate order type (1, 2)"),
-        ("\n\nx\n", "line 3: bad arity line 'x'"),
-        ("2\n\n1 x : +1\n", "line 3: invalid literal for int() with base 10: 'x'"),
-        ("3\n1 2 3 : +1\n", "missing entry for order type (1, 3, 2)"),
-        ("2\n2 1 : +1\n", "missing entry for order type (1, 2)"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n", "line 4: not a permutation of 1..2: (1,)"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 2 3 : +1\n", "line 4: not a permutation of 1..2: (1, 2, 3)"),
-        ("2\n1 2 : +1\n2 1 : -1\n1 : +1\n1 : -1\n", "line 4: not a permutation of 1..2: (1,)"),
-        # a row of the wrong arity is reported at its own line
-        ("2\n : +1\n1 2 : +1\n2 1 : -1\n", "line 2: not a permutation of 1..2: ()"),
-        ("2\n : +1\n : -1\n", "line 2: not a permutation of 1..2: ()"),
-        ("2\n : +1\n", "line 2: not a permutation of 1..2: ()"),
-    ],
-)
-def test_code_text_error_messages_are_pinned(text, message):
-    with pytest.raises(FormatError) as excinfo:
-        code_from_text(text)
-    assert str(excinfo.value) == message
-
-
-def test_code_text_errors():
-    with pytest.raises(FormatError):
-        code_from_text("")
-    with pytest.raises(FormatError, match="line 2"):
-        code_from_text("2\n1 2 : up\n2 1 : -1")
-    with pytest.raises(FormatError):
-        code_from_text("2\n1 2 : +1")  # missing entry
-
-
-def test_code_text_arity_is_bounded_before_enumeration():
-    from orderflow import DEFAULT_MAX_ARITY
-
-    # 30! order types would never finish enumerating; the bound comes first.
-    for arity in (-1, 0, 1, DEFAULT_MAX_ARITY + 1, 30):
-        with pytest.raises(FormatError, match="line 1"):
-            code_from_text(f"{arity}\n")
-    with pytest.raises(FormatError, match="line 1"):
-        code_from_text("1\n1 : +1\n")
 
 
 def test_block_code_validation():

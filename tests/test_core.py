@@ -24,8 +24,8 @@ from orderflow import (
     negate,
     perm_from_text,
     perm_to_text,
-    tuple_rank,
 )
+from orderflow.core import pattern_index
 from orderflow.orders import LinearOrder, all_linear_orders
 
 
@@ -106,22 +106,28 @@ def test_window_rejects_unsorted_and_duplicates():
 def test_window_position_and_membership():
     w = Window((3, 7, 9))
     assert w.position(7) == 1
-    assert 9 in w and 4 not in w
+    assert w.position(np.int64(9)) == 2
+    assert 9 in w and np.int64(3) in w
+    # below the first element, above the last, and between two elements
+    for x in (2, 10, 4, 8):
+        assert x not in w
+        with pytest.raises(OutOfWindow):
+            w.position(x)
+    empty = Window(())
+    assert 0 not in empty
     with pytest.raises(OutOfWindow):
-        w.position(4)
+        empty.position(0)
 
 
-def test_tuple_rank_matches_enumeration_order():
-    for n in range(2, 7):
-        for k in range(2, n + 1):
-            table = np.array(list(permutations(range(n), k)))
-            assert tuple_rank(table, n).tolist() == list(range(len(table)))
-            # leading axes are kept: one rank per row
-            assert tuple_rank(table.reshape(2, -1, k), n).tolist() == np.arange(
-                len(table)
-            ).reshape(2, -1).tolist()
-            for i, t in enumerate(permutations(range(n), k)):
-                assert int(tuple_rank(t, n)) == i
+def test_pattern_index_matches_enumeration_order():
+    for k in range(1, 7):
+        # one column per permutation of range(k), in permutations order
+        table = np.array(list(permutations(range(k)))).T
+        expected = list(range(math.factorial(k)))
+        assert pattern_index(table).tolist() == expected
+        # only the relative order of the values is read
+        assert pattern_index(10 * table - 7).tolist() == expected
+        assert pattern_index(np.array([-5, 0, 3, 40, 41, 99])[table]).tolist() == expected
 
 
 def test_kconfig_value_count_is_falling_factorial():
@@ -400,6 +406,10 @@ def test_config_text_errors_carry_line_numbers():
     lines = good.splitlines()
     with pytest.raises(FormatError, match="line 3"):
         config_from_text("\n".join([lines[0], lines[1], "0 1 : banana"]))
+    with pytest.raises(FormatError, match=r"^line 3: missing ':' in '1 0 -1'$"):
+        config_from_text("\n".join([lines[0], lines[1], "1 0 -1"]))
+    with pytest.raises(FormatError, match=r"^line 3: expected \+1 or -1, got 'up'$"):
+        config_from_text("\n".join([lines[0], lines[1], "1 0 : up"]))
     with pytest.raises(FormatError, match="line 1"):
         config_from_text("nonsense")
     for header in ("k=1 window=0,1", "k=-1 window=0,1", "k=100 window=0,1"):

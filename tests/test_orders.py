@@ -32,7 +32,6 @@ from orderflow import (
     reversal_class_rep,
     reverse,
     sign_code,
-    tuple_rank,
 )
 
 # Regression case: alternating arity-3 configuration on {0,1,2,3} that is
@@ -337,7 +336,7 @@ def test_order_type_examples():
     sigma = order_type((20, 30, 10), natural_abc)
     assert sigma == (2, 0, 1)
     # its row of position_tuples(3, 3) holds an even permutation
-    assert sign_code(3).table[int(tuple_rank(sigma, 3))] == 1
+    assert sign_code(3).table[list(permutations(range(3))).index(sigma)] == 1
     with pytest.raises(OutOfWindow):
         order_type((0, 9), natural)
     with pytest.raises(ValueError):

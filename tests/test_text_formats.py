@@ -12,14 +12,11 @@ from orderflow import (
     MINIMALITY,
     PROXIMALITY_AGREE,
     PROXIMALITY_REVERSE,
-    BlockCode,
     FinPerm,
     FormatError,
     KConfig,
     Window,
     Witness,
-    code_from_text,
-    code_to_text,
     config_from_text,
     config_to_text,
     order_from_text,
@@ -33,12 +30,6 @@ from orderflow.stats import stat_from_dict
 
 # ---------------------------------------------------------------------------
 # values
-
-
-@st.composite
-def code_st(draw):
-    k = draw(st.integers(2, 4))
-    return BlockCode(k, draw(st.tuples(*[st.sampled_from((1, -1))] * math.factorial(k))))
 
 
 @st.composite
@@ -56,12 +47,6 @@ witness_st = st.builds(
     window_st,
     st.sampled_from((MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)),
 )
-
-
-@settings(max_examples=100, deadline=None)
-@given(code_st())
-def test_code_text_round_trips_random_tables(code):
-    assert code_from_text(code_to_text(code)) == code
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,7 +178,6 @@ def test_config_text_variants_read_alike(config, data):
 
 PARSERS = {
     "config": config_from_text,
-    "code": code_from_text,
     "order": order_from_text,
     "perm": perm_from_text,
     "witness": witness_from_text,
@@ -205,7 +189,6 @@ FORMAT_CHARS = "0123456789 -+,:=>\nkwindoaphlstr"
 
 SAMPLES = {
     "config": "k=2 window=0,3\n0 3 : +1\n3 0 : -1\n",
-    "code": "2\n1 2 : +1\n2 1 : -1\n",
     "order": "7 3 9",
     "perm": "0->2,2->5,5->0",
     "witness": "kind=minimality\nwindow=0,1\nalpha=0->1,1->0\n",
