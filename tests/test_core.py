@@ -119,7 +119,8 @@ def test_window_position_and_membership():
         empty.position(0)
 
 
-def test_pattern_index_matches_enumeration_order():
+def test_tuple_rank_matches_enumeration_order():
+    # the rank of a k-tuple's order type is `pattern_index` of its columns
     for k in range(1, 7):
         # one column per permutation of range(k), in permutations order
         table = np.array(list(permutations(range(k)))).T
