@@ -11,7 +11,8 @@ import argparse
 import math
 from collections import Counter
 
-from orderflow import Window, all_linear_orders, circular_code, is_circular_realizable
+from orderflow import Window, all_linear_orders, circular_code, realize
+from orderflow.checks import require
 
 
 def main() -> None:
@@ -24,13 +25,15 @@ def main() -> None:
         window = Window(tuple(range(n)))
         census = Counter(circular_code(order) for order in all_linear_orders(window))
         multiplicities = sorted(set(census.values()))
+        expected = math.factorial(n - 1)
         print(
             f"{n}   {math.factorial(n):6d}   {len(census):8d}   "
-            f"{math.factorial(n - 1):8d}   {multiplicities}"
+            f"{expected:8d}   {multiplicities}"
         )
-        assert len(census) == math.factorial(n - 1)
-        assert multiplicities == [n]
-        assert all(is_circular_realizable(image) for image in census)
+        require(len(census) == expected, "expected %d codes on %d points", expected, n)
+        require(multiplicities == [n], "expected multiplicity %d, got %s", n, multiplicities)
+        for image in census:
+            require(realize(image) is not None, "image %s not realizable", image)
         print(f"    all {len(census)} images realizable")
 
 

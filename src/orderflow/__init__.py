@@ -9,6 +9,7 @@ from .codes import (
     circular_code,
     code_from_name,
     moment_curve_orientation,
+    realize,
     sign_code,
 )
 from .core import (
@@ -30,11 +31,9 @@ from .core import (
 from .errors import (
     ArityMismatch,
     DegenerateInput,
-    DegenerateWindow,
     DomainEscape,
     FormatError,
     GroundTooSmall,
-    NotALinearOrder,
     OrderflowError,
     OutOfWindow,
     WindowTooSmall,
@@ -42,11 +41,7 @@ from .errors import (
 from .orders import (
     LinearOrder,
     all_linear_orders,
-    config2_is_linear_order,
-    config2_to_order,
     cyclic_shift,
-    is_circular_realizable,
-    lin_order_to_config2,
     order_from_text,
     order_to_text,
     relabel,

@@ -37,15 +37,16 @@ def _random_perm(window: Window, rng: random.Random) -> FinPerm:
 
 
 def bijection_round_trip(sizes: Iterable[int]) -> int:
-    """Every order's pair configuration is recognized and decodes back to it.
+    """Every order's pair configuration (its sign-2 image) is recognized and
+    decodes back to it: one `codes.realize` call checks both.
 
     Returns the number of orders checked."""
+    pair_code = codes.sign_code(2)
     total = 0
     for n in sizes:
         for order in orders.all_linear_orders(_window(n)):
-            config = orders.lin_order_to_config2(order)
-            require(orders.config2_is_linear_order(config), "invalid image of %s", order)
-            require(orders.config2_to_order(config) == order, "round trip broke %s", order)
+            decoded = codes.realize(codes.apply_code(pair_code, order))
+            require(decoded == order, "round trip broke %s", order)
             total += 1
     return total
 
@@ -125,7 +126,7 @@ def circular_image_counts(sizes: Iterable[int]) -> int:
             "expected %d circular images on %d, got %d", expected, n, len(images),
         )
         for image in images:
-            require(orders.is_circular_realizable(image), "image %s not realizable", image)
+            require(codes.realize(image) is not None, "image %s not realizable", image)
         total += len(images)
     return total
 
@@ -151,6 +152,7 @@ def reversal_structure(sizes: Iterable[int]) -> int:
     configuration, and its classes are fibers of size 2 of the class map.
 
     Returns the number of orders checked."""
+    pair_code = codes.sign_code(2)
     total = 0
     for n in sizes:
         fibers: dict[LinearOrder, set[LinearOrder]] = {}
@@ -159,8 +161,8 @@ def reversal_structure(sizes: Iterable[int]) -> int:
             require(rev != order, "reversal must move every order")
             require(orders.reverse(rev) == order, "reversal of %s is not an involution", order)
             require(
-                orders.lin_order_to_config2(rev)
-                == core.negate(orders.lin_order_to_config2(order)),
+                codes.apply_code(pair_code, rev)
+                == core.negate(codes.apply_code(pair_code, order)),
                 "reversal of %s does not negate its pair configuration", order,
             )
             rep = orders.reversal_class_rep(order)

@@ -136,11 +136,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     if args.inject_fault:
         def corrupted():
-            config = orders.lin_order_to_config2(LinearOrder.natural(window(3)))
+            config = codes.apply_code(codes.sign_code(2), LinearOrder.natural(window(3)))
             values = config.values.copy()
             values[0] = -values[0]
             broken = KConfig(2, config.window, values)
-            checks.require(orders.config2_is_linear_order(broken), "corrupted fixture detected")
+            checks.require(codes.realize(broken) is not None, "corrupted fixture detected")
 
         table.append(("injected-corrupt-config", "fault injection", corrupted))
     lines = []
@@ -267,7 +267,7 @@ def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
     _emit(core.config_to_text(config), args.out)
     _report(f"alternating: {'yes' if core.is_alternating(config) else 'no'}")
     if config.k == 3:
-        realizable = orders.is_circular_realizable(config)
+        realizable = codes.realize(config) is not None
         _report(f"circular-realizable: {'yes' if realizable else 'no'}")
     return 0
 

@@ -8,6 +8,10 @@ order of itertools.permutations(range(k)).  The sign code sends each order
 type to its parity; for k = 2 it reproduces the pair encoding of the
 order, and for k = 3 its image is exactly a circular order (the cyclic
 rotations of a triple are its even rearrangements).
+
+`apply_code` is the one encoder of orders into configurations, and
+`realize` the one recognizer of sign-2 and sign-3 images: it decodes one
+candidate order, re-encodes it, and compares with the input.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_MAX_ARITY, KConfig, pattern_index, position_tuples
-from .errors import DegenerateInput, WindowTooSmall
+from .errors import ArityMismatch, DegenerateInput, WindowTooSmall
 from .orders import LinearOrder
 
 
@@ -73,6 +77,35 @@ def sign_code(k: int) -> BlockCode:
 def circular_code(order: LinearOrder) -> KConfig:
     """Triple configuration with +1 on the cyclic rearrangements of ascent."""
     return apply_code(sign_code(3), order)
+
+
+def realize(config: KConfig) -> LinearOrder | None:
+    """An order whose sign-k image is the configuration, for k = 2 or 3;
+    None when there is none.
+
+    The candidate ranks x by the count of y below it.  For k = 2, y lies
+    below x exactly when (y, x) has value +1.  Rotations of an order share
+    its sign-3 image, so for k = 3 the candidate puts the least window
+    element a lowest, and y lies below x exactly when (a, y, x) has value
+    +1.  The one candidate is re-encoded and compared with the input:
+    O(|W|^k).  A window smaller than the arity holds no values, and its
+    natural order realizes it.
+    """
+    k, window = config.k, config.window
+    if k not in (2, 3):
+        raise ArityMismatch(f"expected arity 2 or 3, got {k}")
+    if len(window) < k:
+        return LinearOrder.natural(window)
+    if k == 2:
+        below = config.array == 1
+    else:
+        below = config.array[0] == 1
+        below[0, 1:] = True
+    try:
+        candidate = LinearOrder(window, below.sum(axis=0))
+    except ValueError:
+        return None
+    return candidate if apply_code(sign_code(k), candidate) == config else None
 
 
 def code_from_name(name: str) -> BlockCode:

@@ -48,7 +48,7 @@ class Window:
         """Index of x in `elements`, found by bisection."""
         i = bisect_left(self.elements, x)
         if i == len(self.elements) or self.elements[i] != x:
-            raise OutOfWindow(f"{x} is not in window {self.elements}")
+            raise OutOfWindow(f"{x} is not in {_window_phrase(self)}")
         return i
 
     def __len__(self) -> int:
@@ -60,6 +60,14 @@ class Window:
     def __contains__(self, x: int) -> bool:
         i = bisect_left(self.elements, x)
         return i < len(self.elements) and self.elements[i] == x
+
+
+def _window_phrase(window: Window) -> str:
+    """The window named by its size and end points, for error messages: a
+    message stays short however large the window is."""
+    if not window.elements:
+        return "the empty window"
+    return f"a {len(window)}-point window from {window.elements[0]} to {window.elements[-1]}"
 
 
 def pattern_index(ranks: np.ndarray) -> np.ndarray:
@@ -274,7 +282,7 @@ def _preimage_positions(inv: FinPerm, window: Window, domain: Window) -> np.ndar
     for i, x in enumerate(window):
         y = inv(x)
         if y not in domain:
-            raise DomainEscape(f"preimage {y} of {x} lies outside window {domain.elements}")
+            raise DomainEscape(f"preimage {y} of {x} lies outside {_window_phrase(domain)}")
         positions[i] = domain.position(y)
     return positions
 

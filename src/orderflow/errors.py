@@ -13,20 +13,12 @@ class ArityMismatch(OrderflowError):
     """Operation applied to a configuration of the wrong arity."""
 
 
-class NotALinearOrder(OrderflowError):
-    """A pair configuration fails alternation or transitivity."""
-
-
 class OutOfWindow(OrderflowError):
     """An integer is not an element of the expected window."""
 
 
-class DegenerateWindow(OrderflowError):
-    """Window too small for the requested operation."""
-
-
 class WindowTooSmall(OrderflowError):
-    """Window smaller than the arity of the requested code."""
+    """Window too small for the requested operation."""
 
 
 class DegenerateInput(OrderflowError):

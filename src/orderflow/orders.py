@@ -1,4 +1,5 @@
-"""Linear orders on windows, reversal, and circular-order realizability.
+"""Linear orders on windows: reversal, rotation, relabelling, and the
+order text.
 
 A linear order is a ranking of a window, held as a read-only int64 array
 of ranks by window position; rank 0 is the least element.  The order type
@@ -8,10 +9,9 @@ sigma[1] the next, and so on.  It has no class of its own:
 `codes.apply_code` computes the order types of all tuples at once and
 numbers them by `core.pattern_index`.
 
-A pair configuration encodes an order by giving +1 exactly to the ascending
-pairs, and every alternating, transitive pair configuration arises this
-way.  Both kinds of order image are recognized the same way: decode the
-one candidate order, re-encode it, and compare with the input.
+Configurations live in `codes`: an order's pair configuration is its
+sign-2 image, its circular order the sign-3 image, and `codes.realize`
+recognizes both.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import KConfig, FinPerm, Window, _frozen, position_tuples
-from .errors import ArityMismatch, DegenerateWindow, FormatError, NotALinearOrder
+from .core import FinPerm, Window, _frozen, position_tuples
+from .errors import FormatError, WindowTooSmall
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,53 +88,6 @@ def all_linear_orders(window: Window) -> Iterator[LinearOrder]:
         yield LinearOrder(window, ranks)
 
 
-# ---------------------------------------------------------------------------
-# Orders as pair configurations
-
-
-def lin_order_to_config2(order: LinearOrder) -> KConfig:
-    """Pair configuration with +1 exactly on the ascending pairs."""
-    if len(order.window) < 2:
-        raise DegenerateWindow("need a window of size at least 2")
-    r = order.ranks[position_tuples(len(order.window), 2)]
-    return KConfig(2, order.window, np.where(r[:, 0] < r[:, 1], 1, -1))
-
-
-def _decoded_order(window: Window, below: np.ndarray) -> LinearOrder | None:
-    """Order ranking the window element at position x by the count of
-    positions y with below[y, x] (the diagonal must be False).
-
-    None when those counts are not a ranking of the window.
-    """
-    try:
-        return LinearOrder(window, below.sum(axis=0))
-    except ValueError:
-        return None
-
-
-def config2_to_order(config: KConfig) -> LinearOrder:
-    """Order whose rank at x counts the elements below x.
-
-    Raises NotALinearOrder unless re-encoding that order gives the input
-    back; a window of fewer than 2 points has no pairs to compare.
-    """
-    if config.k != 2:
-        raise ArityMismatch(f"expected arity 2, got {config.k}")
-    order = _decoded_order(config.window, config.array == 1)
-    if order is None or (len(config.window) >= 2 and lin_order_to_config2(order) != config):
-        raise NotALinearOrder("configuration is not alternating and transitive")
-    return order
-
-
-def config2_is_linear_order(config: KConfig) -> bool:
-    """Whether the configuration is the image of an order (alternating and transitive)."""
-    try:
-        config2_to_order(config)
-    except NotALinearOrder:
-        return False
-    return True
-
-
 def reverse(order: LinearOrder) -> LinearOrder:
     """Order with all comparisons flipped."""
     return LinearOrder(order.window, len(order.window) - 1 - order.ranks)
@@ -147,7 +100,7 @@ def reversal_class_rep(order: LinearOrder) -> LinearOrder:
     so both members of the pair map to the same output.
     """
     if len(order.window) < 2:
-        raise DegenerateWindow("reversal classes need a window of size at least 2")
+        raise WindowTooSmall("reversal classes need a window of size at least 2")
     lo, hi = order.window.elements[0], order.window.elements[-1]
     return order if order.rank_of(lo) < order.rank_of(hi) else reverse(order)
 
@@ -163,27 +116,6 @@ def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
     new_window = alpha.image_window(order.window)
     rank_at = {alpha(x): order.rank_of(x) for x in order.window}
     return LinearOrder(new_window, [rank_at[x] for x in new_window])
-
-
-def is_circular_realizable(config: KConfig) -> bool:
-    """Whether some order's circular code equals the given triple configuration.
-
-    Rotations of an order share its circular code, so a realizing order may
-    be taken to start at the least window element a; in it, y lies below x
-    exactly when the value at (a, y, x) is +1.  The one candidate so decoded
-    is re-encoded and compared with the input: O(|W|^3).
-    """
-    from .codes import circular_code
-
-    if config.k != 3:
-        raise ArityMismatch(f"expected arity 3, got {config.k}")
-    window = config.window
-    if len(window) < 3:
-        return True
-    below = config.array[0] == 1
-    below[0, 1:] = True
-    candidate = _decoded_order(window, below)
-    return candidate is not None and circular_code(candidate) == config
 
 
 # ---------------------------------------------------------------------------

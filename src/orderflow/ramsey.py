@@ -36,7 +36,7 @@ from .core import (
     window_from_text,
     window_to_text,
 )
-from .errors import DegenerateWindow, FormatError, GroundTooSmall
+from .errors import FormatError, GroundTooSmall, WindowTooSmall
 from .orders import LinearOrder
 
 MINIMALITY = "minimality"
@@ -225,11 +225,11 @@ def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> np.n
     """Ranks under the order at the preimages inv(x) of the window points x,
     in window order; inv is the inverse of the witness's alpha.
 
-    Raises DegenerateWindow for an order on fewer than 2 points (it has no
+    Raises WindowTooSmall for an order on fewer than 2 points (it has no
     pair configuration) and DomainEscape for a preimage off its ground.
     """
     if len(order.window) < 2:
-        raise DegenerateWindow("need a window of size at least 2")
+        raise WindowTooSmall("need a window of size at least 2")
     return order.ranks[_preimage_positions(inv, window, order.window)]
 
 
@@ -256,7 +256,7 @@ def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder
     window = witness.checked_window
     pulled = _pulled_back_ranks(inverse(witness.alpha), window, source)
     if len(target.window) < 2:
-        raise DegenerateWindow("need a window of size at least 2")
+        raise WindowTooSmall("need a window of size at least 2")
     if window != target.window:
         return False
     return _all_pairs_colored(pulled, target.ranks, 0)

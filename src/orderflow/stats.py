@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Window, pattern_index, positions_from_digits, window_from_text, window_to_text
-from .errors import DegenerateWindow, FormatError, GroundTooSmall
+from .errors import FormatError, GroundTooSmall, WindowTooSmall
 from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
 
 #: Trials per sampling chunk.  Fixed so that worker counts cannot change
@@ -70,7 +70,7 @@ def cylinder_measure(pattern: LinearOrder) -> Fraction:
     """Exact measure of the set of configurations showing the pattern."""
     n = len(pattern.window)
     if n < 1:
-        raise DegenerateWindow("pattern window must be nonempty")
+        raise WindowTooSmall("pattern window must be nonempty")
     return Fraction(1, math.factorial(n))
 
 

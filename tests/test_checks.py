@@ -25,7 +25,7 @@ def _one_pattern_takes_every_hit(source, window, trials, seed, jobs=1):
 PLANTED = {
     "bijection-roundtrip": (
         lambda: checks.bijection_round_trip((2, 3)),
-        orders, "config2_to_order", lambda f: lambda c: orders.reverse(f(c)), AssertionError,
+        codes, "realize", lambda f: lambda c: orders.reverse(f(c)), AssertionError,
     ),
     "action-laws": (
         lambda: checks.action_laws(random.Random(0), 10, max_points=4),
@@ -43,7 +43,7 @@ PLANTED = {
     ),
     "circular-order-count": (
         lambda: checks.circular_image_counts((3, 4)),
-        orders, "is_circular_realizable", lambda f: lambda c: False, AssertionError,
+        codes, "realize", lambda f: lambda c: None, AssertionError,
     ),
     "code-equivariance": (
         lambda: checks.code_equivariance(

@@ -23,7 +23,6 @@ from orderflow import (
     circular_code,
     code_from_name,
     is_alternating,
-    lin_order_to_config2,
     moment_curve_orientation,
     relabel,
     sign_code,
@@ -74,9 +73,12 @@ def test_sign_code_tables():
 
 
 def test_sign2_reproduces_the_order_encoding():
+    # +1 exactly on the ascending pairs
     window = Window(tuple(range(4)))
     for order in all_linear_orders(window):
-        assert apply_code(sign_code(2), order) == lin_order_to_config2(order)
+        config = apply_code(sign_code(2), order)
+        for (x, y), v in zip(permutations(window, 2), config.values.tolist()):
+            assert v == (1 if order.rank_of(x) < order.rank_of(y) else -1)
 
 
 def test_constant_code_gives_constant_config():

@@ -13,6 +13,7 @@ from orderflow import (
     KConfig,
     OutOfWindow,
     Window,
+    apply_code,
     apply_perm,
     compose,
     config_from_text,
@@ -20,12 +21,12 @@ from orderflow import (
     extend_bijection,
     inverse,
     is_alternating,
-    lin_order_to_config2,
     negate,
     perm_from_text,
     perm_to_text,
+    sign_code,
 )
-from orderflow.core import pattern_index
+from orderflow.core import _preimage_positions, pattern_index
 from orderflow.orders import LinearOrder, all_linear_orders
 
 
@@ -117,6 +118,22 @@ def test_window_position_and_membership():
     assert 0 not in empty
     with pytest.raises(OutOfWindow):
         empty.position(0)
+
+
+def test_window_errors_name_the_window_by_size_and_end_points():
+    with pytest.raises(OutOfWindow, match="^4 is not in a 3-point window from 3 to 9$"):
+        Window((3, 7, 9)).position(4)
+    with pytest.raises(OutOfWindow, match="^0 is not in the empty window$"):
+        Window(()).position(0)
+    # a miss on a 4^10-point ground does not print the ground
+    ground = Window(tuple(range(4**10)))
+    with pytest.raises(OutOfWindow) as missed:
+        ground.position(-1)
+    with pytest.raises(DomainEscape) as escaped:
+        _preimage_positions(FinPerm.from_cycles((0, -1)), Window((0,)), ground)
+    message = "preimage -1 of 0 lies outside a 1048576-point window from 0 to 1048575"
+    assert str(escaped.value) == message
+    assert len(str(missed.value)) < 200 and len(str(escaped.value)) < 200
 
 
 def test_tuple_rank_matches_enumeration_order():
@@ -269,12 +286,12 @@ def test_extend_bijection_is_canonical():
 
 def test_identity_acts_trivially():
     order = LinearOrder.natural(Window((0, 1, 2)))
-    config = lin_order_to_config2(order)
+    config = apply_code(sign_code(2), order)
     assert apply_perm(FinPerm.identity(), config) == config
 
 
 def test_transposition_on_three_chain():
-    config = lin_order_to_config2(LinearOrder.natural(Window((0, 1, 2))))
+    config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1, 2))))
     moved = apply_perm(FinPerm.from_cycles((0, 1)), config)
     assert as_dict(moved) == naive_apply(FinPerm.from_cycles((0, 1)), config)
     assert moved.value((1, 0)) == 1  # ranks of 0 and 1 swapped
@@ -282,7 +299,7 @@ def test_transposition_on_three_chain():
 
 def test_shift_twice_equals_squared_shift():
     window = Window((0, 1, 2))
-    config = lin_order_to_config2(LinearOrder(window, (1, 2, 0)))
+    config = apply_code(sign_code(2), LinearOrder(window, (1, 2, 0)))
     shift = FinPerm.from_cycles((0, 1, 2))
     twice = apply_perm(shift, apply_perm(shift, config))
     squared = apply_perm(compose(shift, shift), config)
@@ -290,25 +307,25 @@ def test_shift_twice_equals_squared_shift():
 
 
 def test_apply_perm_relocates_the_window():
-    config = lin_order_to_config2(LinearOrder.natural(Window((0, 1))))
+    config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1))))
     moved = apply_perm(FinPerm.from_dict({0: 10, 10: 0}), config)
     assert moved.window == Window((1, 10))
     assert moved.value((10, 1)) == 1  # preimages keep the old comparison
 
 
 def test_apply_perm_requested_window_escape():
-    config = lin_order_to_config2(LinearOrder.natural(Window((0, 1, 2))))
+    config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1, 2))))
     with pytest.raises(DomainEscape):
         apply_perm(FinPerm.identity(), config, window=Window((0, 5)))
     # the first escaping point in window order is named, preimage first
     alpha = FinPerm.from_cycles((5, 6), (7, 8))
     with pytest.raises(DomainEscape) as excinfo:
         apply_perm(alpha, config, window=Window((0, 5, 7)))
-    assert str(excinfo.value) == "preimage 6 of 5 lies outside window (0, 1, 2)"
+    assert str(excinfo.value) == "preimage 6 of 5 lies outside a 3-point window from 0 to 2"
 
 
 def test_restrict_and_negate():
-    config = lin_order_to_config2(LinearOrder.natural(Window((0, 1, 2, 3))))
+    config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1, 2, 3))))
     sub = apply_perm(FinPerm.identity(), config, window=Window((1, 3)))
     assert as_dict(sub) == {(1, 3): 1, (3, 1): -1}
     assert negate(config).value((0, 1)) == -1
@@ -357,11 +374,11 @@ def test_order_configs_alternate_exhaustively():
     for n in (2, 3, 4, 5):
         window = Window(tuple(range(n)))
         for order in all_linear_orders(window):
-            config = lin_order_to_config2(order)
+            config = apply_code(sign_code(2), order)
             assert is_alternating(config)
     # the adjacent-transposition shortcut agrees with the full check
     window = Window((0, 2, 5, 6))
-    config = lin_order_to_config2(LinearOrder(window, (2, 0, 3, 1)))
+    config = apply_code(sign_code(2), LinearOrder(window, (2, 0, 3, 1)))
     assert is_alternating(config) == full_alternation(config) == True  # noqa: E712
 
 
@@ -384,7 +401,7 @@ def test_action_preserves_alternation(data):
 
 
 def test_config_text_round_trip():
-    config = lin_order_to_config2(LinearOrder(Window((3, 7, 9)), (1, 0, 2)))
+    config = apply_code(sign_code(2), LinearOrder(Window((3, 7, 9)), (1, 0, 2)))
     text = config_to_text(config)
     assert text.splitlines()[0] == "k=2 window=3,7,9"
     assert config_from_text(text) == config
@@ -403,7 +420,7 @@ def test_config_text_round_trip_random(config):
 
 
 def test_config_text_errors_carry_line_numbers():
-    good = config_to_text(lin_order_to_config2(LinearOrder.natural(Window((0, 1)))))
+    good = config_to_text(apply_code(sign_code(2), LinearOrder.natural(Window((0, 1)))))
     lines = good.splitlines()
     with pytest.raises(FormatError, match="line 3"):
         config_from_text("\n".join([lines[0], lines[1], "0 1 : banana"]))

@@ -8,26 +8,24 @@ from hypothesis import strategies as st
 
 from orderflow import (
     ArityMismatch,
-    DegenerateWindow,
     FinPerm,
     FormatError,
     KConfig,
     LinearOrder,
-    NotALinearOrder,
     OutOfWindow,
     Window,
+    WindowTooSmall,
     all_linear_orders,
+    apply_code,
     apply_perm,
     circular_code,
-    config2_is_linear_order,
-    config2_to_order,
+    config_from_text,
     cyclic_shift,
     is_alternating,
-    is_circular_realizable,
-    lin_order_to_config2,
     negate,
     order_from_text,
     order_to_text,
+    realize,
     relabel,
     reversal_class_rep,
     reverse,
@@ -101,17 +99,23 @@ def one_value_flips(config: KConfig, start: int = 0, stride: int = 1):
 
 
 def assert_order_checks_match_reference(config: KConfig):
+    """`realize` finds an order exactly when the reference route says one
+    exists.  The order re-encodes to the input (below the arity, it is the
+    natural order), and for k = 3 it ranks the least window element lowest."""
     if config.k == 2:
         expected = reference_is_linear_order(config)
-        assert config2_is_linear_order(config) == expected
-        if expected:
-            order = config2_to_order(config)
-            assert len(config.window) < 2 or lin_order_to_config2(order) == config
-        else:
-            with pytest.raises(NotALinearOrder):
-                config2_to_order(config)
     else:
-        assert is_circular_realizable(config) == reference_circular_realizable(config)
+        expected = reference_circular_realizable(config)
+    order = realize(config)
+    assert (order is not None) == expected
+    if order is None:
+        return
+    if len(config.window) < config.k:
+        assert order == LinearOrder.natural(config.window)
+    else:
+        assert apply_code(sign_code(config.k), order) == config
+    if config.k == 3 and len(config.window):
+        assert order.rank_of(config.window.elements[0]) == 0
 
 
 @st.composite
@@ -123,7 +127,7 @@ def config_st(draw, k):
     if len(window) >= k and draw(st.booleans()):
         ranks = draw(st.permutations(tuple(range(len(window)))))
         order = LinearOrder(window, tuple(ranks))
-        image = lin_order_to_config2(order) if k == 2 else circular_code(order)
+        image = apply_code(sign_code(k), order)
         values = list(image.values)
         for i in draw(st.lists(st.integers(0, count - 1), max_size=2)):
             values[i] = -values[i]
@@ -224,29 +228,29 @@ def test_bad_ranks_raise_value_error():
 
 
 def test_chain_gives_ascending_plus_one():
-    config = lin_order_to_config2(LinearOrder.natural(Window((0, 1))))
+    config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1))))
     assert config.value((0, 1)) == 1
     assert config.value((1, 0)) == -1
 
 
 def test_descending_chain_values():
     order = LinearOrder.from_ranked_elements((2, 1, 0))
-    config = lin_order_to_config2(order)
+    config = apply_code(sign_code(2), order)
     expected = {(2, 1): 1, (1, 0): 1, (2, 0): 1, (1, 2): -1, (0, 1): -1, (0, 2): -1}
     assert dict(zip(permutations(config.window, 2), config.values.tolist())) == expected
 
 
 def test_singleton_window_rejected():
-    with pytest.raises(DegenerateWindow):
-        lin_order_to_config2(LinearOrder.natural(Window((5,))))
+    with pytest.raises(WindowTooSmall):
+        apply_code(sign_code(2), LinearOrder.natural(Window((5,))))
 
 
 def test_images_are_linear_orders_exhaustively():
     for n in range(3, 7):
         window = Window(tuple(range(n)))
         for i, order in enumerate(all_linear_orders(window)):
-            image = lin_order_to_config2(order)
-            assert config2_is_linear_order(image)
+            image = apply_code(sign_code(2), order)
+            assert realize(image) == order
             assert_order_checks_match_reference(image)
             # every flip up to n = 5; a twelfth of them at n = 6, staggered
             # so that each value position is flipped in some image
@@ -265,27 +269,36 @@ def test_cyclic_plus_configuration_is_not_an_order():
         return -1
 
     config = KConfig.from_function(2, window, fn)
-    assert not config2_is_linear_order(config)  # transitivity fails on (0, 1, 2)
-    with pytest.raises(NotALinearOrder):
-        config2_to_order(config)
+    assert realize(config) is None  # transitivity fails on (0, 1, 2)
 
 
 def test_constant_config_is_not_an_order():
     config = KConfig.from_function(2, Window((0, 1, 2)), lambda t: 1)
-    assert not config2_is_linear_order(config)
+    assert realize(config) is None
 
 
 def test_arity_mismatch():
-    config = KConfig.from_function(3, Window((0, 1, 2)), lambda t: 1)
-    with pytest.raises(ArityMismatch):
-        config2_is_linear_order(config)
+    for k in (4, 5, 6):
+        config = KConfig.from_function(k, Window(tuple(range(k))), lambda t: 1)
+        with pytest.raises(ArityMismatch, match=f"^expected arity 2 or 3, got {k}$"):
+            realize(config)
+
+
+def test_realize_on_windows_below_the_arity():
+    # no values to read: the natural order realizes the empty configuration
+    for k, n in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+        window = Window(tuple(range(5, 5 + n)))
+        config = KConfig(k, window, ())
+        assert realize(config) == LinearOrder.natural(window)
+        assert_order_checks_match_reference(config)
+    assert realize(config_from_text("k=3 window=\n")) == LinearOrder.natural(Window(()))
 
 
 def test_round_trip_all_orders_up_to_five():
     for n in (2, 3, 4, 5):
         window = Window(tuple(range(n)))
         for order in all_linear_orders(window):
-            assert config2_to_order(lin_order_to_config2(order)) == order
+            assert realize(apply_code(sign_code(2), order)) == order
 
 
 def test_valid_configs_on_four_window_are_exactly_the_order_images():
@@ -296,19 +309,19 @@ def test_valid_configs_on_four_window_are_exactly_the_order_images():
         for values in product((1, -1), repeat=n * (n - 1)):
             config = KConfig(2, window, values)
             assert_order_checks_match_reference(config)
-            valid += config2_is_linear_order(config)
+            valid += realize(config) is not None
         assert valid == math.factorial(n)
 
 
 def test_config_from_seven_three_nine():
     order = LinearOrder.from_ranked_elements((7, 3, 9))
-    assert config2_to_order(lin_order_to_config2(order)).ranked_elements() == (7, 3, 9)
+    assert realize(apply_code(sign_code(2), order)).ranked_elements() == (7, 3, 9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(order_st(max_size=6))
 def test_round_trip_random_windows(order):
-    assert config2_to_order(lin_order_to_config2(order)) == order
+    assert realize(apply_code(sign_code(2), order)) == order
 
 
 @settings(max_examples=30, deadline=None)
@@ -317,8 +330,9 @@ def test_order_encoding_is_equivariant(data):
     order = data.draw(order_st(max_size=5))
     images = data.draw(st.permutations(tuple(order.window)))
     alpha = FinPerm.from_dict(dict(zip(order.window, images)))
-    assert lin_order_to_config2(relabel(order, alpha)) == apply_perm(
-        alpha, lin_order_to_config2(order)
+    pair_code = sign_code(2)
+    assert apply_code(pair_code, relabel(order, alpha)) == apply_perm(
+        alpha, apply_code(pair_code, order)
     )
 
 
@@ -360,7 +374,7 @@ def test_reverse_negates_the_configuration_and_moves_every_order():
             rev = reverse(order)
             assert rev != order
             assert reverse(rev) == order
-            assert lin_order_to_config2(rev) == negate(lin_order_to_config2(order))
+            assert apply_code(sign_code(2), rev) == negate(apply_code(sign_code(2), order))
 
 
 def test_reversal_class_rep():
@@ -373,7 +387,7 @@ def test_reversal_class_rep():
     chain = LinearOrder.natural(Window((0, 1)))
     assert reversal_class_rep(chain) == chain
     assert reversal_class_rep(reverse(chain)) == chain
-    with pytest.raises(DegenerateWindow):
+    with pytest.raises(WindowTooSmall):
         reversal_class_rep(LinearOrder.natural(Window((3,))))
 
 
@@ -396,7 +410,7 @@ def test_circular_code_images_are_realizable():
         window = Window(tuple(range(n)))
         images = sorted({circular_code(order) for order in all_linear_orders(window)}, key=str)
         for i, image in enumerate(images):
-            assert is_circular_realizable(image)
+            assert realize(image) is not None
             assert_order_checks_match_reference(image)
             stride = 1 if n < 6 else 12  # as for the pair images above
             for flipped in one_value_flips(image, i % stride, stride):
@@ -411,7 +425,7 @@ def test_all_plus_cyclic_triples_realizable_on_three_window():
         order for order in all_linear_orders(window) if circular_code(order) == config
     ]
     assert matches, "expected the code of the ascending chain"
-    assert is_circular_realizable(config)
+    assert realize(config) in matches
 
 
 def test_frozen_non_realizable_configuration():
@@ -420,7 +434,7 @@ def test_frozen_non_realizable_configuration():
     assert not any(
         circular_code(order) == config for order in all_linear_orders(window)
     )
-    assert not is_circular_realizable(config)
+    assert realize(config) is None
 
 
 def test_circular_check_matches_reference_on_alternating_four_point_configs():
@@ -430,7 +444,7 @@ def test_circular_check_matches_reference_on_alternating_four_point_configs():
     for signs in product((1, -1), repeat=len(increasing)):
         config = alternating_triple_config(window, dict(zip(increasing, signs)))
         assert_order_checks_match_reference(config)
-        realizable += is_circular_realizable(config)
+        realizable += realize(config) is not None
     assert realizable == math.factorial(3)
 
 
@@ -441,11 +455,11 @@ def test_order_checks_match_reference_on_random_configs(config):
 
 
 def test_realizability_errors():
-    pair = KConfig.from_function(2, Window((0, 1, 2)), lambda t: 1)
-    with pytest.raises(ArityMismatch):
-        is_circular_realizable(pair)
+    constant = KConfig.from_function(3, Window((0, 1, 2)), lambda t: 1)
+    assert realize(constant) is None
     big = Window(tuple(range(9)))
-    assert is_circular_realizable(circular_code(LinearOrder.natural(big)))
+    rotated = LinearOrder.from_ranked_elements((3, 4, 5, 6, 7, 8, 0, 1, 2))
+    assert realize(circular_code(rotated)) == LinearOrder.natural(big)
 
 
 def test_circular_image_count_is_shifted_factorial():

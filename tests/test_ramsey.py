@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderflow import (
-    DegenerateWindow,
     DomainEscape,
     FinPerm,
     GroundTooSmall,
@@ -19,19 +18,21 @@ from orderflow import (
     PROXIMALITY_REVERSE,
     PairColoring,
     Window,
+    WindowTooSmall,
     Witness,
     all_linear_orders,
+    apply_code,
     apply_perm,
     compose,
     extend_bijection,
     is_monochromatic,
-    lin_order_to_config2,
     minimality_witness,
     negate,
     proximality_witness,
     ramsey_mono_subset,
     random_linear_order,
     reverse,
+    sign_code,
     verify_minimality,
     verify_proximality,
     witness_from_text,
@@ -205,9 +206,9 @@ def test_witness_for_a_permuted_target():
     target = LinearOrder.from_ranked_elements((2, 0, 1))
     witness = minimality_witness(source, target)
     moved = apply_perm(
-        witness.alpha, lin_order_to_config2(source), window=target.window
+        witness.alpha, apply_code(sign_code(2), source), window=target.window
     )
-    assert moved == lin_order_to_config2(target)
+    assert moved == apply_code(sign_code(2), target)
     assert witness.alpha(0) == 2 and witness.alpha(1) == 0 and witness.alpha(2) == 1
 
 
@@ -308,16 +309,16 @@ def reference_verify_minimality(witness, source, target):
     if witness.kind != MINIMALITY:
         return False
     moved = apply_perm(
-        witness.alpha, lin_order_to_config2(source), window=witness.checked_window
+        witness.alpha, apply_code(sign_code(2), source), window=witness.checked_window
     )
-    return moved == lin_order_to_config2(target)
+    return moved == apply_code(sign_code(2), target)
 
 
 def reference_verify_proximality(witness, o1, o2):
     """Relocate both pair configurations and compare, or compare negated."""
     window = witness.checked_window
-    a = apply_perm(witness.alpha, lin_order_to_config2(o1), window=window)
-    b = apply_perm(witness.alpha, lin_order_to_config2(o2), window=window)
+    a = apply_perm(witness.alpha, apply_code(sign_code(2), o1), window=window)
+    b = apply_perm(witness.alpha, apply_code(sign_code(2), o2), window=window)
     if witness.kind == PROXIMALITY_AGREE:
         return a == b
     if witness.kind == PROXIMALITY_REVERSE:
@@ -478,17 +479,17 @@ def test_verification_errors():
         )
     # the verifiers name the escaping point as apply_perm does
     two = Witness(FinPerm.from_cycles((1, 40), (2, 50)), Window((0, 1, 2)), PROXIMALITY_AGREE)
-    message = "preimage 40 of 1 lies outside window (0, 1, 2, 3, 4, 5)"
+    message = "preimage 40 of 1 lies outside a 6-point window from 0 to 5"
     with pytest.raises(DomainEscape, match=f"^{re.escape(message)}$"):
         verify_proximality(two, order, order)
     with pytest.raises(DomainEscape, match=f"^{re.escape(message)}$"):
-        apply_perm(two.alpha, lin_order_to_config2(order), window=two.checked_window)
+        apply_perm(two.alpha, apply_code(sign_code(2), order), window=two.checked_window)
     point = LinearOrder.natural(Window((0,)))
     fixed = Witness(FinPerm.identity(), Window((0,)), PROXIMALITY_AGREE)
-    with pytest.raises(DegenerateWindow):
+    with pytest.raises(WindowTooSmall):
         verify_proximality(fixed, point, point)
     fixed = Witness(FinPerm.identity(), Window((0,)), MINIMALITY)
-    with pytest.raises(DegenerateWindow):
+    with pytest.raises(WindowTooSmall):
         verify_minimality(fixed, order, point)
     assert not verify_proximality(
         Witness(FinPerm.identity(), Window((0, 1)), MINIMALITY), order, order

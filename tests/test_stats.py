@@ -9,22 +9,23 @@ import numpy as np
 import pytest
 
 from orderflow import (
-    DegenerateWindow,
     FinPerm,
     FormatError,
     GroundTooSmall,
     LinearOrder,
     PatternStat,
     Window,
+    WindowTooSmall,
     all_linear_orders,
+    apply_code,
     apply_perm,
     cylinder_measure,
     derive_seed,
     extend_bijection,
-    lin_order_to_config2,
     orbit_average_all,
     random_linear_order,
     relabel,
+    sign_code,
     stat_from_dict,
     stat_to_dict,
 )
@@ -53,7 +54,7 @@ def test_cylinder_measure_is_relabeling_invariant():
 
 
 def test_cylinder_measure_rejects_empty_window():
-    with pytest.raises(DegenerateWindow):
+    with pytest.raises(WindowTooSmall):
         cylinder_measure(LinearOrder(Window(()), ()))
 
 
@@ -184,8 +185,8 @@ def test_sampler_matches_the_full_action_route():
     sampled = stats._sample_positions(
         len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials
     )
-    source_config = lin_order_to_config2(source)
-    target_config = lin_order_to_config2(pattern)
+    source_config = apply_code(sign_code(2), source)
+    target_config = apply_code(sign_code(2), pattern)
     hits = 0
     for row in sampled.T:
         points = [ground.elements[p] for p in row]
