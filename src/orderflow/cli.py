@@ -38,14 +38,15 @@ MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
 #: ground size and the source order is one array, but the ground window is a
-#: tuple of Python ints: at this size a run takes 0.5-0.6 s and 96 MB peak
-#: RSS at the default window and trials, or at window 4 and 20,000 trials,
-#: on a 2-core Xeon.
+#: tuple of Python ints: at this size a run takes 0.6-0.75 s at the default
+#: window and trials and 0.5-0.6 s at window 4 and 20,000 trials, each with
+#: 96 MB peak RSS, on a 2-core Xeon.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --jobs`: the thread pool starts one OS thread per
 #: submitted chunk up to this many, and the sampler is numpy calls on
-#: 10,000-trial chunks, so on a 2-core Xeon 2 workers are no faster than 1.
+#: 10,000-trial chunks: on a 2-core Xeon, 10^7 trials at ground 1000 and
+#: window 4 take 1.1-1.3 s with 1 worker and 0.9-1.05 s with 2.
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip enumerates all n!
@@ -56,7 +57,8 @@ MAX_VERIFY_WINDOW = 8
 #: Largest `witness --ground`: the ground is a tuple of Python ints, and each
 #: random order is a Python list shuffled by `random.Random` (the stream the
 #: witness fixtures pin) before it becomes an array; at this size a run at
-#: window 10 takes 3.0-3.2 s and 147 MB peak RSS on a 2-core Xeon.
+#: window 10 takes 1.1-2.9 s, as the shared host's load varies, and 147 MB
+#: peak RSS on a 2-core Xeon.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -199,7 +201,14 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
     _emit(_render_stats(results, args.format), args.out)
     if args.window > 1:
         chi2, df, max_z = stats.fit_summary(results)
-        _report(f"chi-square: {chi2:.3f} on {df} df; max |z|: {max_z:.3f}")
+        line = f"chi-square: {chi2:.3f} on {df} df; max |z|: {max_z:.3f}"
+        # below about 5 expected hits a cell, chi-square and z are far from
+        # their limiting laws: among 40,320 cells at 0.5 each, one 6-hit cell
+        # gives |z| 7.8, and about 40% of runs have one
+        expected = args.trials / math.factorial(args.window)
+        if expected < 5:
+            line += f"; sparse cells: {expected:.2f} expected hits each"
+        _report(line)
     return 0
 
 

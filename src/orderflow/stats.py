@@ -10,9 +10,12 @@ positions onto the window.  The tuple is drawn as w Lehmer digits, digit i
 uniform on [0, n - i), and decoded by `core.positions_from_digits` in
 w - 1 vectorized passes over slot-major rows (Knuth, TAOCP vol. 2, section
 3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w) draws and
-memory whatever the ground size n.  Its pattern index is the Lehmer code
-of the w source ranks it lands on, read off them by `core.pattern_index`
-without building their induced rank vector.
+memory whatever the ground size n.  The digits are the ones numpy's
+`Generator.integers` would draw, computed from the bit generator's raw
+32-bit outputs by Lemire's multiply-and-reject rule (Lemire, ACM TOMACS
+29(1), 2019) in one multiply into the slot-major buffer.  A trial's pattern
+index is the Lehmer code of the w source ranks it lands on, read off them
+by `core.pattern_index` without building their induced rank vector.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are reduced in index order, so a
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +44,16 @@ from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_te
 CHUNK_SIZE = 10_000
 
 _SAMPLER_LABEL = "orbit-average"
+
+#: 32-bit outputs drawn per chunk beyond one per digit, for rejected
+#: digits; a chunk that rejects more often draws more.
+_SPARE_OUTPUTS = 64
+
+#: Digits redone per block after a rejected digit.
+_REDO_DIGITS = 4096
+
+#: Index of the low 32-bit half within a native 64-bit word.
+_LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 
 @dataclass(frozen=True)
@@ -87,21 +101,92 @@ def derive_seed(master: int, label: str, index: int) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
+def _raw_outputs(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
+    """At least `count` further 32-bit outputs of a PCG64 bit generator, in
+    the order its `next_uint32` returns them: the low, then the high half
+    of each 64-bit output."""
+    return np.asarray(bitgen.random_raw((count + 1) // 2), dtype="<u8").view("<u4")
+
+
+def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
+    """Slot-major (w, count) Lehmer digits, digit i of each trial uniform on
+    [0, n - i): the transpose of what `default_rng(chunk_seed).integers(0,
+    n - np.arange(w), size=(count, w))` returns, computed from the bit
+    generator's raw outputs without calling it.
+
+    numpy draws a digit with bound b < 2^32 by Lemire's rule (Lemire, ACM
+    TOMACS 29(1), 2019): with x the next 32-bit output, m = x b is kept
+    unless m mod 2^32 < 2^32 mod b, when the digit reads the output after;
+    the digit is m >> 32, and a bound of 1 reads nothing.  The digits read
+    the outputs in row-major (trial, slot) order, so one multiply writes
+    every m into the slot-major buffer.  A rejection moves that digit and
+    every later one to the output one further on; the trials from it on
+    are redone in blocks of `_REDO_DIGITS` digits, so a further rejection
+    redoes at most one block.
+    """
+    v = w - (n == w)  # slots that read an output
+    digits = np.empty((w, count), dtype=np.int64)
+    digits[v:] = 0
+    products = digits[:v].view(np.uint64)
+    low = products.view(np.uint32)[:, _LOW_HALF::2]
+    bounds = n - np.arange(v, dtype=np.uint64)
+    thresholds = (2**32 % bounds).astype(np.uint32)
+    bitgen = np.random.PCG64(chunk_seed)
+    raw = _raw_outputs(bitgen, v * count + _SPARE_OUTPUTS)
+
+    def fill(start: int, stop: int, shift: int) -> None:
+        """The products m of trials [start, stop), `shift` outputs late."""
+        first = start * v + shift
+        np.multiply(
+            raw[first : first + (stop - start) * v].reshape(stop - start, v).T,
+            bounds[:, None],
+            out=products[:, start:stop],
+        )
+
+    def first_rejected(start: int, stop: int) -> int | None:
+        """Flat (trial, slot) index of the first rejected product in trials
+        [start, stop), if any."""
+        block = low[:, start:stop]
+        if not (block.min(axis=1) < thresholds).any():
+            return None
+        rejects = block < thresholds[:, None]
+        t = int(rejects.any(axis=0).argmax())
+        return (start + t) * v + int(rejects[:, t].argmax())
+
+    shift = 0
+    fill(0, count, shift)
+    rejected = first_rejected(0, count)
+    while rejected is not None:
+        shift += 1
+        if v * count + shift > len(raw):
+            raw = np.concatenate((raw, _raw_outputs(bitgen, _SPARE_OUTPUTS)))
+        t, i = divmod(rejected, v)
+        kept = products[:i, t].copy()
+        step = _REDO_DIGITS // v
+        for start in range(t, count, step):
+            stop = min(start + step, count)
+            fill(start, stop, shift)
+            if start == t:
+                products[:i, t] = kept
+            rejected = first_rejected(start, stop)
+            if rejected is not None:
+                break
+    products >>= 32
+    return digits
+
+
 def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     """Slot-major (w, count) matrix of window positions: column t holds
     trial t's w distinct positions, a uniform injection.
 
     Each trial draws w independent Lehmer digits, digit i uniform on
-    [0, n - i), and decodes them (Knuth, TAOCP vol. 2, section 3.4.2;
-    Bentley and Floyd, CACM 1987).  Decoding is a bijection from the
-    digit tuples onto the n!/(n - w)! injections, so uniform digits give
-    a uniform injection in O(w) draws and O(w^2) comparisons per trial.
-    The digits are drawn as a (count, w) matrix and transposed once, so
-    the decoder runs on contiguous rows, one per slot.
+    [0, n - i), by `_lehmer_digits`, and decodes them in place (Knuth,
+    TAOCP vol. 2, section 3.4.2; Bentley and Floyd, CACM 1987).  Decoding
+    is a bijection from the digit tuples onto the n!/(n - w)! injections,
+    so uniform digits give a uniform injection in O(w) draws and O(w^2)
+    comparisons per trial.
     """
-    rng = np.random.default_rng(chunk_seed)
-    digits = rng.integers(0, n - np.arange(w), size=(count, w))
-    return positions_from_digits(np.ascontiguousarray(digits.T))
+    return positions_from_digits(_lehmer_digits(n, w, chunk_seed, count))
 
 
 def _chunk_pattern_counts(

@@ -188,6 +188,17 @@ def test_frequencies_reports_the_fit_on_stderr(capsys):
     assert "chi-square" not in out
 
 
+def test_frequencies_notes_sparse_cells_on_the_fit_line(capsys):
+    code, out, err = run_cli(
+        ["frequencies", "--window", "8", "--ground", "50", "--trials", "20000"], capsys
+    )
+    assert code == 0
+    fit_lines = [line for line in err.splitlines() if line.startswith("chi-square")]
+    assert len(fit_lines) == 1
+    assert fit_lines[0].endswith("; sparse cells: 0.50 expected hits each")
+    assert "sparse" not in out
+
+
 def test_frequencies_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frequencies", "--trials", "0"])
@@ -254,6 +265,23 @@ def test_frequencies_stdout_matches_the_recorded_fixtures(fmt, jobs, capsys):
     )
     assert code == 0
     assert out.encode() == (FREQUENCY_FIXTURES / f"ground1000-window4.{fmt}.out").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+@pytest.mark.parametrize("ground, window", [("1000000", "4"), ("5", "5")])
+def test_frequencies_rare_draws_match_the_recorded_fixtures(ground, window, jobs, capsys):
+    # recorded with --jobs 1 while the digits came from Generator.integers:
+    # at ground 10^6 every chunk rejects some 32-bit outputs (2^32 mod 10^6
+    # is 967,296), and at ground 5 the last digit's bound is 1, so it reads
+    # no output
+    code, out, _ = run_cli(
+        ["frequencies", "--ground", ground, "--window", window, "--trials", "20000",
+         "--seed", "11", "--format", "csv", "--jobs", jobs],
+        capsys,
+    )
+    assert code == 0
+    fixture = FREQUENCY_FIXTURES / f"ground{ground}-window{window}.csv.out"
+    assert out.encode() == fixture.read_bytes()
 
 
 # ---------------------------------------------------------------------------

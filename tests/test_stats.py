@@ -3,6 +3,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,63 @@ def test_chunk_counts_match_a_pure_python_route(w):
             random.Random(seed).shuffle(ranks)
             got = stats._chunk_pattern_counts(np.array(ranks), w, seed, 300)
             assert got.tolist() == _reference_chunk_counts(ranks, w, seed, 300), (n, w, seed)
+
+
+def _integers_digits(n, w, seed, count):
+    """The slot-major digits numpy's own bounded draw gives."""
+    rng = np.random.default_rng(seed)
+    return np.ascontiguousarray(rng.integers(0, n - np.arange(w), size=(count, w)).T)
+
+
+def _rejected_draws(n, w, seed, count):
+    """(trial, slot) of every rejected draw, by walking the 32-bit outputs
+    (low, then high half of each 64-bit output) against the bounds in plain
+    Python: with bound b, output x is rejected when x b mod 2^32 < 2^32 mod b,
+    and a bound of 1 reads no output."""
+    words = np.random.PCG64(seed).random_raw(w * count + 64).tolist()
+    outputs = iter([half for x in words for half in (x & 0xFFFFFFFF, x >> 32)])
+    rejected = []
+    for t in range(count):
+        for i in range(w):
+            b = n - i
+            if b == 1:
+                continue
+            while next(outputs) * b % 2**32 < 2**32 % b:
+                rejected.append((t, i))
+    return rejected
+
+
+@pytest.mark.parametrize("w", range(1, 9))
+def test_lehmer_digits_equal_numpys_bounded_draw(w):
+    for n in (1, 2, w, w + 1, 50, 1000, 65_537, 999_983, 10**6):
+        if n < w:
+            continue
+        for count in (1, 7, 10_000):
+            got = stats._lehmer_digits(n, w, 3 * n + count, count)
+            want = _integers_digits(n, w, 3 * n + count, count)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, w, count)
+
+
+# seeds searched at ground 10^6, where 2^32 mod n is 967,296
+REJECTING_SEEDS = [
+    # (w, seed, count, rejected draws)
+    (4, 2739, 1, [(0, 0)]),  # the first digit of the chunk
+    (4, 3314, 7, [(6, 3)]),  # its last digit
+    (8, 22, 10_000, [(3794, 3), (3794, 3)]),  # one digit, twice
+    (8, 109, 10_000, [(5234, 0), (5234, 2)]),  # two digits of one trial
+]
+
+
+@pytest.mark.parametrize("w, seed, count, expected", REJECTING_SEEDS)
+def test_lehmer_digits_follow_rejected_draws(w, seed, count, expected, monkeypatch):
+    assert not Counter(expected) - Counter(_rejected_draws(10**6, w, seed, count))
+    want = _integers_digits(10**6, w, seed, count)
+    assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want)
+    # the same digits when every redo block is one trial and the spare
+    # outputs run out after two rejections
+    monkeypatch.setattr(stats, "_REDO_DIGITS", w)
+    monkeypatch.setattr(stats, "_SPARE_OUTPUTS", 2)
+    assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want)
 
 
 def test_sampling_memory_does_not_grow_with_the_ground():
