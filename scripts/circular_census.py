@@ -11,7 +11,7 @@ import argparse
 import math
 from collections import Counter
 
-from orderflow import Window, all_linear_orders, circular_code, realize
+from orderflow import Window, all_linear_orders, apply_code, realize, sign_code
 from orderflow.checks import require
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     print("n   orders   distinct   expected   multiplicities")
     for n in range(3, args.max_window + 1):
         window = Window(tuple(range(n)))
-        census = Counter(circular_code(order) for order in all_linear_orders(window))
+        census = Counter(apply_code(sign_code(3), order) for order in all_linear_orders(window))
         multiplicities = sorted(set(census.values()))
         expected = math.factorial(n - 1)
         print(

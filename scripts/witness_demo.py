@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Walk through one minimality and one proximality witness.
 
-Shows the constructed permutations, the monochromatic sets behind the
-proximality case, and the re-verification of both certificates.
+Shows the constructed permutations, the ground points the proximality
+witness carries onto the window (a monotone run of the second order's ranks
+in the first order's order), and the re-verification of both certificates.
 """
 
 import argparse
 
 from orderflow import (
     Window,
+    inverse,
     minimality_witness,
     order_to_text,
     perm_to_text,
     proximality_witness,
-    ramsey_mono_subset,
     random_linear_order,
     verify_minimality,
     verify_proximality,
 )
-from orderflow.ramsey import AgreementColoring
 
 
 def main() -> None:
@@ -41,11 +41,10 @@ def main() -> None:
 
     o1 = random_linear_order(ground, args.seed + 2)
     o2 = random_linear_order(ground, args.seed + 3)
-    coloring = AgreementColoring(o1, o2)
-    mono = ramsey_mono_subset(coloring, args.window)
     witness = proximality_witness(o1, o2, window)
+    used = tuple(inverse(witness.alpha)(x) for x in window)
     print("proximality")
-    print(f"  monochromatic set : {mono}")
+    print(f"  points used       : {used}")
     print(f"  kind              : {witness.kind}")
     print(f"  alpha             : {perm_to_text(witness.alpha)}")
     print(f"  re-verified       : {verify_proximality(witness, o1, o2)}")

@@ -1,12 +1,11 @@
 """Desk-scale toolkit for order configurations: sign configurations on
 injective tuples, the finitely supported permutation action, linear and
-circular orders, order-type block codes, Ramsey-extracted witnesses, and
-exact versus empirical pattern statistics."""
+circular orders, order-type block codes, minimality and proximality
+witnesses, Ramsey extraction, and exact versus empirical pattern statistics."""
 
 from .codes import (
     BlockCode,
     apply_code,
-    circular_code,
     code_from_name,
     moment_curve_orientation,
     realize,

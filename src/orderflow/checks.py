@@ -114,12 +114,13 @@ def moment_curve_sign(rng: random.Random, arities: Sequence[int], per_arity: int
 
 
 def circular_image_counts(sizes: Iterable[int]) -> int:
-    """On n points the circular code has (n-1)! images, each realizable.
+    """On n points the circular code, sign-3, has (n-1)! images, each realizable.
 
     Returns the number of images checked."""
+    circular = codes.sign_code(3)
     total = 0
     for n in sizes:
-        images = {codes.circular_code(o) for o in orders.all_linear_orders(_window(n))}
+        images = {codes.apply_code(circular, o) for o in orders.all_linear_orders(_window(n))}
         expected = math.factorial(n - 1)
         require(
             len(images) == expected,

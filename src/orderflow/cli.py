@@ -56,9 +56,11 @@ MAX_VERIFY_WINDOW = 8
 
 #: Largest `witness --ground`: the ground is a tuple of Python ints, and each
 #: random order is a Python list shuffled by `random.Random` (the stream the
-#: witness fixtures pin) before it becomes an array; at this size a run at
-#: window 10 takes 1.1-2.9 s, as the shared host's load varies, and 147 MB
-#: peak RSS on a 2-core Xeon.
+#: witness fixtures pin) before it becomes an array.  A proximality witness
+#: needs (W-1)^2+1 ground points, so the window is bounded by the ground
+#: alone, W <= 1 + sqrt(ground - 1): 1,024 at this size.  Here a run takes
+#: 2.7-3.1 s and 147 MB peak RSS at window 10, and 3.3 s and 157 MB at
+#: window 1,000, on a 2-core Xeon; the two shuffles dominate both.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the

@@ -74,11 +74,6 @@ def sign_code(k: int) -> BlockCode:
     return BlockCode(k, tuple((1 - 2 * (inversions % 2)).tolist()))
 
 
-def circular_code(order: LinearOrder) -> KConfig:
-    """Triple configuration with +1 on the cyclic rearrangements of ascent."""
-    return apply_code(sign_code(3), order)
-
-
 def realize(config: KConfig) -> LinearOrder | None:
     """An order whose sign-k image is the configuration, for k = 2 or 3;
     None when there is none.

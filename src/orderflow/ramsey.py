@@ -1,14 +1,15 @@
-"""Constructive monochromatic-subset extraction and the order-dynamics
-witnesses built on it.
+"""Order-dynamics witnesses, and monochromatic-subset extraction for
+general pair colorings.
 
 A minimality witness is a finitely supported permutation carrying a large
 source order onto a prescribed pattern on a target window.  A proximality
 witness carries two source orders onto the same window so that they either
-agree there or are exact reverses; the monochromatic set behind it comes
-from a greedy pivot extraction on the agree/disagree pair coloring.  The
-extraction reads one row of colors per pivot, the pivot against every live
-ground position at once, and keeps its majority class by a boolean mask;
-the agreement colors of that row compare the two orders' rank arrays.
+agree there or are exact reverses.  Its points are an increasing or a
+decreasing run in the second order's ranks listed in the first order's
+order; by Erdos-Szekeres the (|W|-1)^2+1 least points hold one.  The greedy
+pivot extraction on a general pair coloring reads one row of colors per
+pivot, the pivot against every live ground position at once, and keeps
+its majority class by a boolean mask.
 
 Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
@@ -18,6 +19,7 @@ pair configuration read only where it is checked: its value at (x, y) is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -85,10 +87,12 @@ class PairColoring:
 
     @classmethod
     def from_orders(cls, o1: LinearOrder, o2: LinearOrder) -> "PairColoring":
-        """Color 0 where the orders agree on a pair, 1 where they disagree:
-        the AgreementColoring of the two orders, tabulated."""
-        lazy = AgreementColoring(o1, o2)
-        return cls.from_function(lazy.ground, lazy.color_of)
+        """Color 0 where the orders agree on a pair, 1 where they disagree."""
+        if o1.window != o2.window:
+            raise ValueError("orders must share a window")
+        r1, r2 = o1.ranks, o2.ranks
+        i, j = np.triu_indices(len(r1), 1)
+        return cls(o1.window, tuple(((r1[i] < r1[j]) != (r2[i] < r2[j])).astype(int).tolist()))
 
     def color_of(self, a: int, b: int) -> int:
         i = self.ground.position(a)
@@ -111,49 +115,7 @@ class PairColoring:
         return self._table[_pair_index(len(self.ground), i, js)]
 
 
-def _agreement_color(r1: Sequence[int], r2: Sequence[int], i: int, j: int) -> int:
-    """0 where two rank tables order slots i and j alike, 1 where they differ."""
-    return 0 if (r1[i] < r1[j]) == (r2[i] < r2[j]) else 1
-
-
-@dataclass(frozen=True)
-class AgreementColoring:
-    """Agree/disagree pair coloring of two orders on a shared ground, read
-    on demand from their rank arrays instead of tabulated.
-
-    Offers the `ground`, `color_of` and `colors_after` interface of
-    PairColoring, with the same colors.
-    """
-
-    o1: LinearOrder
-    o2: LinearOrder
-
-    def __post_init__(self):
-        if self.o1.window != self.o2.window:
-            raise ValueError("orders must share a window")
-
-    @property
-    def ground(self) -> Window:
-        return self.o1.window
-
-    def color_of(self, a: int, b: int) -> int:
-        i = self.ground.position(a)
-        j = self.ground.position(b)
-        if i == j:
-            raise ValueError(f"pair elements must be distinct, got {a}")
-        return _agreement_color(self.o1.ranks, self.o2.ranks, i, j)
-
-    def colors_after(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Colors of the pairs of ground positions (i, j), j in js, as a
-        boolean array; every j must exceed i."""
-        r1, r2 = self.o1.ranks, self.o2.ranks
-        return (r1[i] < r1[js]) != (r2[i] < r2[js])
-
-
-Coloring = PairColoring | AgreementColoring
-
-
-def is_monochromatic(coloring: Coloring, subset: Iterable[int]) -> bool:
+def is_monochromatic(coloring: PairColoring, subset: Iterable[int]) -> bool:
     elems = sorted(subset)
     colors = {
         coloring.color_of(elems[i], elems[j])
@@ -169,7 +131,7 @@ def _power_of_four(m: int) -> str:
     return f"{4**m} (= 4^{m})" if m <= 32 else f"4^{m}"
 
 
-def ramsey_mono_subset(coloring: Coloring, m: int) -> tuple[int, ...]:
+def ramsey_mono_subset(coloring: PairColoring, m: int) -> tuple[int, ...]:
     """Monochromatic m-subset of the ground, by greedy pivot extraction.
 
     Repeatedly take the least live element as a pivot and keep its larger
@@ -307,30 +269,55 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
     return witness
 
 
+def _increasing_run(values: Sequence[int], m: int) -> list[int] | None:
+    """Slots of the first strictly increasing m-subsequence of the values to
+    be completed, by patience sorting; None when there is none.  tails[k]
+    holds the least last value of an increasing (k+1)-subsequence so far,
+    with its slot; back[i] is the slot before i on the one i extends."""
+    tails: list[tuple[int, int]] = []
+    back: list[int] = []
+    for i, v in enumerate(values):
+        k = bisect_left(tails, (v,))
+        back.append(tails[k - 1][1] if k else -1)
+        tails[k : k + 1] = [(v, i)]
+        if k + 1 == m:
+            run = [i]
+            while back[run[-1]] >= 0:
+                run.append(back[run[-1]])
+            return run[::-1]
+    return None
+
+
 def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     """Permutation matching two orders on W, up to global reversal.
 
-    Pairs are colored by agreement of the two orders, read on demand; a
-    monochromatic |W|-set is extracted and mapped onto W preserving the
-    first order.  On an all-agree set the relocated configurations
-    coincide; on an all-disagree set the second is the exact negation of
-    the first.
+    Takes the (|W|-1)^2+1 ground points least under o1, and at least the 2
+    that verification needs; lists o2's ranks at them in o1 order; and
+    finds an increasing |W|-subsequence of those ranks, else a decreasing
+    one, which Erdos-Szekeres guarantees.  Its points are mapped onto W
+    preserving o1.  On an increasing run the relocated configurations
+    coincide; on a decreasing one the second is the exact negation of the
+    first.
     """
-    coloring = AgreementColoring(o1, o2)
-    ground = coloring.ground
-    if len(ground) < 4 ** len(W):
+    if o1.window != o2.window:
+        raise ValueError("orders must share a window")
+    m = len(W)
+    if m < 1:
+        raise ValueError("window must be nonempty")
+    ground = o1.window
+    bound = max(2, (m - 1) ** 2 + 1)
+    if len(ground) < bound:
         raise GroundTooSmall(
-            f"ground size {len(ground)} below the required {_power_of_four(len(W))} "
-            f"for window size {len(W)}"
+            f"ground size {len(ground)} below the required {bound} for window size {m}"
         )
-    mono = ramsey_mono_subset(coloring, len(W))
-    by_o1 = sorted(mono, key=o1.rank_of)
-    alpha = extend_bijection(dict(zip(by_o1, W.elements)))
-    if len(mono) < 2 or coloring.color_of(mono[0], mono[1]) == 0:
-        kind = PROXIMALITY_AGREE
-    else:
-        kind = PROXIMALITY_REVERSE
-    witness = Witness(alpha, W, kind)
+    head = np.flatnonzero(o1.ranks < bound)
+    head = head[np.argsort(o1.ranks[head])]
+    seq = o2.ranks[head].tolist()
+    run, kind = _increasing_run(seq, m), PROXIMALITY_AGREE
+    if run is None:
+        run, kind = _increasing_run([-r for r in seq], m), PROXIMALITY_REVERSE
+    points = [ground.elements[p] for p in head[run].tolist()]
+    witness = Witness(extend_bijection(dict(zip(points, W.elements))), W, kind)
     if not verify_proximality(witness, o1, o2):
         raise RuntimeError("internal error: proximality witness failed verification")
     return witness

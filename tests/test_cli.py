@@ -326,11 +326,21 @@ def test_witness_proximality_reverse_fixture(tmp_path, capsys):
 
 
 def test_witness_proximality_ground_too_small(capsys):
-    code, _, err = run_cli(
-        ["witness", "proximality", "--ground", "16", "--window", "4"], capsys
+    # a 4-window needs (4-1)^2 + 1 = 10 ground points (Erdos-Szekeres)
+    code, out, err = run_cli(
+        ["witness", "proximality", "--ground", "9", "--window", "4"], capsys
     )
     assert code == 2
-    assert "256" in err
+    assert out == ""
+    assert err.splitlines()[-1] == "error: ground size 9 below the required 10 for window size 4"
+    code, _, err = run_cli(["witness", "proximality", "--ground", "10", "--window", "4"], capsys)
+    assert code == 0
+    assert "verification: PASS" in err.splitlines()
+    # a 1-window still needs the 2 ground points that verification reads
+    code, out, err = run_cli(["witness", "proximality", "--ground", "1", "--window", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: ground size 1 below the required 2 for window size 1"
 
 
 @pytest.mark.parametrize("kind", ["minimality", "proximality"])
@@ -346,14 +356,14 @@ def test_witness_rejects_a_window_above_the_ground_before_building(kind, monkeyp
 
 
 def test_witness_proximality_window_with_a_bound_past_the_digit_limit(capsys):
-    # 4^8000 has 4,817 decimal digits, past Python's int-to-text limit
+    # an 8000-window needs 7999^2 + 1 ground points
     code, out, err = run_cli(
         ["witness", "proximality", "--ground", "8000", "--window", "8000"], capsys
     )
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == (
-        "error: ground size 8000 below the required 4^8000 for window size 8000"
+        "error: ground size 8000 below the required 63984002 for window size 8000"
     )
 
 
@@ -402,8 +412,7 @@ def test_witness_rejects_grounds_above_the_bound(monkeypatch, capsys):
 
 
 #: Each tests/data/witness/<name>.out holds the stdout of `witness <argv>`
-#: as the per-pair extraction printed it; extraction must keep it byte for
-#: byte.
+#: as the monotone-run construction printed it; it must stay byte for byte.
 WITNESS_CASES = {
     f"proximality-{ground}{'-reverse' * reverse_pair}{'-json' * json_format}": [
         "proximality", "--ground", str(ground), "--window", str(window), "--seed", str(seed)

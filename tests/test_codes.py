@@ -20,7 +20,6 @@ from orderflow import (
     all_linear_orders,
     apply_code,
     apply_perm,
-    circular_code,
     code_from_name,
     is_alternating,
     moment_curve_orientation,
@@ -88,7 +87,7 @@ def test_constant_code_gives_constant_config():
 
 
 def test_circular_code_on_the_ascending_chain():
-    config = circular_code(LinearOrder.natural(Window((0, 1, 2))))
+    config = apply_code(sign_code(3), LinearOrder.natural(Window((0, 1, 2))))
     for t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         assert config.value(t) == 1
     for t in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
@@ -98,7 +97,7 @@ def test_circular_code_on_the_ascending_chain():
 def test_circular_code_rotation_and_swap_symmetry():
     window = Window(tuple(range(4)))
     for order in all_linear_orders(window):
-        config = circular_code(order)
+        config = apply_code(sign_code(3), order)
         for l, m, n in permutations(window, 3):
             assert config.value((l, m, n)) == config.value((m, n, l))
             assert config.value((l, m, n)) == -config.value((m, l, n))
@@ -107,8 +106,6 @@ def test_circular_code_rotation_and_swap_symmetry():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         apply_code(sign_code(3), LinearOrder.natural(Window((0, 1))))
-    with pytest.raises(WindowTooSmall):
-        circular_code(LinearOrder.natural(Window((0, 1))))
 
 
 def test_sign4_on_an_increasing_quadruple():

@@ -18,7 +18,6 @@ from orderflow import (
     all_linear_orders,
     apply_code,
     apply_perm,
-    circular_code,
     config_from_text,
     cyclic_shift,
     is_alternating,
@@ -408,7 +407,8 @@ def test_every_reversal_class_has_two_members():
 def test_circular_code_images_are_realizable():
     for n in range(3, 7):
         window = Window(tuple(range(n)))
-        images = sorted({circular_code(order) for order in all_linear_orders(window)}, key=str)
+        images = {apply_code(sign_code(3), order) for order in all_linear_orders(window)}
+        images = sorted(images, key=str)
         for i, image in enumerate(images):
             assert realize(image) is not None
             assert_order_checks_match_reference(image)
@@ -422,7 +422,7 @@ def test_all_plus_cyclic_triples_realizable_on_three_window():
     config = alternating_triple_config(window, {(0, 1, 2): 1})
     # the six orders on the window produce exactly two codes; this is one
     matches = [
-        order for order in all_linear_orders(window) if circular_code(order) == config
+        order for order in all_linear_orders(window) if apply_code(sign_code(3), order) == config
     ]
     assert matches, "expected the code of the ascending chain"
     assert realize(config) in matches
@@ -432,7 +432,7 @@ def test_frozen_non_realizable_configuration():
     window = Window((0, 1, 2, 3))
     config = alternating_triple_config(window, NON_REALIZABLE_TRIPLE_SIGNS)
     assert not any(
-        circular_code(order) == config for order in all_linear_orders(window)
+        apply_code(sign_code(3), order) == config for order in all_linear_orders(window)
     )
     assert realize(config) is None
 
@@ -459,18 +459,19 @@ def test_realizability_errors():
     assert realize(constant) is None
     big = Window(tuple(range(9)))
     rotated = LinearOrder.from_ranked_elements((3, 4, 5, 6, 7, 8, 0, 1, 2))
-    assert realize(circular_code(rotated)) == LinearOrder.natural(big)
+    assert realize(apply_code(sign_code(3), rotated)) == LinearOrder.natural(big)
 
 
 def test_circular_image_count_is_shifted_factorial():
     for n in (3, 4, 5):
         window = Window(tuple(range(n)))
-        images = {circular_code(order) for order in all_linear_orders(window)}
+        images = {apply_code(sign_code(3), order) for order in all_linear_orders(window)}
         assert len(images) == math.factorial(n - 1)
         # each circular order comes from exactly n linear orders
         hits = {}
         for order in all_linear_orders(window):
-            hits[circular_code(order)] = hits.get(circular_code(order), 0) + 1
+            image = apply_code(sign_code(3), order)
+            hits[image] = hits.get(image, 0) + 1
         assert set(hits.values()) == {n}
 
 
@@ -480,4 +481,4 @@ def test_cyclic_shift_preserves_the_circular_code():
         for order in all_linear_orders(window):
             shifted = cyclic_shift(order)
             assert shifted != order
-            assert circular_code(shifted) == circular_code(order)
+            assert apply_code(sign_code(3), shifted) == apply_code(sign_code(3), order)

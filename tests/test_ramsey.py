@@ -3,7 +3,6 @@ import random
 import re
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from orderflow import (
     apply_perm,
     compose,
     extend_bijection,
+    inverse,
     is_monochromatic,
     minimality_witness,
     negate,
@@ -38,7 +38,7 @@ from orderflow import (
     witness_from_text,
     witness_to_text,
 )
-from orderflow.ramsey import AgreementColoring, _all_pairs_colored
+from orderflow.ramsey import _all_pairs_colored, _increasing_run
 
 
 def random_coloring(ground: Window, seed: int) -> PairColoring:
@@ -90,25 +90,17 @@ def test_agreement_coloring_of_identical_orders_is_constant():
     assert set(reversed_coloring.colors) == {1}
 
 
-def test_on_demand_coloring_matches_the_table():
+def test_from_orders_matches_the_per_pair_reference():
     ground = Window(tuple(range(3, 40)))
     o1 = random_linear_order(ground, 8)
     for o2 in (o1, reverse(o1), random_linear_order(ground, 9)):
-        table = PairColoring.from_orders(o1, o2)
-        lazy = AgreementColoring(o1, o2)
-        assert lazy.ground == table.ground
-        for a, b in itertools.permutations(ground.elements[:12], 2):
-            assert lazy.color_of(a, b) == table.color_of(a, b)
-        for i, a in enumerate(ground.elements):
-            later = np.arange(i + 1, len(ground))
-            row = [table.color_of(a, ground.elements[j]) for j in later]
-            assert lazy.colors_after(i, later).tolist() == row
-            assert table.colors_after(i, later).tolist() == row
-        assert ramsey_mono_subset(lazy, 2) == ramsey_mono_subset(table, 2)
-    with pytest.raises(ValueError):
-        lazy.color_of(5, 5)
-    with pytest.raises(ValueError):
-        AgreementColoring(o1, LinearOrder.natural(Window(tuple(range(40)))))
+        coloring = PairColoring.from_orders(o1, o2)
+        assert coloring.ground == ground
+        for a, b in itertools.combinations(ground.elements, 2):
+            agree = (o1.rank_of(a) < o1.rank_of(b)) == (o2.rank_of(a) < o2.rank_of(b))
+            assert coloring.color_of(a, b) == coloring.color_of(b, a) == (0 if agree else 1)
+    with pytest.raises(ValueError, match="^orders must share a window$"):
+        PairColoring.from_orders(o1, LinearOrder.natural(Window(tuple(range(40)))))
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +134,14 @@ def test_a_tied_pivot_keeps_color_zero():
 @st.composite
 def extraction_cases(draw):
     """A coloring on a ground range(base, base + n) with n >= 4^m: random,
-    the agreement coloring of two orders (tabulated or on demand), or one
-    whose pivots often see even splits, colored by a bit of b - a."""
+    the agreement coloring of two orders, or one whose pivots often see
+    even splits, colored by a bit of b - a."""
     m = draw(st.integers(1, 4))
     n = draw(st.one_of(st.just(4**m), st.integers(4**m + 1, 4**m + 40)))
     base = draw(st.integers(-5, 5))
     ground = Window(tuple(range(base, base + n)))
     seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(("random", "table", "on-demand", "even")))
+    kind = draw(st.sampled_from(("random", "table", "even")))
     if kind == "random":
         return random_coloring(ground, seed), m
     if kind == "even":
@@ -157,9 +149,7 @@ def extraction_cases(draw):
         return PairColoring.from_function(ground, lambda a, b: ((b - a) >> bit) & 1), m
     o1 = random_linear_order(ground, seed)
     o2 = draw(st.sampled_from((o1, reverse(o1), random_linear_order(ground, seed + 1))))
-    if kind == "table":
-        return PairColoring.from_orders(o1, o2), m
-    return AgreementColoring(o1, o2), m
+    return PairColoring.from_orders(o1, o2), m
 
 
 @settings(max_examples=120, deadline=None)
@@ -267,20 +257,30 @@ def test_random_pairs_on_a_large_ground():
         assert verify_proximality(witness, o1, o2)
 
 
+def proximality_bound(m):
+    """Ground points a proximality witness needs on an m-window: the
+    Erdos-Szekeres bound (m-1)^2+1, and at least 2 for verification."""
+    return max(2, (m - 1) ** 2 + 1)
+
+
 def test_proximality_ground_too_small():
-    ground = Window(tuple(range(16)))
-    o1 = random_linear_order(ground, 0)
-    o2 = random_linear_order(ground, 1)
-    with pytest.raises(GroundTooSmall, match="256"):
-        proximality_witness(o1, o2, Window(tuple(range(4))))
+    for m in (1, 2, 4, 12):
+        n = proximality_bound(m) - 1
+        o1 = LinearOrder.natural(Window(tuple(range(n))))
+        message = f"ground size {n} below the required {proximality_bound(m)} for window size {m}"
+        with pytest.raises(GroundTooSmall, match=f"^{re.escape(message)}$"):
+            proximality_witness(o1, reverse(o1), Window(tuple(range(m))))
 
 
 def test_bounds_past_the_digit_limit_are_written_as_powers():
-    # 4^8000 has 4,817 decimal digits; the messages must not spell it out
+    # 4^8000 has 4,817 decimal digits; the extraction's messages must not
+    # spell it out, and a proximality witness needs only 7999^2 + 1 points
     o1 = LinearOrder.natural(Window(tuple(range(16))))
     with pytest.raises(GroundTooSmall) as excinfo:
         proximality_witness(o1, reverse(o1), Window(tuple(range(8000))))
-    assert str(excinfo.value) == "ground size 16 below the required 4^8000 for window size 8000"
+    assert str(excinfo.value) == (
+        "ground size 16 below the required 63984002 for window size 8000"
+    )
     with pytest.raises(GroundTooSmall) as excinfo:
         ramsey_mono_subset(PairColoring.from_orders(o1, o1), 8000)
     assert str(excinfo.value) == "ground size 16 below the required 4^8000"
@@ -291,6 +291,84 @@ def test_bounds_past_the_digit_limit_are_written_as_powers():
     with pytest.raises(GroundTooSmall) as excinfo:
         ramsey_mono_subset(PairColoring.from_orders(o1, o1), 33)
     assert str(excinfo.value) == "ground size 16 below the required 4^33"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(-5, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("random", "equal", "reversed")),
+)
+def test_proximality_witnesses_verify_at_the_bound(m, base, seed, relation):
+    ground = Window(tuple(range(base, base + proximality_bound(m))))
+    o1 = random_linear_order(ground, seed)
+    o2 = {
+        "random": random_linear_order(ground, seed + 1),
+        "equal": o1,
+        "reversed": reverse(o1),
+    }[relation]
+    window = Window(tuple(range(m)))
+    witness = proximality_witness(o1, o2, window)
+    assert witness.checked_window == window
+    assert verify_proximality(witness, o1, o2)
+    assert reference_verify_proximality(witness, o1, o2)
+    if relation == "equal" or m == 1:
+        assert witness.kind == PROXIMALITY_AGREE
+    elif relation == "reversed":
+        assert witness.kind == PROXIMALITY_REVERSE
+
+
+def extremal_sequence(m):
+    """(m-1)^2 distinct values with no monotone m-subsequence: m-1
+    decreasing blocks of m-1, the blocks laid out in increasing order."""
+    return [b * (m - 1) + (m - 2 - i) for b in range(m - 1) for i in range(m - 1)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+def test_the_extremal_prefix_forces_its_last_point(m):
+    prefix = extremal_sequence(m)
+    assert _increasing_run(prefix, m) is None
+    assert _increasing_run([-v for v in prefix], m) is None
+    size = len(prefix) + 1
+    extra = 7  # points past the prefix in o1 order, which must go unread
+    ground = Window(tuple(range(size + extra)))
+    o1 = LinearOrder.natural(ground)
+    for last in (0, size // 2, size - 1):
+        # the prefix's last point takes rank `last` under o2, the values at
+        # or above it move up by one, the points past the prefix rank highest
+        ranks = [v + (v >= last) for v in prefix] + [last] + list(range(size, size + extra))
+        o2 = LinearOrder(ground, ranks)
+        window = Window(tuple(range(m)))
+        witness = proximality_witness(o1, o2, window)
+        assert verify_proximality(witness, o1, o2)
+        used = {inverse(witness.alpha)(x) for x in window}
+        assert size - 1 in used
+        assert max(used) == size - 1
+        if last in (0, size - 1):  # the least rank ends a decreasing run, the top one a rising run
+            assert witness.kind == (PROXIMALITY_REVERSE if last == 0 else PROXIMALITY_AGREE)
+
+
+def _reference_longest_increasing(values):
+    """Length of the longest strictly increasing subsequence, in O(n^2)."""
+    best = []
+    for i, v in enumerate(values):
+        best.append(1 + max((best[j] for j in range(i) if values[j] < v), default=0))
+    return max(best, default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=30, unique=True), st.integers(1, 8))
+def test_increasing_run_matches_the_quadratic_reference(values, m):
+    run = _increasing_run(values, m)
+    if _reference_longest_increasing(values) < m:
+        assert run is None
+        return
+    assert len(run) == m
+    assert run == sorted(set(run))
+    assert all(values[a] < values[b] for a, b in zip(run, run[1:]))
+    # the first run to be completed: no m-run ends before its last slot
+    assert _reference_longest_increasing(values[: run[-1]]) < m
 
 
 def test_proximality_requires_shared_ground():

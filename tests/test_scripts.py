@@ -1,5 +1,8 @@
+import ast
 import runpy
 from pathlib import Path
+
+from orderflow import Window, random_linear_order
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -10,6 +13,17 @@ def test_witness_demo_reverifies_both_witnesses(monkeypatch, capsys):
     out = capsys.readouterr().out
     verdicts = [line.split(":", 1)[1].strip() for line in out.splitlines() if "re-verified" in line]
     assert verdicts == ["True", "True"]
+    # the points the proximality witness uses: |W| of them, rising under
+    # the first order (the demo's defaults: ground 256, window 4, seed 0)
+    [used] = [
+        ast.literal_eval(line.split(":", 1)[1].strip())
+        for line in out.splitlines()
+        if "points used" in line
+    ]
+    o1 = random_linear_order(Window(tuple(range(256))), 2)
+    ranks = [o1.rank_of(x) for x in used]
+    assert len(set(used)) == 4
+    assert ranks == sorted(ranks)
 
 
 def test_circular_census_checks_every_image(monkeypatch, capsys):
