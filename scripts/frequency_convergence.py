@@ -10,7 +10,7 @@ the 3-sigma binomial envelope.  The deviation should shrink like
 import argparse
 import math
 
-from orderflow import LinearOrder, Window, orbit_average_all, random_linear_order
+from orderflow import LinearOrder, Window, pattern_counts, random_linear_order
 
 
 def main() -> None:
@@ -41,8 +41,8 @@ def main() -> None:
         sigma3 = 3 * math.sqrt(exact * (1 - exact) / trials)
         row = f"{trials:9d}"
         for source in sources:
-            stats = orbit_average_all(source, window, trials, args.seed)
-            worst = max(abs(float(s.empirical) - exact) for s in stats)
+            counts = pattern_counts(source, window, trials, args.seed)
+            worst = max(abs(hits / trials - exact) for hits in counts.tolist())
             row += f"  {worst:8.5f}"
         print(row + f"  {sigma3:8.5f}")
 

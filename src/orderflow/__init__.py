@@ -66,10 +66,10 @@ from .stats import (
     PatternStat,
     cylinder_measure,
     derive_seed,
-    orbit_average_all,
+    histogram_to_dicts,
+    pattern_counts,
     random_linear_order,
     stat_from_dict,
-    stat_to_dict,
 )
 
 __version__ = "0.1.0"

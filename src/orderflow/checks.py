@@ -9,6 +9,7 @@ the count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -228,18 +229,20 @@ def cylinder_mass(sizes: Iterable[int]) -> None:
 def orbit_frequencies(
     sources: Iterable[LinearOrder], window: Window, trials: int, seed: int
 ) -> None:
-    """Per source, every pattern's exact measure is 1/w!, its empirical
-    frequency lies within 3 binomial sigma of it, and the frequencies sum to 1."""
-    exact = Fraction(1, math.factorial(len(window)))
+    """Per source, the histogram has a cell per pattern summing to the trials,
+    and every pattern's frequency lies within 3 binomial sigma of 1/w!."""
+    cells = math.factorial(len(window))
+    exact = Fraction(1, cells)
     p = float(exact)
     tolerance = 3 * math.sqrt(p * (1 - p) / trials)
     for source in sources:
-        results = stats.orbit_average_all(source, window, trials, seed)
-        for s in results:
-            require(s.exact == exact, "exact measure %s != %s", s.exact, exact)
-            require(
-                abs(s.empirical - exact) <= tolerance,
-                "pattern %s: |%.5f - %s| above 3 sigma",
-                orders.order_to_text(s.pattern), float(s.empirical), exact,
-            )
-        require(sum(s.empirical for s in results) == 1, "frequencies do not sum to 1")
+        counts = stats.pattern_counts(source, window, trials, seed)
+        ok = len(counts) == cells and counts.sum() == trials
+        require(ok, "%d cells holding %d hits", len(counts), counts.sum())
+        for i, hits in enumerate(counts.tolist()):
+            if abs(Fraction(hits, trials) - exact) > tolerance:
+                pattern = next(itertools.islice(orders.all_linear_orders(window), i, None))
+                require(
+                    False, "pattern %s: |%.5f - %s| above 3 sigma",
+                    orders.order_to_text(pattern), hits / trials, exact,
+                )

@@ -18,8 +18,12 @@ index is the Lehmer code of the w source ranks it lands on, read off them
 by `core.pattern_index` without building their induced rank vector.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
-(label, master seed, i), and chunk counts are reduced in index order, so a
+(label, master seed, i), and chunk counts are added up as they arrive, so a
 run is reproducible for a fixed master seed at any worker count.
+
+A run is one count array indexed by `core.pattern_index`, `pattern_counts`.
+`fit_summary` reads it and `histogram_to_dicts` writes its JSON records;
+`stat_from_dict` reads a record back as a `PatternStat` with exact rationals.
 """
 
 from __future__ import annotations
@@ -28,16 +32,17 @@ import hashlib
 import math
 import random
 import sys
-from collections.abc import Sequence
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, pattern_index, positions_from_digits, window_from_text, window_to_text
+from .core import Window, pattern_index, position_tuples, positions_from_digits
+from .core import window_from_text, window_to_text
 from .errors import FormatError, GroundTooSmall, WindowTooSmall
-from .orders import LinearOrder, all_linear_orders, order_from_text, order_to_text
+from .orders import LinearOrder, order_from_text
 
 #: Trials per sampling chunk.  Fixed so that worker counts cannot change
 #: the chunk boundaries, only who evaluates them.
@@ -58,7 +63,7 @@ _LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 @dataclass(frozen=True)
 class PatternStat:
-    """Exact measure of one pattern next to its empirical frequency."""
+    """A record read by `stat_from_dict`: one pattern's exact and empirical measure."""
 
     pattern: LinearOrder
     exact: Fraction
@@ -192,25 +197,34 @@ def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray
 def _chunk_pattern_counts(
     source_ranks: np.ndarray, w: int, chunk_seed: int, count: int
 ) -> np.ndarray:
-    """Pattern histogram of `count` random relocations onto a w-window.
+    """Pattern histogram of `count` random relocations onto a w-window, a
+    w!-entry int64 array that `pattern_counts` adds into its total.
 
     A trial's pattern index is `core.pattern_index` of the source ranks it
-    lands on, the same number as for their induced rank vector, so the
-    index follows the order of all_linear_orders.
+    lands on, the same number as for their induced rank vector, so entry i
+    counts the pattern of row i of `position_tuples(w, w)`, the i-th order
+    of all_linear_orders.
     """
     r = source_ranks[_sample_positions(len(source_ranks), w, chunk_seed, count)]
     return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
-def _pattern_counts(
+def pattern_counts(
     source: LinearOrder,
     window: Window,
     trials: int,
     seed: int,
     jobs: int = 1,
 ) -> np.ndarray:
-    """Histogram over all |W|! patterns, one entry per pattern in the
-    enumeration order of all_linear_orders."""
+    """Hits of every pattern on the window: an int64 array of |W|! entries
+    in the enumeration order of all_linear_orders, summing to `trials`.
+
+    Each trial relocates a uniformly random |W|-point subset of the ground
+    onto the window by a uniformly random assignment and counts the pattern
+    the source order lands on.  The sample stream depends only on (seed,
+    trials); each chunk's histogram is added into the total as it arrives,
+    so at most `jobs` of them are held at once.
+    """
     w = len(window)
     if len(source.window) < w:
         raise GroundTooSmall(
@@ -218,95 +232,79 @@ def _pattern_counts(
         )
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    sizes = [CHUNK_SIZE] * (trials // CHUNK_SIZE)
-    if trials % CHUNK_SIZE:
-        sizes.append(trials % CHUNK_SIZE)
+    sizes = [min(CHUNK_SIZE, trials - start) for start in range(0, trials, CHUNK_SIZE)]
+    total = np.zeros(math.factorial(w), dtype=np.int64)
+    lock = threading.Lock()
 
-    def run_chunk(i: int) -> np.ndarray:
-        return _chunk_pattern_counts(
+    def add_chunk(i: int) -> None:
+        counts = _chunk_pattern_counts(
             source.ranks, w, derive_seed(seed, _SAMPLER_LABEL, i), sizes[i]
         )
+        with lock:
+            np.add(total, counts, out=total)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run_chunk, range(len(sizes))))
+            list(pool.map(add_chunk, range(len(sizes))))
     else:
-        chunks = [run_chunk(i) for i in range(len(sizes))]
-    total = np.zeros(math.factorial(w), dtype=np.int64)
-    for counts in chunks:
-        total += counts
+        for i in range(len(sizes)):
+            add_chunk(i)
     return total
 
 
-def orbit_average_all(
-    source: LinearOrder,
-    window: Window,
-    trials: int,
-    seed: int,
-    jobs: int = 1,
-) -> list[PatternStat]:
-    """Empirical frequency of every pattern on the window, one PatternStat
-    per pattern in the order of all_linear_orders.
-
-    Each trial relocates a uniformly random |W|-point subset of the ground
-    onto the window by a uniformly random assignment and counts the pattern
-    the source order lands on, so the stats of one call partition the
-    trials.  The sample stream depends only on (seed, trials).
-    """
-    counts = _pattern_counts(source, window, trials, seed, jobs)
-    exact = Fraction(1, math.factorial(len(window)))
-    return [
-        PatternStat(
-            pattern=pattern,
-            exact=exact,
-            empirical=Fraction(int(counts[i]), trials),
-            trials=trials,
-            seed=seed,
-        )
-        for i, pattern in enumerate(all_linear_orders(window))
-    ]
-
-
-def fit_summary(results: Sequence[PatternStat]) -> tuple[float, int, float]:
+def fit_summary(counts: np.ndarray) -> tuple[float, int, float]:
     """Distance of a full pattern histogram from its exact law.
 
-    `results` holds one stat per pattern on a window of at least two points,
-    all from one sample stream, as `orbit_average_all` returns them.  Gives
-    the chi-square statistic over the w! cells, its w! - 1 degrees of
+    `counts` holds the hits of every pattern on a window of at least two
+    points, all from one sample stream, as `pattern_counts` returns them.
+    Gives the chi-square statistic over the w! cells, its w! - 1 degrees of
     freedom, and the largest |z| = |hits - trials p| / sqrt(trials p (1 - p))
     with p = 1/w!.
     """
-    if len(results) < 2:
-        raise ValueError(f"need at least two patterns, got {len(results)}")
-    trials = results[0].trials
-    p = float(results[0].exact)
-    expected = trials * p
-    deviations = [float(s.empirical * trials) - expected for s in results]
+    if len(counts) < 2:
+        raise ValueError(f"need at least two patterns, got {len(counts)}")
+    p = 1 / len(counts)
+    expected = int(counts.sum()) * p
+    deviations = [hits - expected for hits in counts.tolist()]
     chi2 = sum(d * d for d in deviations) / expected
     max_z = max(abs(d) for d in deviations) / math.sqrt(expected * (1 - p))
-    return chi2, len(results) - 1, max_z
+    return chi2, len(counts) - 1, max_z
 
 
 # ---------------------------------------------------------------------------
 # JSON form
 
 
-def stat_to_dict(stat: PatternStat) -> dict:
-    return {
-        "pattern": order_to_text(stat.pattern),
-        "window": window_to_text(stat.pattern.window),
-        "exact_num": stat.exact.numerator,
-        "exact_den": stat.exact.denominator,
-        "empirical": float(stat.empirical),
-        "trials": stat.trials,
-        "seed": stat.seed,
-    }
+def histogram_to_dicts(counts: np.ndarray, window: Window, seed: int) -> list[dict]:
+    """One record per cell of a `pattern_counts` histogram, as `stat_from_dict`
+    reads it: the trials are the sum of the counts, a pattern's text is the
+    argsort of its row of `position_tuples(w, w)` (window elements by rank),
+    and its empirical frequency is the float nearest hits / trials."""
+    w = len(window)
+    trials = int(counts.sum())
+    if trials < 1 or len(counts) != math.factorial(w):
+        raise ValueError(f"need {w}! cells holding trials, got {len(counts)} holding {trials}")
+    elements = np.array(window.elements, dtype=np.int64)
+    patterns = elements[np.argsort(position_tuples(w, w), axis=1)].tolist()
+    window_text = window_to_text(window)
+    return [
+        {
+            "pattern": " ".join(map(str, pattern)),
+            "window": window_text,
+            "exact_num": 1,
+            "exact_den": len(counts),
+            "empirical": hits / trials,
+            "trials": trials,
+            "seed": seed,
+        }
+        for pattern, hits in zip(patterns, counts.tolist())
+    ]
 
 
 def _hits_from_float(empirical: object, trials: int) -> int:
     """Hit count whose frequency over the trials is exactly the stored float.
 
-    stat_to_dict stores hits / trials as a float; the count is recovered by
+    The writer stores hits / trials as a float; the count is recovered by
     rounding and accepted only if it reproduces that float exactly.
     """
     if not isinstance(empirical, (int, float)) or isinstance(empirical, bool):

@@ -76,7 +76,7 @@ PLANTED = {
     ),
     "orbit-average": (
         lambda: checks.orbit_frequencies([LinearOrder.natural(window(10))], window(3), 600, 0),
-        stats, "_pattern_counts", lambda f: _one_pattern_takes_every_hit, AssertionError,
+        stats, "pattern_counts", lambda f: _one_pattern_takes_every_hit, AssertionError,
     ),
 }
 
@@ -110,3 +110,14 @@ def test_require_raises_with_lazy_message():
         checks.require(False, "bad %d of %d", 3, 4)
     with pytest.raises(AssertionError, match="^100% off$"):
         checks.require(False, "100% off")
+
+
+def test_orbit_frequencies_names_the_first_pattern_off_its_measure(monkeypatch):
+    # cell 3 of the 3-window is the order listing 2 0 1
+    skewed = np.array([100, 100, 100, 160, 40, 100])
+    monkeypatch.setattr(stats, "pattern_counts", lambda *args: skewed)
+    with pytest.raises(AssertionError, match=r"^pattern 2 0 1: \|0\.26667 - 1/6\| above 3 sigma$"):
+        checks.orbit_frequencies([LinearOrder.natural(window(10))], window(3), 600, 0)
+    monkeypatch.setattr(stats, "pattern_counts", lambda *args: skewed[:5])
+    with pytest.raises(AssertionError, match=r"^5 cells holding 500 hits$"):
+        checks.orbit_frequencies([LinearOrder.natural(window(10))], window(3), 600, 0)

@@ -31,6 +31,19 @@ FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
 WITNESS_FIXTURES = Path(__file__).resolve().parent / "data" / "witness"
 FREQUENCY_FIXTURES = Path(__file__).resolve().parent / "data" / "frequencies"
 
+#: The stderr fit line of each frequencies fixture run (--trials 20000
+#: --seed 11), recorded with its stdout.
+FIT_LINES = {
+    ("1000", "4"): "chi-square: 18.292 on 23 df; max |z|: 1.710",
+    ("1000000", "4"): "chi-square: 25.271 on 23 df; max |z|: 2.277",
+    ("5", "5"): "chi-square: 113.344 on 119 df; max |z|: 3.060",
+    ("50", "6"): "chi-square: 754.936 on 719 df; max |z|: 3.650",
+}
+
+
+def fit_lines(err):
+    return [line for line in err.splitlines() if line.startswith("chi-square")]
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -183,8 +196,7 @@ def test_frequencies_reports_the_fit_on_stderr(capsys):
     assert sum(hits) == trials
     chi2 = sum((h - trials / 2) ** 2 / (trials / 2) for h in hits)
     max_z = max(abs(h - trials / 2) for h in hits) / math.sqrt(trials / 4)
-    fit_lines = [line for line in err.splitlines() if line.startswith("chi-square")]
-    assert fit_lines == [f"chi-square: {chi2:.3f} on 1 df; max |z|: {max_z:.3f}"]
+    assert fit_lines(err) == [f"chi-square: {chi2:.3f} on 1 df; max |z|: {max_z:.3f}"]
     assert "chi-square" not in out
 
 
@@ -193,9 +205,8 @@ def test_frequencies_notes_sparse_cells_on_the_fit_line(capsys):
         ["frequencies", "--window", "8", "--ground", "50", "--trials", "20000"], capsys
     )
     assert code == 0
-    fit_lines = [line for line in err.splitlines() if line.startswith("chi-square")]
-    assert len(fit_lines) == 1
-    assert fit_lines[0].endswith("; sparse cells: 0.50 expected hits each")
+    (line,) = fit_lines(err)
+    assert line.endswith("; sparse cells: 0.50 expected hits each")
     assert "sparse" not in out
 
 
@@ -220,7 +231,7 @@ def test_frequencies_rejects_grounds_above_the_bound(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("sampled a ground above the bound")
 
-    monkeypatch.setattr(cli.stats, "orbit_average_all", never)
+    monkeypatch.setattr(cli.stats, "pattern_counts", never)
     with pytest.raises(SystemExit) as excinfo:
         main(["frequencies", "--ground", "1000001", "--trials", "10"])
     assert excinfo.value.code == 2
@@ -258,23 +269,25 @@ def test_frequencies_stdout_matches_the_recorded_fixtures(fmt, jobs, capsys):
     # ground1000-window4.<format>.out holds the stdout recorded with --jobs 1
     # before orders and configurations were held as arrays; --jobs 2 gave
     # the same bytes.  The csv rows end in \r\n, so bytes are compared.
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["frequencies", "--ground", "1000", "--window", "4", "--trials", "20000",
          "--seed", "11", "--format", fmt, "--jobs", jobs],
         capsys,
     )
     assert code == 0
     assert out.encode() == (FREQUENCY_FIXTURES / f"ground1000-window4.{fmt}.out").read_bytes()
+    assert fit_lines(err) == [FIT_LINES["1000", "4"]]
 
 
 @pytest.mark.parametrize("jobs", ["1", "4"])
-@pytest.mark.parametrize("ground, window", [("1000000", "4"), ("5", "5")])
+@pytest.mark.parametrize("ground, window", [("1000000", "4"), ("5", "5"), ("50", "6")])
 def test_frequencies_rare_draws_match_the_recorded_fixtures(ground, window, jobs, capsys):
     # recorded with --jobs 1 while the digits came from Generator.integers:
     # at ground 10^6 every chunk rejects some 32-bit outputs (2^32 mod 10^6
     # is 967,296), and at ground 5 the last digit's bound is 1, so it reads
-    # no output
-    code, out, _ = run_cli(
+    # no output; window 6 (720 rows) was recorded while every row was
+    # rendered from its own PatternStat
+    code, out, err = run_cli(
         ["frequencies", "--ground", ground, "--window", window, "--trials", "20000",
          "--seed", "11", "--format", "csv", "--jobs", jobs],
         capsys,
@@ -282,6 +295,7 @@ def test_frequencies_rare_draws_match_the_recorded_fixtures(ground, window, jobs
     assert code == 0
     fixture = FREQUENCY_FIXTURES / f"ground{ground}-window{window}.csv.out"
     assert out.encode() == fixture.read_bytes()
+    assert fit_lines(err) == [FIT_LINES[ground, window]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderflow import (
     FinPerm,
@@ -23,12 +26,13 @@ from orderflow import (
     cylinder_measure,
     derive_seed,
     extend_bijection,
-    orbit_average_all,
+    histogram_to_dicts,
+    order_to_text,
+    pattern_counts,
     random_linear_order,
     relabel,
     sign_code,
     stat_from_dict,
-    stat_to_dict,
 )
 from orderflow import core, stats
 
@@ -86,17 +90,17 @@ def test_random_order_uniformity_chi_square():
 # orbit averages
 
 
-def pattern_stat(source, pattern, trials, seed):
-    """The stat of one pattern, read from the histogram of its window."""
-    results = orbit_average_all(source, pattern.window, trials, seed)
-    return next(s for s in results if s.pattern == pattern)
+def pattern_hits(source, pattern, trials, seed):
+    """The hits of one pattern, read from the histogram of its window at
+    the pattern's place in all_linear_orders."""
+    counts = pattern_counts(source, pattern.window, trials, seed)
+    return next(h for h, o in zip(counts, all_linear_orders(pattern.window)) if o == pattern)
 
 
 def test_single_point_window_always_matches():
     source = LinearOrder.natural(Window(tuple(range(10))))
-    pattern = LinearOrder.natural(Window((4,)))
-    stat = pattern_stat(source, pattern, trials=500, seed=0)
-    assert stat.empirical == 1
+    counts = pattern_counts(source, Window((4,)), trials=500, seed=0)
+    assert counts.dtype == np.int64 and counts.tolist() == [500]
 
 
 def test_orbit_average_converges_to_the_exact_measure():
@@ -108,18 +112,35 @@ def test_orbit_average_converges_to_the_exact_measure():
         random_linear_order(ground, s) for s in (11, 12)
     ]
     for source in sources:
-        results = orbit_average_all(source, window, trials, seed=7)
-        assert sum(s.empirical for s in results) == 1
-        for s in results:
-            assert abs(s.empirical - Fraction(1, 6)) <= tol
+        counts = pattern_counts(source, window, trials, seed=7)
+        assert len(counts) == 6 and counts.sum() == trials
+        for hits in counts.tolist():
+            assert abs(Fraction(hits, trials) - Fraction(1, 6)) <= tol
 
 
 def test_worker_count_does_not_change_the_result():
     source = random_linear_order(Window(tuple(range(30))), 2)
     window = Window(tuple(range(3)))
-    serial = orbit_average_all(source, window, trials=25_000, seed=5, jobs=1)
-    threaded = orbit_average_all(source, window, trials=25_000, seed=5, jobs=4)
-    assert [s.empirical for s in serial] == [s.empirical for s in threaded]
+    serial = pattern_counts(source, window, trials=25_000, seed=5, jobs=1)
+    threaded = pattern_counts(source, window, trials=25_000, seed=5, jobs=4)
+    assert np.array_equal(serial, threaded)
+
+
+def test_threaded_chunks_lose_no_update(monkeypatch):
+    # more workers than cores and a short switch interval: adding 8! cells
+    # releases the interpreter lock, so an unguarded total would lose hits
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 100)
+    source = random_linear_order(Window(tuple(range(30))), 4)
+    window = Window(tuple(range(8)))
+    serial = pattern_counts(source, window, trials=20_000, seed=9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = pattern_counts(source, window, trials=20_000, seed=9, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial.sum() == 20_000
+    assert np.array_equal(serial, threaded)
 
 
 def test_lehmer_decode_enumerates_the_injections_in_rank_order():
@@ -225,12 +246,28 @@ def test_sampling_memory_does_not_grow_with_the_ground():
     window = Window(tuple(range(4)))
     tracemalloc.start()
     try:
-        results = orbit_average_all(source, window, trials=20_000, seed=1)
+        counts = pattern_counts(source, window, trials=20_000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(s.empirical for s in results) == 1
+    assert counts.sum() == 20_000
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chunk_histograms_are_added_as_they_arrive(jobs):
+    # 50 chunks of 8! cells: holding every chunk's histogram until the end
+    # peaks above 50 of them, adding each as it arrives near one per worker
+    source = LinearOrder.natural(Window(tuple(range(50))))
+    window = Window(tuple(range(8)))
+    tracemalloc.start()
+    try:
+        counts = pattern_counts(source, window, 50 * stats.CHUNK_SIZE, seed=1, jobs=jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 50 * stats.CHUNK_SIZE
+    assert peak < 16 * counts.nbytes
 
 
 def test_sampler_matches_the_full_action_route():
@@ -239,7 +276,7 @@ def test_sampler_matches_the_full_action_route():
     window = Window((0, 1, 2))
     pattern = LinearOrder.from_ranked_elements((1, 2, 0))
     trials = 200
-    stat = pattern_stat(source, pattern, trials, seed=3)
+    hits_sampled = pattern_hits(source, pattern, trials, seed=3)
     sampled = stats._sample_positions(
         len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials
     )
@@ -251,16 +288,16 @@ def test_sampler_matches_the_full_action_route():
         alpha = extend_bijection(dict(zip(points, window.elements)))
         if apply_perm(alpha, source_config, window=window) == target_config:
             hits += 1
-    assert stat.empirical == Fraction(hits, trials)
+    assert hits_sampled == hits
 
 
 def test_orbit_average_validation():
     source = LinearOrder.natural(Window((0, 1)))
     pattern = LinearOrder.natural(Window((0, 1, 2)))
     with pytest.raises(GroundTooSmall):
-        orbit_average_all(source, pattern.window, trials=10, seed=0)
+        pattern_counts(source, pattern.window, trials=10, seed=0)
     with pytest.raises(ValueError):
-        orbit_average_all(pattern, pattern.window, trials=0, seed=0)
+        pattern_counts(pattern, pattern.window, trials=0, seed=0)
 
 
 def test_pattern_stat_validation():
@@ -281,45 +318,45 @@ def test_pattern_stat_validation():
 
 def test_stat_dict_round_trip():
     source = LinearOrder.natural(Window(tuple(range(10))))
-    stat = pattern_stat(
-        source, LinearOrder.from_ranked_elements((2, 0, 1)), trials=1_000, seed=4
-    )
-    data = stat_to_dict(stat)
-    assert set(data) == {
-        "pattern",
-        "window",
-        "exact_num",
-        "exact_den",
-        "empirical",
-        "trials",
-        "seed",
+    window = Window(tuple(range(3)))
+    counts = pattern_counts(source, window, trials=1_000, seed=4)
+    rows = histogram_to_dicts(counts, window, seed=4)
+    texts = [row["pattern"] for row in rows]
+    assert texts == [order_to_text(o) for o in all_linear_orders(window)]
+    pattern = LinearOrder.from_ranked_elements((2, 0, 1))
+    i = texts.index("2 0 1")
+    data = rows[i]
+    assert data == {
+        "pattern": "2 0 1",
+        "window": "0,1,2",
+        "exact_num": 1,
+        "exact_den": 6,
+        "empirical": float(Fraction(int(counts[i]), 1_000)),
+        "trials": 1_000,
+        "seed": 4,
     }
-    assert data["pattern"] == "2 0 1"
-    assert data["window"] == "0,1,2"
-    assert data["exact_num"] == 1 and data["exact_den"] == 6
     rebuilt = stat_from_dict(json.loads(json.dumps(data)))
-    assert stat_to_dict(rebuilt) == data
-    assert rebuilt.pattern == stat.pattern
-    assert rebuilt.exact == stat.exact
-    assert rebuilt == stat
+    hits = pattern_hits(source, pattern, 1_000, seed=4)
+    assert rebuilt == PatternStat(pattern, Fraction(1, 6), Fraction(int(hits), 1_000), 1_000, 4)
 
 
 def test_stat_dict_rebuilds_the_exact_frequency():
-    pattern = LinearOrder.from_ranked_elements((2, 0, 1))
-    stat = PatternStat(pattern, Fraction(1, 6), Fraction(41, 250), 250, 0)
-    rebuilt = stat_from_dict(json.loads(json.dumps(stat_to_dict(stat))))
+    window = Window(tuple(range(3)))
+    counts = np.array([40, 42, 43, 41, 44, 40])
+    data = histogram_to_dicts(counts, window, seed=0)[3]
+    assert data["pattern"] == "2 0 1" and data["trials"] == 250
+    rebuilt = stat_from_dict(json.loads(json.dumps(data)))
     assert rebuilt.empirical == Fraction(41, 250)
-    assert rebuilt == stat
-    data = stat_to_dict(stat)
+    assert rebuilt == PatternStat(
+        LinearOrder.from_ranked_elements((2, 0, 1)), Fraction(1, 6), Fraction(41, 250), 250, 0
+    )
     data["empirical"] = 0.1641  # no hit count over 250 trials gives this
     with pytest.raises(FormatError, match="hit count"):
         stat_from_dict(data)
 
 
 def test_stat_from_dict_rejects_non_rows_with_format_error():
-    row = stat_to_dict(
-        PatternStat(LinearOrder.natural(Window((0, 1))), Fraction(1, 2), Fraction(1, 2), 2, 0)
-    )
+    row = histogram_to_dicts(np.array([1, 1]), Window((0, 1)), seed=0)[0]
     for bad in (None, [], {**row, "pattern": None}):
         with pytest.raises(FormatError):
             stat_from_dict(bad)
@@ -330,9 +367,48 @@ def test_stat_from_dict_rejects_non_rows_with_format_error():
     [("exact_num", 1.9), ("exact_den", 2.7), ("trials", "10"), ("trials", 10.9), ("seed", True)],
 )
 def test_stat_from_dict_requires_json_integers(field, value):
-    row = stat_to_dict(
-        PatternStat(LinearOrder.natural(Window((0, 1))), Fraction(1, 2), Fraction(1, 2), 10, 1)
-    )
+    row = histogram_to_dicts(np.array([5, 5]), Window((0, 1)), seed=1)[0]
     assert stat_from_dict(row).trials == 10
     with pytest.raises(FormatError, match=f"^bad pattern stat: {field} must be an integer, got "):
         stat_from_dict({**row, field: value})
+
+
+def test_histogram_to_dicts_rejects_empty_or_misshapen_histograms():
+    with pytest.raises(ValueError, match=r"^need 2! cells holding trials, got 2 holding 0$"):
+        histogram_to_dicts(np.zeros(2, dtype=np.int64), Window((0, 1)), seed=0)
+    with pytest.raises(ValueError, match=r"^need 3! cells holding trials, got 2 holding 5$"):
+        histogram_to_dicts(np.array([2, 3]), Window((0, 1, 2)), seed=0)
+
+
+@st.composite
+def histograms(draw):
+    """(window, counts, seed): a window of 1..5 points anywhere on the line
+    and one count per pattern on it, at least one of them positive."""
+    w = draw(st.integers(1, 5))
+    window = Window.of(draw(st.sets(st.integers(-50, 50), min_size=w, max_size=w)))
+    cells = math.factorial(w)
+    counts = draw(st.lists(st.integers(0, 10**6), min_size=cells, max_size=cells))
+    counts[draw(st.integers(0, cells - 1))] += draw(st.integers(1, 10**6))
+    return window, np.array(counts, dtype=np.int64), draw(st.integers(-(2**63), 2**63))
+
+
+@settings(max_examples=60, deadline=None)
+@given(histograms())
+def test_histogram_records_read_back_to_their_patterns(histogram):
+    window, counts, seed = histogram
+    trials = int(counts.sum())
+    rows = histogram_to_dicts(counts, window, seed)
+    assert len(rows) == len(counts)
+    for row, hits, pattern in zip(rows, counts.tolist(), all_linear_orders(window)):
+        for key in ("exact_num", "exact_den", "trials", "seed"):
+            assert type(row[key]) is int, key
+        assert type(row["empirical"]) is float
+        rebuilt = stat_from_dict(json.loads(json.dumps(row)))
+        assert rebuilt.pattern == pattern
+        assert rebuilt.exact == Fraction(1, len(counts))
+        assert rebuilt.empirical == Fraction(hits, trials)
+        assert (rebuilt.trials, rebuilt.seed) == (trials, seed)
+        # one ulp off the stored float is no hit count over the trials
+        off = {**row, "empirical": math.nextafter(row["empirical"], math.inf)}
+        with pytest.raises(FormatError, match="hit count"):
+            stat_from_dict(off)
