@@ -9,7 +9,6 @@ the count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -231,7 +230,8 @@ def orbit_frequencies(
 ) -> None:
     """Per source, the histogram has a cell per pattern summing to the trials,
     and every pattern's frequency lies within 3 binomial sigma of 1/w!."""
-    cells = math.factorial(len(window))
+    w = len(window)
+    cells = math.factorial(w)
     exact = Fraction(1, cells)
     p = float(exact)
     tolerance = 3 * math.sqrt(p * (1 - p) / trials)
@@ -241,7 +241,7 @@ def orbit_frequencies(
         require(ok, "%d cells holding %d hits", len(counts), counts.sum())
         for i, hits in enumerate(counts.tolist()):
             if abs(Fraction(hits, trials) - exact) > tolerance:
-                pattern = next(itertools.islice(orders.all_linear_orders(window), i, None))
+                pattern = LinearOrder(window, core.position_tuples(w, w)[i])
                 require(
                     False, "pattern %s: |%.5f - %s| above 3 sigma",
                     orders.order_to_text(pattern), hits / trials, exact,

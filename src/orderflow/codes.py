@@ -1,11 +1,9 @@
-"""Order-type block codes and the moment-curve orientation predicate.
+"""Pattern block codes and the moment-curve orientation predicate.
 
 A block code turns a linear order into a k-configuration whose value on a
-tuple depends only on the tuple's order type.  An order type is a 0-based
-sorting permutation, one row of `position_tuples(k, k)`, and a code's table
-is indexed by that row's `pattern_index`, its place in the enumeration
-order of itertools.permutations(range(k)).  The sign code sends each order
-type to its parity; for k = 2 it reproduces the pair encoding of the
+tuple depends only on the tuple's pattern, the relative order of its ranks;
+a code's table is indexed by `pattern_index`.  The sign code sends each
+pattern to its parity; for k = 2 it reproduces the pair encoding of the
 order, and for k = 3 its image is exactly a circular order (the cyclic
 rotations of a triple are its even rearrangements).
 
@@ -30,12 +28,7 @@ from .orders import LinearOrder
 
 @dataclass(frozen=True)
 class BlockCode:
-    """Tuple-local recoding rule: one output sign per order type.
-
-    table[i] is the sign of the order type in row i of
-    `position_tuples(k, k)`, the sorting permutation sigma whose Lehmer
-    code, read by `pattern_index`, is i.
-    """
+    """Tuple-local recoding rule: table[i] is the sign of pattern i."""
 
     k: int
     table: tuple[int, ...]
@@ -45,7 +38,7 @@ class BlockCode:
             raise ValueError(f"arity must be at least 2, got {self.k}")
         if len(self.table) != math.factorial(self.k):
             raise ValueError(
-                f"table must cover all {math.factorial(self.k)} order types, "
+                f"table must cover all {math.factorial(self.k)} patterns, "
                 f"got {len(self.table)} entries"
             )
         if any(v not in (1, -1) for v in self.table):
@@ -53,24 +46,21 @@ class BlockCode:
 
 
 def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
-    """Configuration reading the code table at each tuple's order type.
-
-    Sorting a tuple's ranks gives its order type, numbered among the k!
-    order types by pattern_index; all tuples are read at once.
-    """
+    """Configuration reading the code table at the pattern of each tuple's
+    ranks; all tuples are read at once."""
     n = len(order.window)
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
-    sigma = np.argsort(order.ranks[position_tuples(n, code.k)], axis=1)
-    return KConfig(code.k, order.window, np.asarray(code.table)[pattern_index(sigma.T)])
+    patterns = pattern_index(order.ranks[position_tuples(n, code.k).T])
+    return KConfig(code.k, order.window, np.asarray(code.table)[patterns])
 
 
 def sign_code(k: int) -> BlockCode:
-    """Code sending each order type to its parity; its images alternate."""
+    """Code sending each pattern to its parity; its images alternate."""
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
-    sigma = position_tuples(k, k)
-    inversions = np.triu(sigma[:, :, None] > sigma[:, None, :], 1).sum(axis=(1, 2))
+    patterns = position_tuples(k, k)
+    inversions = np.triu(patterns[:, :, None] > patterns[:, None, :], 1).sum(axis=(1, 2))
     return BlockCode(k, tuple((1 - 2 * (inversions % 2)).tolist()))
 
 

@@ -71,12 +71,12 @@ def _window_phrase(window: Window) -> str:
 
 
 def pattern_index(ranks: np.ndarray) -> np.ndarray:
-    """Lehmer code of each column of a slot-major (k, m) array of distinct
-    values: the sum over slots i of #{j > i : r[j] < r[i]} (k - 1 - i)!.
+    """Pattern of each column of a slot-major (k, m) array of distinct values.
 
-    Column r gets the index of its pattern among the k! patterns in the
-    enumeration order of itertools.permutations(range(k)), so this inverts
-    `positions_from_digits` on patterns.  Computed in Horner form by C(k, 2)
+    Pattern i is row i of `position_tuples(k, k)`, read as ranks: column r
+    has pattern i when its values stand in the relative order of that row.
+    The index is the Lehmer code, the sum over slots i of
+    #{j > i : r[j] < r[i]} (k - 1 - i)!, computed in Horner form by C(k, 2)
     row comparisons; the result has shape (m,).
     """
     k = len(ranks)

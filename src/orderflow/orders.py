@@ -2,12 +2,10 @@
 order text.
 
 A linear order is a ranking of a window, held as a read-only int64 array
-of ranks by window position; rank 0 is the least element.  The order type
-of a k-tuple under an order is its sorting permutation: the row sigma of
-`core.position_tuples(k, k)` whose slot sigma[0] holds the least entry,
-sigma[1] the next, and so on.  It has no class of its own:
-`codes.apply_code` computes the order types of all tuples at once and
-numbers them by `core.pattern_index`.
+of ranks by window position; rank 0 is the least element.  The pattern of
+a k-tuple under an order is the relative order of its ranks, numbered by
+`core.pattern_index`; `codes.apply_code` reads the patterns of all tuples
+at once.
 
 Configurations live in `codes`: an order's pair configuration is its
 sign-2 image, its circular order the sign-3 image, and `codes.realize`
@@ -83,7 +81,7 @@ class LinearOrder:
 
 
 def all_linear_orders(window: Window) -> Iterator[LinearOrder]:
-    """All |W|! orders on the window, lexicographic in their rank tuples."""
+    """All |W|! orders on the window; the i-th ranks it by pattern i."""
     for ranks in position_tuples(len(window), len(window)):
         yield LinearOrder(window, ranks)
 

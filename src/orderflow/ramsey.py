@@ -19,6 +19,7 @@ pair configuration read only where it is checked: its value at (x, y) is
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -269,7 +270,7 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
     return witness
 
 
-def _increasing_run(values: Sequence[int], m: int) -> list[int] | None:
+def _increasing_run(values: Iterable[int], m: int) -> list[int] | None:
     """Slots of the first strictly increasing m-subsequence of the values to
     be completed, by patience sorting; None when there is none.  tails[k]
     holds the least last value of an increasing (k+1)-subsequence so far,
@@ -315,7 +316,7 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     seq = o2.ranks[head].tolist()
     run, kind = _increasing_run(seq, m), PROXIMALITY_AGREE
     if run is None:
-        run, kind = _increasing_run([-r for r in seq], m), PROXIMALITY_REVERSE
+        run, kind = _increasing_run(map(operator.neg, seq), m), PROXIMALITY_REVERSE
     points = [ground.elements[p] for p in head[run].tolist()]
     witness = Witness(extend_bijection(dict(zip(points, W.elements))), W, kind)
     if not verify_proximality(witness, o1, o2):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,10 @@ from orderflow import (
     apply_code,
     apply_perm,
     code_from_name,
+    histogram_to_dicts,
     is_alternating,
     moment_curve_orientation,
+    order_to_text,
     relabel,
     sign_code,
 )
@@ -115,14 +118,18 @@ def test_sign4_on_an_increasing_quadruple():
     assert config.value((1, 0, 2, 3)) == -1
 
 
+def rank_pattern(values) -> tuple[int, ...]:
+    """The permutation of range(len(values)) in the relative order of the values."""
+    ordered = sorted(values)
+    return tuple(ordered.index(v) for v in values)
+
+
 def per_tuple_apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
-    """Reference route: one order type per tuple, the slots sorted by rank,
-    looked up in the code table."""
+    """Reference route: one rank pattern per tuple, looked up in the code
+    table keyed by the patterns in permutations order."""
     table = dict(zip(permutations(range(code.k)), code.table))
     return KConfig.from_function(
-        code.k,
-        order.window,
-        lambda t: table[tuple(sorted(range(code.k), key=lambda i: order.rank_of(t[i])))],
+        code.k, order.window, lambda t: table[rank_pattern([order.rank_of(x) for x in t])]
     )
 
 
@@ -132,6 +139,19 @@ def test_apply_code_matches_the_per_tuple_route_exhaustively():
         for n in range(k, 7):
             for order in all_linear_orders(Window(tuple(range(n)))):
                 assert apply_code(code, order) == per_tuple_apply_code(code, order)
+
+
+def test_table_entry_i_is_read_at_the_pattern_of_histogram_cell_i():
+    # one numbering: the one-hot table at i is read on the increasing tuple of
+    # the i-th order, and histogram row i names that same order
+    for k in (2, 3, 4):
+        window = Window(tuple(range(k)))
+        cells = math.factorial(k)
+        rows = histogram_to_dicts(np.ones(cells, dtype=np.int64), window, seed=0)
+        for i, order in enumerate(all_linear_orders(window)):
+            one_hot = BlockCode(k, tuple(1 if j == i else -1 for j in range(cells)))
+            assert apply_code(one_hot, order).value(window.elements) == 1
+            assert rows[i]["pattern"] == order_to_text(order)
 
 
 @settings(max_examples=80, deadline=None)
@@ -151,8 +171,8 @@ def test_apply_code_matches_the_per_tuple_route_on_random_tables(data):
 def natural_image_alternates(code: BlockCode) -> bool:
     """Whether the code's image of the natural order on k points alternates.
 
-    Whether an image alternates at a tuple depends only on the tuple's order
-    type, and that order has one k-tuple of each order type, so its image
+    Whether an image alternates at a tuple depends only on the tuple's
+    pattern, and that order has one k-tuple of each pattern, so its image
     alternates exactly when every image does."""
     return is_alternating(apply_code(code, LinearOrder.natural(Window(tuple(range(code.k))))))
 
@@ -168,16 +188,15 @@ def test_constant_code_is_not_alternating():
 
 
 def reference_is_alternating_code(code: BlockCode) -> bool:
-    """Table criterion over all pairs of order types: permuting a tuple by
-    tau composes its order type with tau^-1 on the left, so an alternating
-    code has table[tau^-1 o sigma] == sign(tau) * table[sigma]."""
-    types = list(permutations(range(code.k)))
-    value = dict(zip(types, code.table))
-    for tau in types:
-        tau_inv = tuple(sorted(range(code.k), key=tau.__getitem__))
+    """Table criterion over all pairs of patterns: permuting a tuple's slots
+    by tau composes its pattern r with tau on the right, so an alternating
+    code has table[r o tau] == sgn(tau) * table[r]."""
+    patterns = list(permutations(range(code.k)))
+    value = dict(zip(patterns, code.table))
+    for tau in patterns:
         sign = sort_sign(tau)
-        for sigma in types:
-            if value[tuple(tau_inv[s] for s in sigma)] != sign * value[sigma]:
+        for r in patterns:
+            if value[tuple(r[t] for t in tau)] != sign * value[r]:
                 return False
     return True
 

@@ -137,7 +137,7 @@ def test_window_errors_name_the_window_by_size_and_end_points():
 
 
 def test_tuple_rank_matches_enumeration_order():
-    # the rank of a k-tuple's order type is `pattern_index` of its columns
+    # the rank of a k-tuple's pattern is `pattern_index` of its columns
     for k in range(1, 7):
         # one column per permutation of range(k), in permutations order
         table = np.array(list(permutations(range(k)))).T
