@@ -32,7 +32,7 @@ from .stats import derive_seed
 PROG = "orderflow"
 
 #: Largest `frequencies --window`: output grows with w! rows, so w=8 writes
-#: 40,320 rows (7.2 MB of JSON) in 0.9-1.1 s and 114 MB peak RSS at 20,000 or
+#: 40,320 rows (7.2 MB of JSON) in 0.7-0.95 s and 72 MB peak RSS at 20,000 or
 #: 100,000 trials on a 2-core Xeon; each step past it costs about 9x more.
 MAX_FREQUENCY_WINDOW = 8
 
@@ -50,8 +50,8 @@ MAX_FREQUENCY_GROUND = 1_000_000
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip enumerates all n!
-#: orders of every window up to it, about 1 s at 7 and 9 s at 8 on a 2-core
-#: Xeon; 9 would cost about nine times 8.
+#: orders of every window up to it, 0.7-1.1 s at 7 and 3.6-4.5 s at 8 on a
+#: 2-core Xeon; 9 would cost about nine times 8.
 MAX_VERIFY_WINDOW = 8
 
 #: Largest `witness --ground`: the ground is a tuple of Python ints, and each
@@ -64,9 +64,11 @@ MAX_VERIFY_WINDOW = 8
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
-#: bound, sign-4 on 33 points (863,040 tuples) takes 0.94 s and 151 MB peak
-#: RSS, and circular on 101 points (999,900 tuples) 1.11 s and 142 MB, on a
-#: 2-core Xeon; the work and memory grow linearly in the tuple count.
+#: bound, sign-4 on 33 points (863,040 tuples) takes 0.5-0.6 s and 119 MB peak
+#: RSS, and circular on 101 points (999,900 tuples) 0.5-0.55 s and 111 MB, on
+#: a 2-core Xeon.  Work and memory grow linearly in the output text, the tuple
+#: count times the digits of k points: sign-2 on 999 short points and one of
+#: 4,200 digits writes 21 MB in 0.85-0.9 s and 155 MB.
 MAX_FACTOR_TUPLES = 10**6
 
 
@@ -175,9 +177,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # frequencies
 
 
+#: How `json.dumps` writes an int and a finite float; values of any other
+#: type, strings among them, go through `json.dumps` itself.
+_JSON_SCALAR = {int: int.__repr__, float: float.__repr__}
+
+
+def _json_text(rows: list[dict]) -> str:
+    """`json.dumps(rows, indent=2)` and a newline, for flat records holding
+    the first row's keys in its order, without the pure-Python encoder
+    that `indent` selects: each value is written on its own."""
+    heads = [f"    {json.dumps(key)}: " for key in rows[0]]
+
+    def field(head: str, value: object) -> str:
+        return head + _JSON_SCALAR.get(type(value), json.dumps)(value)
+
+    records = ("  {\n" + ",\n".join(map(field, heads, row.values())) + "\n  }" for row in rows)
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def _render_stats(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        return _json_text(rows)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))

@@ -14,6 +14,7 @@ candidate order, re-encodes it, and compares with the input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,9 +57,16 @@ def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
 
 
 def sign_code(k: int) -> BlockCode:
-    """Code sending each pattern to its parity; its images alternate."""
+    """Code sending each pattern to its parity; its images alternate.  Each
+    arity's code is built once: `realize` asks for it on every call, and
+    `verify` calls `realize` once per order it checks."""
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
+    return _sign_code(k)
+
+
+@functools.cache
+def _sign_code(k: int) -> BlockCode:
     patterns = position_tuples(k, k)
     inversions = np.triu(patterns[:, :, None] > patterns[:, None, :], 1).sum(axis=(1, 2))
     return BlockCode(k, tuple((1 - 2 * (inversions % 2)).tolist()))

