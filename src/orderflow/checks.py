@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+
+import numpy as np
 
 from . import codes, core, orders, ramsey, stats
 from .core import FinPerm, KConfig, Window
@@ -36,18 +38,31 @@ def _random_perm(window: Window, rng: random.Random) -> FinPerm:
     return FinPerm.from_dict(dict(zip(elems, images)))
 
 
+#: Orders per block of a check that reads all n! orders.  On 8 points the
+#: circular census peaks at 44 MB RSS with it, against 95 MB with blocks of
+#: 4,096, whose sign-3 re-encoding gathers 33 MB of int64 ranks at once.
+_BLOCK_ORDERS = 512
+
+
+def _ranking_blocks(n: int) -> Iterator[np.ndarray]:
+    """The ranks of all orders on n points, in `all_linear_orders` order."""
+    table = core.position_tuples(n, n)
+    return (table[i : i + _BLOCK_ORDERS] for i in range(0, len(table), _BLOCK_ORDERS))
+
+
 def bijection_round_trip(sizes: Iterable[int]) -> int:
     """Every order's pair configuration (its sign-2 image) is recognized and
-    decodes back to it: one `codes.realize` call checks both.
+    decodes back to it: one `codes.decode` call per block checks both.
 
     Returns the number of orders checked."""
     pair_code = codes.sign_code(2)
     total = 0
     for n in sizes:
-        for order in orders.all_linear_orders(_window(n)):
-            decoded = codes.realize(codes.apply_code(pair_code, order))
-            require(decoded == order, "round trip broke %s", order)
-            total += 1
+        for ranks in _ranking_blocks(n):
+            decoded, ok = codes.decode(2, codes.images(pair_code, ranks), n)
+            broken = ~ok | (decoded != ranks).any(axis=-1)
+            require(not broken.any(), "round trip broke ranks %s", ranks[broken.argmax()].tolist())
+            total += len(ranks)
     return total
 
 
@@ -114,21 +129,22 @@ def moment_curve_sign(rng: random.Random, arities: Sequence[int], per_arity: int
 
 
 def circular_image_counts(sizes: Iterable[int]) -> int:
-    """On n points the circular code, sign-3, has (n-1)! images, each realizable.
+    """On n points sign-3, the circular code, has (n-1)! images, n orders each, all realizable.
 
     Returns the number of images checked."""
     circular = codes.sign_code(3)
     total = 0
     for n in sizes:
-        images = {codes.apply_code(circular, o) for o in orders.all_linear_orders(_window(n))}
+        packed = []
+        for ranks in _ranking_blocks(n):
+            values = codes.images(circular, ranks)
+            require(codes.decode(3, values, n)[1].all(), "an image on %d not realizable", n)
+            packed.append(np.packbits(values > 0, axis=-1))
+        counts = np.unique(np.concatenate(packed), axis=0, return_counts=True)[1]
         expected = math.factorial(n - 1)
-        require(
-            len(images) == expected,
-            "expected %d circular images on %d, got %d", expected, n, len(images),
-        )
-        for image in images:
-            require(codes.realize(image) is not None, "image %s not realizable", image)
-        total += len(images)
+        require(len(counts) == expected, "%d images on %d, not %d", len(counts), n, expected)
+        require((counts == n).all(), "multiplicities %s, not %d", np.unique(counts).tolist(), n)
+        total += len(counts)
     return total
 
 

@@ -7,9 +7,9 @@ pattern to its parity; for k = 2 it reproduces the pair encoding of the
 order, and for k = 3 its image is exactly a circular order (the cyclic
 rotations of a triple are its even rearrangements).
 
-`apply_code` is the one encoder of orders into configurations, and
-`realize` the one recognizer of sign-2 and sign-3 images: it decodes one
-candidate order, re-encodes it, and compares with the input.
+`images` is the one encoder and `decode` the one recognizer of sign-2 and
+sign-3 images, each reading a table with one order per row; `apply_code`
+and `realize` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -46,20 +46,26 @@ class BlockCode:
             raise ValueError("table values must be +1 or -1")
 
 
-def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
-    """Configuration reading the code table at the pattern of each tuple's
-    ranks; all tuples are read at once."""
-    n = len(order.window)
+def images(code: BlockCode, ranks: np.ndarray) -> np.ndarray:
+    """The code's int8 values on every k-tuple of each row of ranks: shape
+    (..., n) gives (..., perm(n, k)) in `position_tuples(n, k)` row order,
+    the patterns of all rows from one `pattern_index` call."""
+    n = ranks.shape[-1]
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
-    patterns = pattern_index(order.ranks[position_tuples(n, code.k).T])
-    return KConfig(code.k, order.window, np.asarray(code.table)[patterns])
+    slots = np.moveaxis(ranks[..., position_tuples(n, code.k).T], -2, 0)
+    return np.array(code.table, dtype=np.int8)[pattern_index(slots)]
+
+
+def apply_code(code: BlockCode, order: LinearOrder) -> KConfig:
+    """Configuration of the code on the order: the one-row case of `images`."""
+    return KConfig(code.k, order.window, images(code, order.ranks))
 
 
 def sign_code(k: int) -> BlockCode:
     """Code sending each pattern to its parity; its images alternate.  Each
-    arity's code is built once: `realize` asks for it on every call, and
-    `verify` calls `realize` once per order it checks."""
+    arity's code is built once: `decode` re-encodes with it on every call,
+    and every `factor` op names one."""
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
     return _sign_code(k)
@@ -72,33 +78,33 @@ def _sign_code(k: int) -> BlockCode:
     return BlockCode(k, tuple((1 - 2 * (inversions % 2)).tolist()))
 
 
-def realize(config: KConfig) -> LinearOrder | None:
-    """An order whose sign-k image is the configuration, for k = 2 or 3;
-    None when there is none.
-
-    The candidate ranks x by the count of y below it.  For k = 2, y lies
-    below x exactly when (y, x) has value +1.  Rotations of an order share
-    its sign-3 image, so for k = 3 the candidate puts the least window
-    element a lowest, and y lies below x exactly when (a, y, x) has value
-    +1.  The one candidate is re-encoded and compared with the input:
-    O(|W|^k).  A window smaller than the arity holds no values, and its
-    natural order realizes it.
-    """
-    k, window = config.k, config.window
+def decode(k: int, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate ranks (..., n) for sign-k values (..., perm(n, k)) on n >= k
+    points, k = 2 or 3, and the mask of rows whose candidate is a ranking
+    that re-encodes to the row.  A candidate ranks x by the count of y with
+    value +1 at (y, x).  Rotations share a sign-3 image, so for k = 3 point
+    0 is lowest, and the first perm(n - 1, 2) values, at (0, y, x), are read
+    as a pair image of the other points.  O(n^k) per row."""
     if k not in (2, 3):
         raise ArityMismatch(f"expected arity 2 or 3, got {k}")
-    if len(window) < k:
+    m = n - (k == 3)
+    pairs = position_tuples(m, 2)
+    below = np.zeros(values.shape[:-1] + (m, m), dtype=bool)
+    below[..., pairs[:, 0], pairs[:, 1]] = values[..., : len(pairs)] == 1
+    ranks = below.sum(axis=-2)
+    ranks = np.insert(ranks + 1, 0, 0, axis=-1) if k == 3 else ranks
+    ranking = (np.sort(ranks, axis=-1) == np.arange(n)).all(axis=-1)
+    return ranks, ranking & (images(sign_code(k), ranks) == values).all(axis=-1)
+
+
+def realize(config: KConfig) -> LinearOrder | None:
+    """An order whose sign-k image is the configuration, or None: the one-row
+    case of `decode`, so k is 2 or 3.  Below the arity, the natural order."""
+    k, window = config.k, config.window
+    if len(window) < k <= 3:
         return LinearOrder.natural(window)
-    if k == 2:
-        below = config.array == 1
-    else:
-        below = config.array[0] == 1
-        below[0, 1:] = True
-    try:
-        candidate = LinearOrder(window, below.sum(axis=0))
-    except ValueError:
-        return None
-    return candidate if apply_code(sign_code(k), candidate) == config else None
+    ranks, ok = decode(k, config.values, len(window))
+    return LinearOrder(window, ranks) if ok else None
 
 
 def code_from_name(name: str) -> BlockCode:

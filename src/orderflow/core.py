@@ -107,8 +107,8 @@ def positions_from_digits(digits: np.ndarray) -> np.ndarray:
 
 #: Tuple tables `position_tuples` keeps, least recently used dropped first.
 #: One `factor` op reads its (n, k) table three times (`apply_code`,
-#: `KConfig.array`, `config_to_text`), a circular op a fourth time in
-#: `realize`, and the (k, k) table each time it builds a sign code.  The
+#: `KConfig.array`, `config_to_text`), a circular op a fourth time when
+#: `realize` re-encodes, besides the (n - 1, 2) table it decodes from.  The
 #: largest table `cli.MAX_FACTOR_TUPLES` allows is sign-6 on 12 points,
 #: 665,280 rows of 6 positions (32 MB), so a full cache holds at most 128 MB.
 _CACHED_POSITION_TABLES = 4
@@ -360,26 +360,35 @@ def window_from_text(text: str, lineno: int | None = None) -> Window:
 _SIGNS = {"+1": 1, "-1": -1}
 _LINE_END = {1: ": +1\n", -1: ": -1\n"}
 
+#: Widest padded tuple head, k cells, in bytes that `config_to_text` writes
+#: as one byte table.  On a 2-core Xeon the table stops being faster than
+#: the per-tuple join between about 250 and 450 bytes, and it takes a third
+#: more memory past about 100: sign-3 on 40 points of 301 digits (911-byte
+#: rows) took 196 ms and 162 MB padded against 87-92 ms and 112 MB joined.
+_PADDED_HEAD_MAX = 256
+
 
 def config_to_text(config: KConfig) -> str:
     """One header line, then `i1 ... ik : +1|-1` per tuple, lexicographically.
 
     A window element's cell is its text and a space.  When no cell is wider
-    than twice the mean cell, the body is one byte table: row j of a
-    NUL-padded cell table holds cell j, a row per tuple gathers its k cells,
-    a `: +1` or `: -1` line end follows, and one mask drops the padding.
-    Each element fills k/n of the tuple slots, so the padded table is then
-    at most twice the text.  A wider cell, such as one point of many digits
-    among short ones, would pad every row to its width, so those rows are
-    joined a tuple at a time instead.  Either way time and memory grow
-    linearly in the text.  The sign-4 image of an 8-point order (1,680
-    rows) takes 0.07-0.15 ms on a 2-core Xeon.
+    than twice the mean cell, and k padded cells fit in `_PADDED_HEAD_MAX`
+    bytes, the body is one byte table: row j of a NUL-padded cell table
+    holds cell j, a row per tuple gathers its k cells, a `: +1` or `: -1`
+    line end follows, and one mask drops the padding.  Each element fills
+    k/n of the tuple slots, so the padded table is then at most twice the
+    text.  A wider cell, such as one point of many digits among short ones,
+    would pad every row to its width, and long rows are slower padded, so
+    those rows are joined a tuple at a time instead.  Either way time and
+    memory grow linearly in the text.  The sign-4 image of an 8-point order
+    (1,680 rows) takes 0.07-0.15 ms on a 2-core Xeon.
     """
     window, k = config.window, config.k
     header = f"k={k} window={window_to_text(window)}\n"
     texts = [f"{x} " for x in window]
     widths = list(map(len, texts))
-    if len(widths) * max(widths, default=0) > 2 * sum(widths):
+    widest = max(widths, default=0)
+    if len(widths) * widest > 2 * sum(widths) or k * widest > _PADDED_HEAD_MAX:
         heads = map("".join, permutations(texts, k))
         ends = map(_LINE_END.get, config.values.tolist())
         return header + "".join(map(str.__add__, heads, ends))

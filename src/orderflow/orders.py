@@ -4,12 +4,13 @@ order text.
 A linear order is a ranking of a window, held as a read-only int64 array
 of ranks by window position; rank 0 is the least element.  The pattern of
 a k-tuple under an order is the relative order of its ranks, numbered by
-`core.pattern_index`; `codes.apply_code` reads the patterns of all tuples
-at once.
+`core.pattern_index`; `codes.images` reads the patterns of all tuples of a
+whole table of ranks at once, and row i of `core.position_tuples(n, n)`
+ranks the n points by pattern i, as `all_linear_orders` lists them.
 
 Configurations live in `codes`: an order's pair configuration is its
-sign-2 image, its circular order the sign-3 image, and `codes.realize`
-recognizes both.
+sign-2 image, its circular order the sign-3 image, and `codes.decode`
+recognizes both, for one order (`codes.realize`) or a table of them.
 """
 
 from __future__ import annotations

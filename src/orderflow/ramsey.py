@@ -289,16 +289,27 @@ def _increasing_run(values: Iterable[int], m: int) -> list[int] | None:
     return None
 
 
+def proximality_ground(ground_size: int, m: int) -> int:
+    """The ground points a proximality witness on an m-window reads: the
+    (m-1)^2+1 that Erdos-Szekeres needs, and at least the 2 that
+    verification needs.  Raises GroundTooSmall when the ground has fewer."""
+    bound = max(2, (m - 1) ** 2 + 1)
+    if ground_size < bound:
+        raise GroundTooSmall(
+            f"ground size {ground_size} below the required {bound} for window size {m}"
+        )
+    return bound
+
+
 def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     """Permutation matching two orders on W, up to global reversal.
 
-    Takes the (|W|-1)^2+1 ground points least under o1, and at least the 2
-    that verification needs; lists o2's ranks at them in o1 order; and
-    finds an increasing |W|-subsequence of those ranks, else a decreasing
-    one, which Erdos-Szekeres guarantees.  Its points are mapped onto W
-    preserving o1.  On an increasing run the relocated configurations
-    coincide; on a decreasing one the second is the exact negation of the
-    first.
+    Takes the `proximality_ground` points least under o1, lists o2's ranks
+    at them in o1 order, and finds an increasing |W|-subsequence of those
+    ranks, else a decreasing one, which Erdos-Szekeres guarantees.  Its
+    points are mapped onto W preserving o1.  On an increasing run the
+    relocated configurations coincide; on a decreasing one the second is
+    the exact negation of the first.
     """
     if o1.window != o2.window:
         raise ValueError("orders must share a window")
@@ -306,11 +317,7 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     if m < 1:
         raise ValueError("window must be nonempty")
     ground = o1.window
-    bound = max(2, (m - 1) ** 2 + 1)
-    if len(ground) < bound:
-        raise GroundTooSmall(
-            f"ground size {len(ground)} below the required {bound} for window size {m}"
-        )
+    bound = proximality_ground(len(ground), m)
     head = np.flatnonzero(o1.ranks < bound)
     head = head[np.argsort(o1.ranks[head])]
     seq = o2.ranks[head].tolist()

@@ -20,12 +20,20 @@ def _one_pattern_takes_every_hit(source, window, trials, seed, jobs=1):
     return counts
 
 
+def _reversed_candidates(decode):
+    def broken(k, values, n):
+        ranks, ok = decode(k, values, n)
+        return n - 1 - ranks, ok
+
+    return broken
+
+
 # (check at a small budget, module, attribute, broken replacement given the
 # original, exception the check raises once the fault is planted)
 PLANTED = {
     "bijection-roundtrip": (
         lambda: checks.bijection_round_trip((2, 3)),
-        codes, "realize", lambda f: lambda c: orders.reverse(f(c)), AssertionError,
+        codes, "decode", _reversed_candidates, AssertionError,
     ),
     "action-laws": (
         lambda: checks.action_laws(random.Random(0), 10, max_points=4),
@@ -43,7 +51,9 @@ PLANTED = {
     ),
     "circular-order-count": (
         lambda: checks.circular_image_counts((3, 4)),
-        codes, "realize", lambda f: lambda c: None, AssertionError,
+        codes, "decode",
+        lambda f: lambda k, values, n: (f(k, values, n)[0], np.zeros(len(values), dtype=bool)),
+        AssertionError,
     ),
     "code-equivariance": (
         lambda: checks.code_equivariance(
@@ -88,6 +98,24 @@ def test_check_catches_its_planted_fault(name, monkeypatch):
     monkeypatch.setattr(module, attr, broken(getattr(module, attr)))
     with pytest.raises(raised):
         call()
+
+
+def test_circular_image_counts_catches_a_wrong_multiplicity(monkeypatch):
+    # the first order of a block takes the last order's image: every image
+    # is still realizable and their count is still (n-1)!, but on 3 points
+    # one image now has 4 orders and the other 2
+    images = codes.images
+
+    def first_takes_last(code, ranks):
+        values = images(code, ranks)
+        if values.ndim == 2:
+            values[0] = values[-1]
+        return values
+
+    checks.circular_image_counts((3, 4))
+    monkeypatch.setattr(codes, "images", first_takes_last)
+    with pytest.raises(AssertionError, match=r"^multiplicities \[2, 4\], not 3$"):
+        checks.circular_image_counts((3, 4))
 
 
 def test_counting_checks_count_what_they_checked():

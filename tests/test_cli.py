@@ -392,6 +392,21 @@ def test_witness_rejects_a_window_above_the_ground_before_building(kind, monkeyp
     assert err.splitlines()[-1] == "error: ground size 20 below the window size 1000000"
 
 
+def test_witness_proximality_refuses_an_undersized_ground_before_building(monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("built an order on a ground below the proximality bound")
+
+    monkeypatch.setattr(cli.stats, "random_linear_order", never)
+    code, out, err = run_cli(
+        ["witness", "proximality", "--ground", "1048576", "--window", "2000"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "error: ground size 1048576 below the required 3996002 for window size 2000"
+    )
+
+
 def test_witness_proximality_window_with_a_bound_past_the_digit_limit(capsys):
     # an 8000-window needs 7999^2 + 1 ground points
     code, out, err = run_cli(

@@ -23,6 +23,7 @@ from orderflow import (
     apply_code,
     apply_perm,
     code_from_name,
+    codes,
     histogram_to_dicts,
     is_alternating,
     moment_curve_orientation,
@@ -146,6 +147,30 @@ def test_apply_code_matches_the_per_tuple_route_exhaustively():
         for n in range(k, 7):
             for order in all_linear_orders(Window(tuple(range(n)))):
                 assert apply_code(code, order) == per_tuple_apply_code(code, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_images_row_i_is_the_image_of_the_order_ranked_by_row_i(data):
+    k = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(k, 7))
+    code = BlockCode(k, data.draw(st.tuples(*[st.sampled_from((1, -1))] * math.factorial(k))))
+    table = np.array(data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6)))
+    points = st.lists(st.integers(-50, 50), unique=True, min_size=n, max_size=n)
+    window = Window.of(data.draw(points))
+    values = codes.images(code, table)
+    assert values.shape == (len(table), math.perm(n, k)) and values.dtype == np.int8
+    for i, ranks in enumerate(table):
+        order = LinearOrder(window, ranks)
+        assert np.array_equal(values[i], apply_code(code, order).values)
+        assert np.array_equal(values[i], per_tuple_apply_code(code, order).values)
+        assert np.array_equal(codes.images(code, ranks), values[i])
+
+
+def test_images_below_the_arity_raise_window_too_small():
+    for shape in ((2,), (5, 2), (0, 1)):
+        with pytest.raises(WindowTooSmall, match=f"^window size {shape[-1]} below arity 3$"):
+            codes.images(sign_code(3), np.zeros(shape, dtype=np.int64))
 
 
 def test_table_entry_i_is_read_at_the_pattern_of_histogram_cell_i():

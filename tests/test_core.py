@@ -20,6 +20,7 @@ from orderflow import (
     compose,
     config_from_text,
     config_to_text,
+    core,
     extend_bijection,
     inverse,
     is_alternating,
@@ -485,6 +486,31 @@ def test_config_text_memory_grows_with_the_text(wide):
         tracemalloc.stop()
     assert text == expected
     assert peak < 4 * len(text) + 2**16
+
+
+@pytest.mark.parametrize(
+    "k, points, padded",
+    [
+        (4, tuple(range(8)), True),
+        (2, tuple(10**300 + i for i in range(40)), False),
+        (3, tuple(10**300 + i for i in range(12)), False),
+    ],
+    ids=["short-even", "long-even-k2", "long-even-k3"],
+)
+def test_config_text_pads_short_rows_and_joins_long_ones(k, points, padded, monkeypatch):
+    # every cell is as wide as the mean; only the padded table reads the
+    # tuple table, and 301-digit cells make rows past the padded bound
+    config = alternating_config(k, points)
+    expected = reference_config_text(config)
+    tables = []
+
+    def counted(n, k):
+        tables.append((n, k))
+        return position_tuples(n, k)
+
+    monkeypatch.setattr(core, "position_tuples", counted)
+    assert config_to_text(config) == expected
+    assert bool(tables) == padded
 
 
 def test_config_text_errors_carry_line_numbers():

@@ -18,6 +18,7 @@ from orderflow import (
     all_linear_orders,
     apply_code,
     apply_perm,
+    codes,
     config_from_text,
     cyclic_shift,
     is_alternating,
@@ -30,6 +31,7 @@ from orderflow import (
     reverse,
     sign_code,
 )
+from orderflow.core import position_tuples
 
 # Regression case: alternating arity-3 configuration on {0,1,2,3} that is
 # not the circular code of any order, found by exhausting all 16
@@ -281,6 +283,36 @@ def test_arity_mismatch():
         config = KConfig.from_function(k, Window(tuple(range(k))), lambda t: 1)
         with pytest.raises(ArityMismatch, match=f"^expected arity 2 or 3, got {k}$"):
             realize(config)
+
+
+def test_decode_agrees_with_realize_row_by_row():
+    # every order image on up to 6 points, and a copy with one value flipped,
+    # staggered so that each value position is flipped in some image
+    for k in (2, 3):
+        for n in range(k, 7):
+            window = Window(tuple(range(n)))
+            images = codes.images(sign_code(k), position_tuples(n, n))
+            flipped = images.copy()
+            rows = np.arange(len(images))
+            flipped[rows, rows % images.shape[1]] *= -1
+            table = np.concatenate([images, flipped])
+            ranks, ok = codes.decode(k, table, n)
+            assert ranks.shape == (len(table), n) and ok.shape == (len(table),)
+            assert ok[: len(images)].all()
+            for values, candidate, found in zip(table, ranks, ok.tolist()):
+                order = realize(KConfig(k, window, values))
+                assert found == (order is not None)
+                if found:
+                    assert np.array_equal(order.ranks, candidate)
+
+
+def test_decode_raises_arity_mismatch_as_realize_does():
+    for k in (4, 5):
+        with pytest.raises(ArityMismatch, match=f"^expected arity 2 or 3, got {k}$"):
+            codes.decode(k, np.ones((3, math.perm(k, k)), dtype=np.int8), k)
+        # below the arity too: the arity is checked first
+        with pytest.raises(ArityMismatch, match=f"^expected arity 2 or 3, got {k}$"):
+            realize(KConfig(k, Window((0, 1)), ()))
 
 
 def test_realize_on_windows_below_the_arity():
