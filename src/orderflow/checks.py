@@ -257,8 +257,7 @@ def orbit_frequencies(
         require(ok, "%d cells holding %d hits", len(counts), counts.sum())
         for i, hits in enumerate(counts.tolist()):
             if abs(Fraction(hits, trials) - exact) > tolerance:
-                pattern = LinearOrder(window, core.position_tuples(w, w)[i])
+                [pattern] = orders.order_texts(window, core.position_tuples(w, w)[i : i + 1])
                 require(
-                    False, "pattern %s: |%.5f - %s| above 3 sigma",
-                    orders.order_to_text(pattern), hits / trials, exact,
+                    False, "pattern %s: |%.5f - %s| above 3 sigma", pattern, hits / trials, exact
                 )

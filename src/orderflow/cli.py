@@ -60,9 +60,12 @@ MAX_VERIFY_WINDOW = 8
 #: random order is a Python list shuffled by `random.Random` (the stream the
 #: witness fixtures pin) before it becomes an array.  A proximality witness
 #: needs (W-1)^2+1 ground points, so the window is bounded by the ground
-#: alone, W <= 1 + sqrt(ground - 1): 1,024 at this size.  Here a run takes
-#: 2.7-3.1 s and 147 MB peak RSS at window 10, and 3.3 s and 157 MB at
-#: window 1,000, on a 2-core Xeon; the two shuffles dominate both.
+#: alone, W <= 1 + sqrt(ground - 1): 1,024 at this size.  Here a proximality
+#: run takes 2.7-3.8 s and 147 MB peak RSS at window 10, and 3.3 s and 157 MB
+#: at window 1,000, on a 2-core Xeon; the two shuffles dominate both.  A
+#: minimality run at window 4 takes 2.0-3.4 s and 171 MB: about 1 s per
+#: order, mostly its shuffle, and 0.5-0.7 s for the order text of the
+#: `source:` stderr line.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -238,11 +241,13 @@ def cmd_frequencies(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    # both bounds are checked before any order is built, whatever the sizes
+    # every bound is checked before any order is built, whatever the sizes
     if args.window > args.ground:
         raise GroundTooSmall(f"ground size {args.ground} below the window size {args.window}")
     if args.kind == "proximality":
         ramsey.proximality_ground(args.ground, args.window)
+    else:
+        ramsey.require_pairs(args.window)
     ground = Window(tuple(range(args.ground)))
     window = Window(tuple(range(args.window)))
     if args.kind == "minimality":
@@ -261,12 +266,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         witness = ramsey.proximality_witness(o1, o2, window)
         verified = ramsey.verify_proximality(witness, o1, o2)
     if args.format == "json":
-        payload = {
-            "kind": witness.kind,
-            "window": core.window_to_text(witness.checked_window),
-            "alpha": core.perm_to_text(witness.alpha),
-            "verified": verified,
-        }
+        payload = {**ramsey.witness_fields(witness), "verified": verified}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         _emit(ramsey.witness_to_text(witness), args.out)

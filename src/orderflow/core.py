@@ -16,11 +16,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import DomainEscape, FormatError, OutOfWindow
+
+_T = TypeVar("_T")
 
 #: Arity cap for configuration builders and the text formats.  Falling-
 #: factorial growth makes larger arities impractical; `factor sign-5` and
@@ -348,12 +350,18 @@ def window_to_text(window: Window) -> str:
     return ",".join(map(str, window))
 
 
-def window_from_text(text: str, lineno: int | None = None) -> Window:
-    """Inverse of `window_to_text`: every comma-separated token must be an int."""
+def _at_line(lineno: int | None, parse: Callable[..., _T], *args: object) -> _T:
+    """parse(*args), a ValueError it raises turned into a FormatError at the
+    line: how every reader reports input its constructor refuses."""
     try:
-        return Window(tuple(map(int, text.split(","))) if text else ())
+        return parse(*args)
     except ValueError as exc:
         raise FormatError(str(exc), lineno) from None
+
+
+def window_from_text(text: str, lineno: int | None = None) -> Window:
+    """Inverse of `window_to_text`: every comma-separated token must be an int."""
+    return _at_line(lineno, lambda: Window(tuple(map(int, text.split(","))) if text else ()))
 
 
 #: The value each sign text reads as, and the line end each value takes.
@@ -419,10 +427,7 @@ def config_from_text(text: str) -> KConfig:
     header = line.split()
     if len(header) != 2 or not header[0].startswith("k=") or not header[1].startswith("window="):
         raise FormatError(f"bad header {line!r}", lineno)
-    try:
-        k = int(header[0][2:])
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+    k = _at_line(lineno, int, header[0][2:])
     if not 2 <= k <= DEFAULT_MAX_ARITY:
         raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
     window = window_from_text(header[1][7:], lineno)
@@ -432,10 +437,7 @@ def config_from_text(text: str) -> KConfig:
         head, sep, sign = line.partition(":")
         if not sep:
             raise FormatError(f"missing ':' in {line!r}", lineno)
-        try:
-            t = tuple(map(int, head.split()))
-        except ValueError as exc:
-            raise FormatError(str(exc), lineno) from None
+        t = _at_line(lineno, lambda: tuple(map(int, head.split())))
         if len(t) != k or len(allowed.intersection(t)) != k:
             raise FormatError(f"not {k} distinct points of the window: {t}", lineno)
         if t in seen:
@@ -457,6 +459,9 @@ def perm_to_text(alpha: FinPerm) -> str:
 
 
 def perm_from_text(text: str, lineno: int | None = None) -> FinPerm:
+    """Inverse of `perm_to_text`: comma-separated `a->b` pairs in any order,
+    empty for the identity.  A bad pair, a repeated source, or pairs that do
+    not form a bijection raise FormatError at `lineno`."""
     text = text.strip()
     if not text:
         return FinPerm.identity()
@@ -472,7 +477,4 @@ def perm_from_text(text: str, lineno: int | None = None) -> FinPerm:
         if a in mapping:
             raise FormatError(f"duplicate source {a}", lineno)
         mapping[a] = b
-    try:
-        return FinPerm.from_dict(mapping)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+    return _at_line(lineno, FinPerm.from_dict, mapping)

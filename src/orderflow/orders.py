@@ -11,6 +11,9 @@ ranks the n points by pattern i, as `all_linear_orders` lists them.
 Configurations live in `codes`: an order's pair configuration is its
 sign-2 image, its circular order the sign-3 image, and `codes.decode`
 recognizes both, for one order (`codes.realize`) or a table of them.
+
+The order text lists the window elements by rank.  `order_texts` writes it
+for every row of a table of ranks, and `order_to_text` is its one-row case.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FinPerm, Window, _frozen, position_tuples
+from .core import FinPerm, Window, _at_line, _frozen, position_tuples
 from .errors import FormatError, WindowTooSmall
 
 
@@ -100,14 +103,13 @@ def reversal_class_rep(order: LinearOrder) -> LinearOrder:
     """
     if len(order.window) < 2:
         raise WindowTooSmall("reversal classes need a window of size at least 2")
-    lo, hi = order.window.elements[0], order.window.elements[-1]
-    return order if order.rank_of(lo) < order.rank_of(hi) else reverse(order)
+    return order if order.ranks[0] < order.ranks[-1] else reverse(order)
 
 
 def cyclic_shift(order: LinearOrder) -> LinearOrder:
-    """Move the top-ranked element to the bottom, fixing all other ranks."""
-    ranked = order.ranked_elements()
-    return LinearOrder.from_ranked_elements((ranked[-1],) + ranked[:-1])
+    """Move the top-ranked element to the bottom; every other element rises
+    by one rank."""
+    return LinearOrder(order.window, (order.ranks + 1) % len(order.window))
 
 
 def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
@@ -121,19 +123,30 @@ def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
 # Text format
 
 
+def order_texts(window: Window, ranks: np.ndarray) -> list[str]:
+    """The order text of every row of an (m, n) table of ranks on the window:
+    the window elements in increasing rank order, space separated.
+
+    Each element is written once, and every row gathers those texts at its
+    argsort, so no element is cast to a fixed-width integer.
+    """
+    cells = np.array(list(map(str, window)), dtype=object)
+    return list(map(" ".join, cells[np.argsort(ranks, axis=-1)].tolist()))
+
+
 def order_to_text(order: LinearOrder) -> str:
-    """Window elements in increasing rank order, space separated."""
-    return " ".join(map(str, order.ranked_elements()))
+    """The order text of one order, the one-row case of `order_texts`."""
+    return order_texts(order.window, order.ranks[None])[0]
 
 
 def order_from_text(text: str, lineno: int | None = None) -> LinearOrder:
+    """Inverse of `order_to_text`: distinct integers, space separated, least
+    ranked first.  A token that is not an integer, empty text or a repeated
+    element raises FormatError at `lineno`."""
     try:
         seq = tuple(int(x) for x in text.split())
     except ValueError:
         raise FormatError(f"bad order text {text!r}", lineno) from None
     if not seq:
         raise FormatError("empty order text", lineno)
-    try:
-        return LinearOrder.from_ranked_elements(seq)
-    except ValueError as exc:
-        raise FormatError(str(exc), lineno) from None
+    return _at_line(lineno, LinearOrder.from_ranked_elements, seq)

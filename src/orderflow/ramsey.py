@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     FinPerm,
     Window,
+    _at_line,
     _preimage_positions,
     extend_bijection,
     inverse,
@@ -184,6 +185,13 @@ class Witness:
             raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
+def require_pairs(size: int) -> None:
+    """Raise WindowTooSmall for a window of fewer than 2 points: verification
+    compares pairs, so a witness order needs at least one."""
+    if size < 2:
+        raise WindowTooSmall("need a window of size at least 2")
+
+
 def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> np.ndarray:
     """Ranks under the order at the preimages inv(x) of the window points x,
     in window order; inv is the inverse of the witness's alpha.
@@ -191,8 +199,7 @@ def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> np.n
     Raises WindowTooSmall for an order on fewer than 2 points (it has no
     pair configuration) and DomainEscape for a preimage off its ground.
     """
-    if len(order.window) < 2:
-        raise WindowTooSmall("need a window of size at least 2")
+    require_pairs(len(order.window))
     return order.ranks[_preimage_positions(inv, window, order.window)]
 
 
@@ -218,8 +225,7 @@ def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder
         return False
     window = witness.checked_window
     pulled = _pulled_back_ranks(inverse(witness.alpha), window, source)
-    if len(target.window) < 2:
-        raise WindowTooSmall("need a window of size at least 2")
+    require_pairs(len(target.window))
     if window != target.window:
         return False
     return _all_pairs_colored(pulled, target.ranks, 0)
@@ -257,7 +263,7 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
         raise GroundTooSmall(
             f"ground size {len(ground)} below the window size {len(W)}"
         )
-    if set(W).issubset(set(ground)):
+    if all(x in ground for x in W):
         chosen: Sequence[int] = W.elements
     else:
         chosen = ground.elements[: len(W)]
@@ -335,29 +341,39 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
 # Text format
 
 
+#: The witness text's fields, in the order they are written.
+_WITNESS_FIELDS = ("kind", "window", "alpha")
+
+
+def witness_fields(witness: Witness) -> dict[str, str]:
+    """The text of each of the `_WITNESS_FIELDS`: the kind, the checked
+    window as `window_to_text` writes it, and alpha as `perm_to_text` does."""
+    texts = witness.kind, window_to_text(witness.checked_window), perm_to_text(witness.alpha)
+    return dict(zip(_WITNESS_FIELDS, texts))
+
+
 def witness_to_text(witness: Witness) -> str:
-    return (
-        f"kind={witness.kind}\n"
-        f"window={window_to_text(witness.checked_window)}\n"
-        f"alpha={perm_to_text(witness.alpha)}\n"
-    )
+    """One `key=value` line per witness field, in the order of
+    `_WITNESS_FIELDS`: `kind=`, `window=` and `alpha=`."""
+    return "".join(f"{key}={value}\n" for key, value in witness_fields(witness).items())
 
 
 def witness_from_text(text: str) -> Witness:
+    """Inverse of `witness_to_text`; the field lines may come in any order
+    and blank-lined.  An unknown, repeated or missing field, a bad window or
+    alpha, or an unknown kind raises FormatError at the offending line."""
     fields = {}
     for lineno, line in numbered_lines(text):
         key, sep, value = line.partition("=")
-        if not sep or key not in ("kind", "window", "alpha"):
-            raise FormatError(f"expected kind=/window=/alpha=, got {line!r}", lineno)
+        if not sep or key not in _WITNESS_FIELDS:
+            expected = "/".join(f"{field}=" for field in _WITNESS_FIELDS)
+            raise FormatError(f"expected {expected}, got {line!r}", lineno)
         if key in fields:
             raise FormatError(f"duplicate {key}= line", lineno)
         fields[key] = (value, lineno)
-    missing = {"kind", "window", "alpha"} - set(fields)
+    missing = set(_WITNESS_FIELDS) - set(fields)
     if missing:
         raise FormatError(f"missing fields: {sorted(missing)}")
-    window = window_from_text(*fields["window"])
-    alpha = perm_from_text(*fields["alpha"])
-    try:
-        return Witness(alpha, window, fields["kind"][0])
-    except ValueError as exc:
-        raise FormatError(str(exc), fields["kind"][1]) from None
+    (kind, kind_line), window, alpha = (fields[key] for key in _WITNESS_FIELDS)
+    checked = window_from_text(*window)
+    return _at_line(kind_line, Witness, perm_from_text(*alpha), checked, kind)

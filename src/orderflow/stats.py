@@ -42,7 +42,7 @@ import numpy as np
 from .core import Window, pattern_index, position_tuples, positions_from_digits
 from .core import window_from_text, window_to_text
 from .errors import FormatError, GroundTooSmall, WindowTooSmall
-from .orders import LinearOrder, order_from_text
+from .orders import LinearOrder, order_from_text, order_texts
 
 #: Trials per sampling chunk.  Fixed so that worker counts cannot change
 #: the chunk boundaries, only who evaluates them.
@@ -278,18 +278,17 @@ def fit_summary(counts: np.ndarray) -> tuple[float, int, float]:
 def histogram_to_dicts(counts: np.ndarray, window: Window, seed: int) -> list[dict]:
     """One record per cell of a `pattern_counts` histogram, as `stat_from_dict`
     reads it: the trials are the sum of the counts, a pattern's text is the
-    argsort of its row of `position_tuples(w, w)` (window elements by rank),
-    and its empirical frequency is the float nearest hits / trials."""
+    order text of its row of `position_tuples(w, w)`, and its empirical
+    frequency is the float nearest hits / trials."""
     w = len(window)
     trials = int(counts.sum())
     if trials < 1 or len(counts) != math.factorial(w):
         raise ValueError(f"need {w}! cells holding trials, got {len(counts)} holding {trials}")
-    elements = np.array(window.elements, dtype=np.int64)
-    patterns = elements[np.argsort(position_tuples(w, w), axis=1)].tolist()
+    patterns = order_texts(window, position_tuples(w, w))
     window_text = window_to_text(window)
     return [
         {
-            "pattern": " ".join(map(str, pattern)),
+            "pattern": pattern,
             "window": window_text,
             "exact_num": 1,
             "exact_den": len(counts),

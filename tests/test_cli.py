@@ -407,6 +407,20 @@ def test_witness_proximality_refuses_an_undersized_ground_before_building(monkey
     )
 
 
+@pytest.mark.parametrize("ground", ["1", "1048576"])
+def test_witness_minimality_refuses_a_one_point_window_before_building(
+    ground, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("built an order for a window with no pair to check")
+
+    monkeypatch.setattr(cli.stats, "random_linear_order", never)
+    code, out, err = run_cli(["witness", "minimality", "--ground", ground, "--window", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "error: need a window of size at least 2"
+
+
 def test_witness_proximality_window_with_a_bound_past_the_digit_limit(capsys):
     # an 8000-window needs 7999^2 + 1 ground points
     code, out, err = run_cli(
@@ -496,6 +510,21 @@ def test_witness_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "minimality" and payload["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "argv", [["minimality"], ["proximality"], ["proximality", "--reverse-pair"]]
+)
+def test_witness_json_fields_are_the_text_fields(argv, capsys):
+    argv = ["witness", *argv, "--ground", "30", "--window", "4", "--seed", "3"]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload.pop("verified") is True
+    assert [f"{key}={value}" for key, value in payload.items()] == text.splitlines()
+    assert payload["kind"].startswith(argv[1])
 
 
 # ---------------------------------------------------------------------------

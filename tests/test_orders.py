@@ -32,6 +32,7 @@ from orderflow import (
     sign_code,
 )
 from orderflow.core import position_tuples
+from orderflow.orders import order_texts
 
 # Regression case: alternating arity-3 configuration on {0,1,2,3} that is
 # not the circular code of any order, found by exhausting all 16
@@ -166,6 +167,31 @@ def test_order_constructors_and_text():
         order_from_text("")
     with pytest.raises(OutOfWindow):
         order.rank_of(4)
+
+
+@st.composite
+def rank_tables(draw):
+    """(window, ranks): a window of 1..6 points, negative, sparse or past
+    int64, and an (m, n) table of rankings of it."""
+    points = st.one_of(
+        st.integers(-30, 30),
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]),
+    )
+    elems = draw(st.lists(points, unique=True, min_size=1, max_size=6))
+    rows = draw(st.lists(st.permutations(range(len(elems))), min_size=1, max_size=5))
+    return Window.of(elems), np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_tables())
+def test_order_texts_is_order_to_text_row_by_row(table):
+    window, ranks = table
+    texts = order_texts(window, ranks)
+    orders = [LinearOrder(window, row) for row in ranks]
+    assert texts == [order_to_text(order) for order in orders]
+    assert texts == [" ".join(map(str, order.ranked_elements())) for order in orders]
+    assert [order_from_text(text) for text in texts] == orders
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])
@@ -420,6 +446,27 @@ def test_reversal_class_rep():
     assert reversal_class_rep(reverse(chain)) == chain
     with pytest.raises(WindowTooSmall):
         reversal_class_rep(LinearOrder.natural(Window((3,))))
+
+
+def shift_by_ranked_elements(order: LinearOrder) -> LinearOrder:
+    """Reference cyclic shift: the ranked element list rotated by one."""
+    ranked = order.ranked_elements()
+    return LinearOrder.from_ranked_elements((ranked[-1],) + ranked[:-1])
+
+
+def class_rep_by_rank_of(order: LinearOrder) -> LinearOrder:
+    """Reference class representative: the window's least element ranked
+    below its greatest, read through `rank_of`."""
+    lo, hi = order.window.elements[0], order.window.elements[-1]
+    return order if order.rank_of(lo) < order.rank_of(hi) else reverse(order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_st(min_size=1, max_size=8))
+def test_shift_and_class_rep_match_their_element_routes(order):
+    assert cyclic_shift(order) == shift_by_ranked_elements(order)
+    if len(order.window) >= 2:
+        assert reversal_class_rep(order) == class_rep_by_rank_of(order)
 
 
 def test_every_reversal_class_has_two_members():

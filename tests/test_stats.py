@@ -355,6 +355,15 @@ def test_stat_dict_rebuilds_the_exact_frequency():
         stat_from_dict(data)
 
 
+def test_histogram_records_past_int64_read_back():
+    window = Window((-3, 10**30))
+    rows = histogram_to_dicts(np.array([3, 5]), window, seed=2)
+    assert [row["pattern"] for row in rows] == [f"-3 {10**30}", f"{10**30} -3"]
+    rebuilt = [stat_from_dict(json.loads(json.dumps(row))) for row in rows]
+    assert [stat.pattern for stat in rebuilt] == list(all_linear_orders(window))
+    assert [stat.empirical for stat in rebuilt] == [Fraction(3, 8), Fraction(5, 8)]
+
+
 def test_stat_from_dict_rejects_non_rows_with_format_error():
     row = histogram_to_dicts(np.array([1, 1]), Window((0, 1)), seed=0)[0]
     for bad in (None, [], {**row, "pattern": None}):
