@@ -27,8 +27,8 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    ground = Window(tuple(range(args.ground)))
-    window = Window(tuple(range(args.window)))
+    ground = Window(range(args.ground))
+    window = Window(range(args.window))
     exact = 1 / math.factorial(args.window)
     sources = [LinearOrder.natural(ground)] + [
         random_linear_order(ground, args.seed + i) for i in range(1, args.sources)

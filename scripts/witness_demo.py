@@ -28,8 +28,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    ground = Window(tuple(range(args.ground)))
-    window = Window(tuple(range(args.window)))
+    ground = Window(range(args.ground))
+    window = Window(range(args.window))
 
     source = random_linear_order(ground, args.seed)
     target = random_linear_order(window, args.seed + 1)

@@ -28,7 +28,7 @@ def require(ok: bool, message: str, *args: object) -> None:
 
 
 def _window(n: int) -> Window:
-    return Window(tuple(range(n)))
+    return Window(range(n))
 
 
 def _random_perm(window: Window, rng: random.Random) -> FinPerm:

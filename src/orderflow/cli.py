@@ -37,10 +37,11 @@ PROG = "orderflow"
 MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
-#: ground size and the source order is one array, but the ground window is a
-#: tuple of Python ints: at this size a run takes 0.6-0.75 s at the default
-#: window and trials and 0.5-0.6 s at window 4 and 20,000 trials, each with
-#: 96 MB peak RSS, on a 2-core Xeon.
+#: ground size, the source order is one array, and the ground window is a
+#: tuple of Python ints taken from a `range` in about 0.03 s.  At this size a
+#: run takes 0.47-0.52 s at the default window and trials and 0.45-0.49 s at
+#: window 4 and 20,000 trials, each with 96 MB peak RSS, on a 2-core Xeon;
+#: about 0.25 s of that is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --jobs`: the thread pool starts one OS thread per
@@ -56,16 +57,17 @@ MAX_FREQUENCY_JOBS = 32
 #: 65 MB, mostly for the 362,880-row table of order ranks.
 MAX_VERIFY_WINDOW = 8
 
-#: Largest `witness --ground`: the ground is a tuple of Python ints, and each
-#: random order is a Python list shuffled by `random.Random` (the stream the
-#: witness fixtures pin) before it becomes an array.  A proximality witness
-#: needs (W-1)^2+1 ground points, so the window is bounded by the ground
-#: alone, W <= 1 + sqrt(ground - 1): 1,024 at this size.  Here a proximality
-#: run takes 2.7-3.8 s and 147 MB peak RSS at window 10, and 3.3 s and 157 MB
-#: at window 1,000, on a 2-core Xeon; the two shuffles dominate both.  A
-#: minimality run at window 4 takes 2.0-3.4 s and 171 MB: about 1 s per
-#: order, mostly its shuffle, and 0.5-0.7 s for the order text of the
-#: `source:` stderr line.
+#: Largest `witness --ground`: each random order draws one `getrandbits`
+#: per point or more, in the stream of `random.Random(seed).shuffle` that the
+#: witness fixtures pin, into a Python list before it becomes an array.  A
+#: proximality witness needs (W-1)^2+1 ground points, so the window is
+#: bounded by the ground alone, W <= 1 + sqrt(ground - 1): 1,024 at this
+#: size.  Here a proximality run takes 2.5-2.6 s and 147 MB peak RSS at
+#: window 10, and 3.0-3.2 s and 157 MB at window 1,000, on a 2-core Xeon;
+#: the two orders take 0.65-0.7 s each, about 0.5 s of it the draws and
+#: swaps and 0.2 s the array.  A minimality run at window 4 takes 2.05-2.4 s
+#: and 171 MB: one order, and 0.5 s for the order text of the `source:`
+#: stderr line.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -96,7 +98,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_window, seed = args.max_window, args.seed
 
     def window(n: int) -> Window:
-        return Window(tuple(range(n)))
+        return Window(range(n))
 
     def rng(label: str) -> random.Random:
         return random.Random(derive_seed(seed, label, 0))
@@ -218,8 +220,8 @@ def _render_stats(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_frequencies(args: argparse.Namespace) -> int:
-    window = Window(tuple(range(args.window)))
-    source = LinearOrder.natural(Window(tuple(range(args.ground))))
+    window = Window(range(args.window))
+    source = LinearOrder.natural(Window(range(args.ground)))
     counts = stats.pattern_counts(source, window, args.trials, args.seed, jobs=args.jobs)
     rows = stats.histogram_to_dicts(counts, window, args.seed)
     _emit(_render_stats(rows, args.format), args.out)
@@ -248,8 +250,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
         ramsey.proximality_ground(args.ground, args.window)
     else:
         ramsey.require_pairs(args.window)
-    ground = Window(tuple(range(args.ground)))
-    window = Window(tuple(range(args.window)))
+    ground = Window(range(args.ground))
+    window = Window(range(args.window))
     if args.kind == "minimality":
         source = stats.random_linear_order(ground, derive_seed(args.seed, "witness-source", 0))
         target = stats.random_linear_order(window, derive_seed(args.seed, "witness-target", 0))

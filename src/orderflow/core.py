@@ -32,15 +32,28 @@ DEFAULT_MAX_ARITY = 6
 
 @dataclass(frozen=True)
 class Window:
-    """Strictly increasing tuple of integers used as a finite index set."""
+    """Strictly increasing tuple of integers used as a finite index set.
+
+    `elements` may be given as any sequence of integers; a `range` with a
+    positive step is already strictly increasing Python ints and is taken
+    without a per-element check.
+    """
 
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(map(int, self.elements))
+        elems = self.elements
+        if isinstance(elems, range) and elems.step > 0:
+            object.__setattr__(self, "elements", tuple(elems))
+            return
+        elems = tuple(map(int, elems))
         object.__setattr__(self, "elements", elems)
         if not all(map(operator.lt, elems, elems[1:])):
-            raise ValueError(f"window elements must be strictly increasing: {elems}")
+            i = next(i for i in range(1, len(elems)) if elems[i - 1] >= elems[i])
+            raise ValueError(
+                f"window elements must be strictly increasing: element {i} of "
+                f"{len(elems)} is {elems[i]}, after {elems[i - 1]}"
+            )
 
     @classmethod
     def of(cls, elements: Iterable[int]) -> "Window":

@@ -47,7 +47,7 @@ class LinearOrder:
             or ranks.shape != (n,)
             or np.count_nonzero(np.sort(ranks) == np.arange(n)) != n
         ):
-            raise ValueError(f"ranks must be a bijection onto 0..{n - 1}: {ranks.tolist()}")
+            raise ValueError(f"ranks must be a bijection onto 0..{n - 1}: {_rank_fault(ranks, n)}")
         object.__setattr__(self, "ranks", _frozen(ranks, np.int64))
 
     @cached_property
@@ -82,6 +82,24 @@ class LinearOrder:
         """Window elements listed in increasing rank order."""
         elems = self.window.elements
         return tuple(elems[i] for i in np.argsort(self.ranks).tolist())
+
+
+def _rank_fault(ranks: np.ndarray, n: int) -> str:
+    """Why ranks are not a bijection onto 0..n-1, naming the first index at
+    fault and its value: a message stays short however many ranks there are.
+    Numeric ranks of shape (n,) that fail the bijection check hold a value
+    outside 0..n-1, a fraction or a repeat, so the scan finds one."""
+    if ranks.dtype.kind not in "biuf":
+        return f"got {ranks.dtype} values"
+    if ranks.shape != (n,):
+        return f"got shape {ranks.shape}"
+    seen = set()
+    for i, r in enumerate(ranks.tolist()):
+        if not (0 <= r < n and r == int(r)):
+            return f"index {i} holds {r}"
+        if r in seen:
+            return f"index {i} repeats rank {r}"
+        seen.add(r)
 
 
 def all_linear_orders(window: Window) -> Iterator[LinearOrder]:

@@ -94,9 +94,25 @@ def cylinder_measure(pattern: LinearOrder) -> Fraction:
 
 
 def random_linear_order(window: Window, seed: int) -> LinearOrder:
-    """Uniformly random ranking of the window, deterministic in the seed."""
+    """Uniformly random ranking of the window, deterministic in the seed.
+
+    The ranks are those of `random.Random(seed).shuffle(list(range(n)))`,
+    drawn without its per-point Python calls: Durstenfeld's swaps run from
+    the top down (CACM 7(7), 1964), and step i takes j uniform on [0, i] by
+    CPython's `_randbelow_with_getrandbits(i + 1)` rule, k = (i +
+    1).bit_length() bits from `getrandbits`, drawn again while j > i.
+    `tests/test_stats.py::test_random_order_is_the_shuffle_stream` pins the
+    stream.  The loop stays inline: a function call per step is the cost it
+    removes.
+    """
     ranks = list(range(len(window)))
-    random.Random(seed).shuffle(ranks)
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(ranks) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        ranks[i], ranks[j] = ranks[j], ranks[i]
     return LinearOrder(window, ranks)
 
 

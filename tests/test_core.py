@@ -114,6 +114,25 @@ def test_window_rejects_unsorted_and_duplicates():
     with pytest.raises(ValueError):
         Window((0, 0, 1))
     assert Window.of([5, -2, 3]).elements == (-2, 3, 5)
+    with pytest.raises(ValueError):
+        Window(range(5, 0, -1))
+
+
+@pytest.mark.parametrize("r", [range(0), range(5, 9), range(0, 10, 3)])
+def test_window_from_a_range_is_the_window_from_its_tuple(r):
+    w = Window(r)
+    assert w == Window(tuple(r)) and hash(w) == hash(Window(tuple(r)))
+    assert type(w.elements) is tuple and all(type(x) is int for x in w.elements)
+
+
+def test_unsorted_window_error_names_the_first_fault_briefly():
+    elems = list(range(10**5))
+    elems[70_000] = 5
+    with pytest.raises(ValueError) as raised:
+        Window(elems)
+    assert str(raised.value) == (
+        "window elements must be strictly increasing: element 70000 of 100000 is 5, after 69999"
+    )
 
 
 def test_window_position_and_membership():

@@ -250,6 +250,25 @@ def test_bad_ranks_raise_value_error():
             LinearOrder(w, ranks)
 
 
+def test_bad_ranks_error_names_the_first_fault_briefly():
+    n = 10**5
+    w = Window(range(n))
+    repeat = np.arange(n)
+    repeat[-1] = 3
+    outside = np.arange(n)
+    outside[40_000] = n
+    for ranks, fault in (
+        (repeat, "index 99999 repeats rank 3"),
+        (outside, "index 40000 holds 100000"),
+        (np.arange(n) + 0.5, "index 0 holds 0.5"),
+        (np.arange(n - 1), "got shape (99999,)"),
+        (np.arange(n).astype(object), "got object values"),
+    ):
+        with pytest.raises(ValueError) as raised:
+            LinearOrder(w, ranks)
+        assert str(raised.value) == f"ranks must be a bijection onto 0..{n - 1}: {fault}"
+
+
 # ---------------------------------------------------------------------------
 # order <-> pair configuration
 

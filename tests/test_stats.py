@@ -73,6 +73,30 @@ def test_random_order_is_deterministic_in_the_seed():
     assert random_linear_order(Window((5,)), 0) == LinearOrder.natural(Window((5,)))
 
 
+def shuffled(n: int, seed: int) -> list[int]:
+    """The reference stream: `random.shuffle` of 0..n-1."""
+    ranks = list(range(n))
+    random.Random(seed).shuffle(ranks)
+    return ranks
+
+
+SHUFFLE_SEEDS = (0, 1, -7, 2**32 - 1, 2**32, derive_seed(0, "witness-o1", 0), 2**127 + 12345)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 5, 127, 128, 129, 255, 256, 257, 1000, 4096, 65536]
+)
+def test_random_order_is_the_shuffle_stream(n):
+    for seed in SHUFFLE_SEEDS:
+        assert random_linear_order(Window(range(n)), seed).ranks.tolist() == shuffled(n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 2000), seed=st.integers())
+def test_random_order_is_the_shuffle_stream_for_any_seed(n, seed):
+    assert random_linear_order(Window(range(n)), seed).ranks.tolist() == shuffled(n, seed)
+
+
 def test_random_order_uniformity_chi_square():
     window = Window(tuple(range(3)))
     samples = 60_000
