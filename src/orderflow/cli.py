@@ -37,17 +37,21 @@ PROG = "orderflow"
 MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
-#: ground size, the source order is one array, and the ground window is a
-#: tuple of Python ints taken from a `range` in about 0.03 s.  At this size a
-#: run takes 0.47-0.52 s at the default window and trials and 0.45-0.49 s at
-#: window 4 and 20,000 trials, each with 96 MB peak RSS, on a 2-core Xeon;
-#: about 0.25 s of that is interpreter start and imports.
+#: ground size, in uint32 positions and ranks past 65,536 points, the source
+#: order is one array, and the ground window is a tuple of Python ints taken
+#: from a `range` in about 0.03 s.  At this size a run takes 0.32-0.46 s at
+#: the default window and trials and 0.34-0.44 s at window 4 and 20,000
+#: trials, each with 96 MB peak RSS, on a 2-core Xeon; 0.24-0.27 s of that
+#: is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
-#: Largest `frequencies --jobs`: the thread pool starts one OS thread per
-#: submitted chunk up to this many, and the sampler is numpy calls on
-#: 10,000-trial chunks: on a 2-core Xeon, 10^7 trials at ground 1000 and
-#: window 4 take 1.1-1.3 s with 1 worker and 0.9-1.05 s with 2.
+#: Largest `frequencies --jobs`: each job is one OS thread taking
+#: 10,000-trial chunks from a shared counter, so at most this many chunks
+#: are in flight at any trial count.  A chunk is a few dozen short numpy
+#: calls with Python between them, so extra workers gain little: on a 2-core
+#: Xeon, 10^7 trials at ground 1000 and window 4 take 0.63-0.88 s with 1
+#: worker, 0.74-0.97 s with 2 and 1.3-1.55 s with 32, at 37, 39 and 57 MB
+#: peak RSS.
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of

@@ -94,13 +94,21 @@ def pattern_index(ranks: np.ndarray) -> np.ndarray:
     The index is the Lehmer code, the sum over slots i of
     #{j > i : r[j] < r[i]} (k - 1 - i)!, computed in Horner form by C(k, 2)
     row comparisons; the result has shape (m,).
+
+    The comparisons run in the ranks' own integer dtype, so narrow ranks
+    move fewer bytes.  A slot's count is at most k - 1, so it is summed in a
+    uint8 row, each comparison's bool row viewed as uint8 without a cast,
+    and added into the int64 index once per slot: k - 1 wide adds where
+    adding every bool row takes C(k, 2), each a cast to int64 first.
     """
     k = len(ranks)
     index = np.zeros(ranks.shape[1:], dtype=np.int64)
     for i in range(k - 1):
         index *= k - i
-        for j in range(i + 1, k):
-            index += ranks[j] < ranks[i]
+        smaller = (ranks[i + 1] < ranks[i]).view(np.uint8)
+        for j in range(i + 2, k):
+            smaller += (ranks[j] < ranks[i]).view(np.uint8)
+        index += smaller
     return index
 
 
@@ -113,7 +121,8 @@ def positions_from_digits(digits: np.ndarray) -> np.ndarray:
     `pattern_index`.  Decoding runs from the right: inserting entry i shifts
     every later entry at or above it up by one, a pass over whole
     contiguous rows.  Returns `digits`, now holding the positions, still
-    slot-major.
+    slot-major, in its own dtype: every entry stays below n, so any
+    integer dtype that holds n - 1 decodes exactly.
     """
     for i in range(len(digits) - 2, -1, -1):
         digits[i + 1 :] += digits[i + 1 :] >= digits[i]

@@ -17,6 +17,16 @@ memory whatever the ground size n.  The digits are the ones numpy's
 index is the Lehmer code of the w source ranks it lands on, read off them
 by `core.pattern_index` without building their induced rank vector.
 
+Positions and ranks lie in [0, n), so a chunk decodes and compares them in
+the narrowest unsigned dtype that holds n - 1, `np.min_scalar_type(n - 1)`:
+uint8 up to 256 points, uint16 up to 65,536 and uint32 up to the CLI's 10^6.
+Every decode pass and comparison is a numpy loop over whole rows, which
+then moves 1, 2 or 4 bytes per entry instead of 8, and a chunk's narrow
+temporaries are small enough that up to 65,536 points it takes no fresh
+pages (at window 4, 124 page faults per chunk in int64).  The digits stay
+the int64 ones numpy draws, and only the (w, count) rows are cast, never
+the source.
+
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are added up as they arrive, so a
 run is reproducible for a fixed master seed at any worker count.
@@ -103,7 +113,8 @@ def random_linear_order(window: Window, seed: int) -> LinearOrder:
     1).bit_length() bits from `getrandbits`, drawn again while j > i.
     `tests/test_stats.py::test_random_order_is_the_shuffle_stream` pins the
     stream.  The loop stays inline: a function call per step is the cost it
-    removes.
+    removes.  The ranks reach `LinearOrder` as an int64 array from
+    `np.fromiter`, so `np.asarray` does not scan the list to find a dtype.
     """
     ranks = list(range(len(window)))
     getrandbits = random.Random(seed).getrandbits
@@ -113,7 +124,7 @@ def random_linear_order(window: Window, seed: int) -> LinearOrder:
         while j > i:
             j = getrandbits(k)
         ranks[i], ranks[j] = ranks[j], ranks[i]
-    return LinearOrder(window, ranks)
+    return LinearOrder(window, np.fromiter(ranks, np.int64, len(ranks)))
 
 
 def derive_seed(master: int, label: str, index: int) -> int:
@@ -201,13 +212,15 @@ def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray
     trial t's w distinct positions, a uniform injection.
 
     Each trial draws w independent Lehmer digits, digit i uniform on
-    [0, n - i), by `_lehmer_digits`, and decodes them in place (Knuth,
-    TAOCP vol. 2, section 3.4.2; Bentley and Floyd, CACM 1987).  Decoding
-    is a bijection from the digit tuples onto the n!/(n - w)! injections,
-    so uniform digits give a uniform injection in O(w) draws and O(w^2)
-    comparisons per trial.
+    [0, n - i), by `_lehmer_digits`, and decodes them (Knuth, TAOCP vol. 2,
+    section 3.4.2; Bentley and Floyd, CACM 1987).  Decoding is a bijection
+    from the digit tuples onto the n!/(n - w)! injections, so uniform digits
+    give a uniform injection in O(w) draws and O(w^2) comparisons per trial.
+    The digits are decoded in the narrowest unsigned dtype that holds
+    n - 1, `np.min_scalar_type(n - 1)`, and the positions come back in it.
     """
-    return positions_from_digits(_lehmer_digits(n, w, chunk_seed, count))
+    digits = _lehmer_digits(n, w, chunk_seed, count)
+    return positions_from_digits(digits.astype(np.min_scalar_type(n - 1)))
 
 
 def _chunk_pattern_counts(
@@ -220,8 +233,18 @@ def _chunk_pattern_counts(
     lands on, the same number as for their induced rank vector, so entry i
     counts the pattern of row i of `position_tuples(w, w)`, the i-th order
     of all_linear_orders.
+
+    Positions and ranks lie in [0, n), so the chunk decodes and compares in
+    the narrowest unsigned dtype that holds n - 1: uint8 up to 256 points,
+    uint16 up to 65,536, uint32 beyond.  Each pass over a row then moves a
+    half to an eighth of the bytes of int64, and the narrow rows are that
+    much smaller.  Only the (w, count) digits and gathered ranks are cast,
+    never the whole source, so a chunk costs O(w count) at any ground size;
+    the source ranks may come in any integer dtype whose values lie in
+    [0, n).
     """
-    r = source_ranks[_sample_positions(len(source_ranks), w, chunk_seed, count)]
+    positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
+    r = source_ranks[positions].astype(positions.dtype, copy=False)
     return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
@@ -238,8 +261,11 @@ def pattern_counts(
     Each trial relocates a uniformly random |W|-point subset of the ground
     onto the window by a uniformly random assignment and counts the pattern
     the source order lands on.  The sample stream depends only on (seed,
-    trials); each chunk's histogram is added into the total as it arrives,
-    so at most `jobs` of them are held at once.
+    trials).  `jobs` workers, the calling thread alone when `jobs` is 1,
+    take chunk indices in turn from one shared counter, so at most `jobs`
+    chunks are in flight whatever the trial count, and each chunk's
+    histogram is added into the total as it arrives.  A worker that raises
+    stops the others taking chunks, and its exception is raised here.
     """
     w = len(window)
     if len(source.window) < w:
@@ -248,23 +274,38 @@ def pattern_counts(
         )
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    sizes = [min(CHUNK_SIZE, trials - start) for start in range(0, trials, CHUNK_SIZE)]
+    chunks = -(-trials // CHUNK_SIZE)
     total = np.zeros(math.factorial(w), dtype=np.int64)
     lock = threading.Lock()
+    indices = iter(range(chunks))
+    failed = threading.Event()
 
-    def add_chunk(i: int) -> None:
-        counts = _chunk_pattern_counts(
-            source.ranks, w, derive_seed(seed, _SAMPLER_LABEL, i), sizes[i]
-        )
+    def next_index() -> int | None:
         with lock:
-            np.add(total, counts, out=total)
+            return None if failed.is_set() else next(indices, None)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(add_chunk, range(len(sizes))))
-    else:
-        for i in range(len(sizes)):
-            add_chunk(i)
+    def work() -> None:
+        try:
+            for i in iter(next_index, None):
+                counts = _chunk_pattern_counts(
+                    source.ranks,
+                    w,
+                    derive_seed(seed, _SAMPLER_LABEL, i),
+                    min(CHUNK_SIZE, trials - i * CHUNK_SIZE),
+                )
+                with lock:
+                    np.add(total, counts, out=total)
+        except BaseException:
+            failed.set()
+            raise
+
+    if jobs <= 1:
+        work()
+        return total
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        workers = [pool.submit(work) for _ in range(min(jobs, chunks))]
+    for worker in workers:
+        worker.result()
     return total
 
 

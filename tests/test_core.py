@@ -181,14 +181,26 @@ def test_position_tuples_is_one_read_only_table_per_shape():
 
 def test_tuple_rank_matches_enumeration_order():
     # the rank of a k-tuple's pattern is `pattern_index` of its columns
-    for k in range(1, 7):
+    for k in range(1, 9):
         # one column per permutation of range(k), in permutations order
         table = np.array(list(permutations(range(k)))).T
         expected = list(range(math.factorial(k)))
         assert pattern_index(table).tolist() == expected
         # only the relative order of the values is read
         assert pattern_index(10 * table - 7).tolist() == expected
-        assert pattern_index(np.array([-5, 0, 3, 40, 41, 99])[table]).tolist() == expected
+        values = np.array([-5, 0, 3, 40, 41, 99, 100, 101])
+        assert pattern_index(values[table]).tolist() == expected
+        # in the ranks' own dtype, each copy spread over its dtype's range;
+        # a slot counts up to 7 smaller later entries at k = 8
+        for copy in (
+            table.astype(np.uint8) * 30 + 10,
+            (table * 8_000 + 1_000).astype(np.uint16),
+            (table * 500_000_000 + 7).astype(np.uint32),
+            table.astype(np.int64),
+            table * 3 - 2**40,
+        ):
+            got = pattern_index(copy)
+            assert got.dtype == np.int64 and got.tolist() == expected, (k, copy.dtype)
 
 
 def test_kconfig_value_count_is_falling_factorial():

@@ -3,8 +3,11 @@ import json
 import math
 import random
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +211,30 @@ def test_chunk_counts_match_a_pure_python_route(w):
             assert got.tolist() == _reference_chunk_counts(ranks, w, seed, 300), (n, w, seed)
 
 
+# (ground size, dtype the chunk decodes and compares in) on both sides of
+# each step of np.min_scalar_type(n - 1)
+DTYPE_BOUNDARIES = [
+    (255, np.uint8),
+    (256, np.uint8),
+    (257, np.uint16),
+    (65_535, np.uint16),
+    (65_536, np.uint16),
+    (65_537, np.uint32),
+]
+
+
+@pytest.mark.parametrize("n, dtype", DTYPE_BOUNDARIES)
+@pytest.mark.parametrize("w", [4, 8])
+def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype, w):
+    # the reference pops from a list of all n positions per trial, so the
+    # large grounds get few trials
+    count = 300 if n < 1000 else 20
+    assert stats._sample_positions(n, w, 0, 3).dtype == dtype
+    for ranks in (list(range(n)), shuffled(n, n)):
+        got = stats._chunk_pattern_counts(np.array(ranks), w, n + w, count)
+        assert got.tolist() == _reference_chunk_counts(ranks, w, n + w, count), (n, w)
+
+
 def _integers_digits(n, w, seed, count):
     """The slot-major digits numpy's own bounded draw gives."""
     rng = np.random.default_rng(seed)
@@ -292,6 +319,73 @@ def test_chunk_histograms_are_added_as_they_arrive(jobs):
         tracemalloc.stop()
     assert counts.sum() == 50 * stats.CHUNK_SIZE
     assert peak < 16 * counts.nbytes
+
+
+def _stub_chunk(source_ranks, w, chunk_seed, count):
+    """A chunk histogram with every trial on pattern 0."""
+    counts = np.zeros(math.factorial(w), dtype=np.int64)
+    counts[0] = count
+    return counts
+
+
+def test_workers_hold_at_most_jobs_chunks(monkeypatch):
+    # 500 chunks at jobs=2: the pool gets one task per worker, not one per
+    # chunk, no more than two chunks are evaluated at once, and every chunk
+    # is evaluated once with its own seed and size
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 10)
+    trials = 500 * 10 - 3
+    lock = threading.Lock()
+    running = peak = 0
+    evaluated = []
+
+    def chunk(source_ranks, w, chunk_seed, count):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            evaluated.append((chunk_seed, count))
+        time.sleep(0)
+        with lock:
+            running -= 1
+        return _stub_chunk(source_ranks, w, chunk_seed, count)
+
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "_chunk_pattern_counts", chunk)
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", CountingPool)
+    source = LinearOrder.natural(Window(range(20)))
+    counts = pattern_counts(source, Window(range(3)), trials, seed=4, jobs=2)
+    assert len(submitted) == 2 and peak <= 2
+    assert sorted(evaluated) == sorted(
+        (derive_seed(4, stats._SAMPLER_LABEL, i), min(10, trials - 10 * i)) for i in range(500)
+    )
+    assert counts[0] == trials and counts.sum() == trials
+
+
+def test_a_failing_chunk_stops_the_workers(monkeypatch):
+    # chunk 3 raises: its error reaches the caller, and the other worker
+    # stops taking chunks instead of running the remaining ones
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 10)
+    failing = derive_seed(4, stats._SAMPLER_LABEL, 3)
+    evaluated = []
+
+    def chunk(source_ranks, w, chunk_seed, count):
+        evaluated.append(chunk_seed)
+        if chunk_seed == failing:
+            raise RuntimeError("chunk 3 failed")
+        time.sleep(1e-3)
+        return _stub_chunk(source_ranks, w, chunk_seed, count)
+
+    monkeypatch.setattr(stats, "_chunk_pattern_counts", chunk)
+    source = LinearOrder.natural(Window(range(20)))
+    with pytest.raises(RuntimeError, match="chunk 3 failed"):
+        pattern_counts(source, Window(range(3)), 5_000, seed=4, jobs=2)
+    assert failing in evaluated and len(evaluated) < 100
 
 
 def test_sampler_matches_the_full_action_route():
