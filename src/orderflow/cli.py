@@ -75,12 +75,23 @@ MAX_VERIFY_WINDOW = 8
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
-#: bound, sign-4 on 33 points (863,040 tuples) takes 0.5-0.6 s and 119 MB peak
-#: RSS, and circular on 101 points (999,900 tuples) 0.5-0.55 s and 111 MB, on
-#: a 2-core Xeon.  Work and memory grow linearly in the output text, the tuple
-#: count times the digits of k points: sign-2 on 999 short points and one of
-#: 4,200 digits writes 21 MB in 0.85-0.9 s and 155 MB.
+#: bound, sign-4 on 33 points (982,080 tuples) takes 0.45-0.55 s and 113 MB
+#: peak RSS, and circular on 101 points (999,900 tuples) 0.4-0.55 s and 105 MB,
+#: on a 2-core Xeon.  Work and memory grow linearly in the output text, the
+#: tuple count times the digits of k points: sign-2 on 999 short points and one
+#: of 4,200 digits writes 21 MB in 0.85-0.95 s and 155 MB.  Long points can make
+#: the text far larger than the tuple count suggests, so `MAX_FACTOR_BYTES`
+#: bounds the text itself.
 MAX_FACTOR_TUPLES = 10**6
+
+#: Longest configuration text `factor` writes, in bytes (the text is ASCII).
+#: `core.config_text_size` reads it off the order's points before a tuple is
+#: built, so sign-2 on 1,000 points of 4,000 digits each, 999,000 tuples and
+#: 8.0 GB of text, exits 2 in 0.75-0.9 s at 47 MB peak RSS.  At the bound,
+#: sign-4 on 33 six-digit points (32.4 MB) and sign-6 on 12 (31.3 MB) take
+#: 0.7 s and 185 MB peak RSS, and sign-2 on 1,000 13-digit points (33.0 MB)
+#: 0.7 s and 150 MB, on a 2-core Xeon.
+MAX_FACTOR_BYTES = 2**25
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -301,7 +312,15 @@ def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
         raise FormatError(
             f"{n} points give {math.perm(n, k)} {k}-tuples, more than {MAX_FACTOR_TUPLES}", lineno
         )
-    config = codes.apply_code(code, orders.order_from_text(line, lineno))
+    order = orders.order_from_text(line, lineno)
+    # bounded on the text's exact size, before a tuple is built
+    size = core.config_text_size(k, order.window)
+    if size > MAX_FACTOR_BYTES:
+        raise FormatError(
+            f"{n} points give {size} bytes of configuration text, more than {MAX_FACTOR_BYTES}",
+            lineno,
+        )
+    config = codes.apply_code(code, order)
     _emit(core.config_to_text(config), args.out)
     _report(f"alternating: {'yes' if core.is_alternating(config) else 'no'}")
     if config.k == 3:

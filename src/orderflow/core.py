@@ -162,8 +162,24 @@ def _frozen(values: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+class _ArrayValue:
+    """Value equality and hash for a frozen class holding a read-only array,
+    which itself compares elementwise: both read the class's `_key`, its
+    fields with the array as bytes."""
+
+    _key: tuple
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+
 @dataclass(frozen=True, eq=False)
-class KConfig:
+class KConfig(_ArrayValue):
     """Total +1/-1 assignment on the injective k-tuples over a window.
 
     `values` is a read-only int8 array in the lexicographic order of the
@@ -194,14 +210,6 @@ class KConfig:
     @cached_property
     def _key(self) -> tuple:
         return self.k, self.window, self.values.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KConfig):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @classmethod
     def from_function(
@@ -430,6 +438,18 @@ def config_to_text(config: KConfig) -> str:
     rows[:, width:] = np.frombuffer(b": +1\n", dtype=np.uint8)
     rows[config.values < 0, width + 2] = ord("-")
     return header + str(rows[rows != 0], "ascii")
+
+
+def config_text_size(k: int, window: Window) -> int:
+    """Length of `config_to_text` of any k-configuration on the window, read
+    off the window alone: the header holds each element's text, with a comma
+    between two, and each element's cell, its text and a space, fills
+    perm(n - 1, k - 1) tuples in each of the k slots, every row ending in
+    the 5 characters of `: +1` and a newline."""
+    n = len(window)
+    cells = sum(len(str(x)) + 1 for x in window)
+    rows = k * math.perm(n - 1, k - 1) * cells + 5 * math.perm(n, k) if n else 0
+    return len(f"k={k} window=\n") + max(cells - 1, 0) + rows
 
 
 def config_from_text(text: str) -> KConfig:

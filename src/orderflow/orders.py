@@ -24,12 +24,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FinPerm, Window, _at_line, _frozen, position_tuples
+from .core import FinPerm, Window, _ArrayValue, _at_line, _frozen, _preimage_positions
+from .core import inverse, position_tuples
 from .errors import FormatError, WindowTooSmall
 
 
 @dataclass(frozen=True, eq=False)
-class LinearOrder:
+class LinearOrder(_ArrayValue):
     """Ranking of a window: ranks[i] is the rank of window.elements[i].
 
     `ranks` is a read-only int64 array; equality and hash read (window,
@@ -53,14 +54,6 @@ class LinearOrder:
     @cached_property
     def _key(self) -> tuple:
         return self.window, self.ranks.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearOrder):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
     @classmethod
     def natural(cls, window: Window) -> "LinearOrder":
@@ -133,8 +126,8 @@ def cyclic_shift(order: LinearOrder) -> LinearOrder:
 def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
     """Order on alpha(W) with rank(alpha(x)) = rank(x)."""
     new_window = alpha.image_window(order.window)
-    rank_at = {alpha(x): order.rank_of(x) for x in order.window}
-    return LinearOrder(new_window, [rank_at[x] for x in new_window])
+    pre = _preimage_positions(inverse(alpha), new_window, order.window)
+    return LinearOrder(new_window, order.ranks[pre])
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ source order onto a prescribed pattern on a target window.  A proximality
 witness carries two source orders onto the same window so that they either
 agree there or are exact reverses.  Its points are an increasing or a
 decreasing run in the second order's ranks listed in the first order's
-order; by Erdos-Szekeres the (|W|-1)^2+1 least points hold one.  The greedy
-pivot extraction on a general pair coloring reads one row of colors per
-pivot, the pivot against every live ground position at once, and keeps
-its majority class by a boolean mask.
+order; by Erdos-Szekeres the (|W|-1)^2+1 least points hold one.
+
+A general pair coloring is one read-only bool array over the pairs of
+ground positions, validated once, as an order's ranks are.  The greedy
+pivot extraction gathers one row of it per pivot, the pivot against every
+live ground position at once, and keeps its majority class by that row as
+a mask.
 
 Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
@@ -30,7 +33,9 @@ import numpy as np
 from .core import (
     FinPerm,
     Window,
+    _ArrayValue,
     _at_line,
+    _frozen,
     _preimage_positions,
     extend_bijection,
     inverse,
@@ -56,36 +61,38 @@ def _pair_index(n: int, i: int, j: int | np.ndarray) -> int | np.ndarray:
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
-class PairColoring:
+@dataclass(frozen=True, eq=False)
+class PairColoring(_ArrayValue):
     """Two-coloring of the 2-element subsets of a ground window.
 
-    Colors are stored flat over the pairs (i, j), i < j, in lexicographic
-    position order.
+    `colors` is a read-only bool array over the pairs (i, j), i < j, of
+    ground positions in lexicographic order, pair (i, j) at `_pair_index`;
+    True is color 1.  Equality and hash read (ground, color bytes).
     """
 
     ground: Window
-    colors: tuple[int, ...]
+    colors: np.ndarray
 
     def __post_init__(self):
+        colors = np.asarray(self.colors)
         n = len(self.ground)
-        if len(self.colors) != n * (n - 1) // 2:
-            raise ValueError(
-                f"need {n * (n - 1) // 2} colors for a {n}-window, got {len(self.colors)}"
-            )
-        if any(c not in (0, 1) for c in self.colors):
+        if colors.shape != (n * (n - 1) // 2,):
+            got = len(colors) if colors.ndim == 1 else f"shape {colors.shape}"
+            raise ValueError(f"need {n * (n - 1) // 2} colors for a {n}-window, got {got}")
+        # numeric dtypes only: text, None and ints past int64 make other kinds
+        if colors.dtype.kind not in "biuf" or not np.all((colors == 0) | (colors == 1)):
             raise ValueError("colors must be 0 or 1")
+        object.__setattr__(self, "colors", _frozen(colors, bool))
+
+    @cached_property
+    def _key(self) -> tuple:
+        return self.ground, self.colors.tobytes()
 
     @classmethod
     def from_function(cls, ground: Window, fn: Callable[[int, int], int]) -> "PairColoring":
         """Evaluate fn(a, b) on every pair a < b of window elements."""
         elems = ground.elements
-        colors = tuple(
-            int(fn(elems[i], elems[j]))
-            for i in range(len(elems))
-            for j in range(i + 1, len(elems))
-        )
-        return cls(ground, colors)
+        return cls(ground, [int(fn(a, b)) for i, a in enumerate(elems) for b in elems[i + 1 :]])
 
     @classmethod
     def from_orders(cls, o1: LinearOrder, o2: LinearOrder) -> "PairColoring":
@@ -94,7 +101,7 @@ class PairColoring:
             raise ValueError("orders must share a window")
         r1, r2 = o1.ranks, o2.ranks
         i, j = np.triu_indices(len(r1), 1)
-        return cls(o1.window, tuple(((r1[i] < r1[j]) != (r2[i] < r2[j])).astype(int).tolist()))
+        return cls(o1.window, (r1[i] < r1[j]) != (r2[i] < r2[j]))
 
     def color_of(self, a: int, b: int) -> int:
         i = self.ground.position(a)
@@ -103,18 +110,7 @@ class PairColoring:
             raise ValueError(f"pair elements must be distinct, got {a}")
         if i > j:
             i, j = j, i
-        return self.colors[_pair_index(len(self.ground), i, j)]
-
-    @cached_property
-    def _table(self) -> np.ndarray:
-        table = np.array(self.colors, dtype=bool)
-        table.flags.writeable = False
-        return table
-
-    def colors_after(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Colors of the pairs of ground positions (i, j), j in js, as a
-        boolean array; every j must exceed i."""
-        return self._table[_pair_index(len(self.ground), i, js)]
+        return int(self.colors[_pair_index(len(self.ground), i, j)])
 
 
 def is_monochromatic(coloring: PairColoring, subset: Iterable[int]) -> bool:
@@ -144,7 +140,7 @@ def ramsey_mono_subset(coloring: PairColoring, m: int) -> tuple[int, ...]:
     guarantees 2m pivots and so m of one color.
 
     The live elements are held as an array of ground positions, and each
-    pivot reads its colors against all of them in one `colors_after` row.
+    pivot reads its colors against all of them as one gather from `colors`.
     """
     if m < 1:
         raise ValueError(f"target size must be positive, got {m}")
@@ -156,7 +152,7 @@ def ramsey_mono_subset(coloring: PairColoring, m: int) -> tuple[int, ...]:
     counts = [0, 0]
     while live.size and max(counts) < m:
         p, live = int(live[0]), live[1:]
-        row = coloring.colors_after(p, live)
+        row = coloring.colors[_pair_index(n, p, live)]
         c = 1 if 2 * np.count_nonzero(row) > live.size else 0
         pivots.append((p, c))
         counts[c] += 1

@@ -17,15 +17,15 @@ memory whatever the ground size n.  The digits are the ones numpy's
 index is the Lehmer code of the w source ranks it lands on, read off them
 by `core.pattern_index` without building their induced rank vector.
 
-Positions and ranks lie in [0, n), so a chunk decodes and compares them in
-the narrowest unsigned dtype that holds n - 1, `np.min_scalar_type(n - 1)`:
-uint8 up to 256 points, uint16 up to 65,536 and uint32 up to the CLI's 10^6.
-Every decode pass and comparison is a numpy loop over whole rows, which
-then moves 1, 2 or 4 bytes per entry instead of 8, and a chunk's narrow
-temporaries are small enough that up to 65,536 points it takes no fresh
-pages (at window 4, 124 page faults per chunk in int64).  The digits stay
-the int64 ones numpy draws, and only the (w, count) rows are cast, never
-the source.
+The chunk dtype.  Positions and ranks lie in [0, n), so a chunk decodes
+and compares them in the narrowest unsigned dtype that holds n - 1,
+`np.min_scalar_type(n - 1)`: uint8 up to 256 points, uint16 up to 65,536
+and uint32 up to the CLI's 10^6.  Every decode pass and comparison is a
+numpy loop over whole rows, which then moves 1, 2 or 4 bytes per entry
+instead of 8, and a chunk's narrow temporaries are small enough that up to
+65,536 points it takes no fresh pages (at window 4, 124 page faults per
+chunk in int64).  The digits stay the int64 ones numpy draws, and only the
+(w, count) rows are cast, never the source.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are added up as they arrive, so a
@@ -216,8 +216,8 @@ def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray
     section 3.4.2; Bentley and Floyd, CACM 1987).  Decoding is a bijection
     from the digit tuples onto the n!/(n - w)! injections, so uniform digits
     give a uniform injection in O(w) draws and O(w^2) comparisons per trial.
-    The digits are decoded in the narrowest unsigned dtype that holds
-    n - 1, `np.min_scalar_type(n - 1)`, and the positions come back in it.
+    The digits are decoded, and the positions come back, in the chunk dtype
+    of the module docstring.
     """
     digits = _lehmer_digits(n, w, chunk_seed, count)
     return positions_from_digits(digits.astype(np.min_scalar_type(n - 1)))
@@ -234,14 +234,10 @@ def _chunk_pattern_counts(
     counts the pattern of row i of `position_tuples(w, w)`, the i-th order
     of all_linear_orders.
 
-    Positions and ranks lie in [0, n), so the chunk decodes and compares in
-    the narrowest unsigned dtype that holds n - 1: uint8 up to 256 points,
-    uint16 up to 65,536, uint32 beyond.  Each pass over a row then moves a
-    half to an eighth of the bytes of int64, and the narrow rows are that
-    much smaller.  Only the (w, count) digits and gathered ranks are cast,
-    never the whole source, so a chunk costs O(w count) at any ground size;
-    the source ranks may come in any integer dtype whose values lie in
-    [0, n).
+    The chunk decodes and compares in the dtype of the module docstring,
+    casting only the (w, count) gathered ranks, so it costs O(w count) at
+    any ground size; the source ranks may come in any integer dtype whose
+    values lie in [0, n).
     """
     positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
     r = source_ranks[positions].astype(positions.dtype, copy=False)

@@ -18,6 +18,7 @@ from orderflow import (
 )
 from orderflow import cli, stats
 from orderflow.cli import (
+    MAX_FACTOR_BYTES,
     MAX_FACTOR_TUPLES,
     MAX_FREQUENCY_GROUND,
     MAX_FREQUENCY_JOBS,
@@ -646,6 +647,47 @@ def test_factor_accepts_orders_at_the_tuple_bound(tmp_path, monkeypatch, capsys)
     code, out, err = run_cli(["factor", "sign-4", str(order_file)], capsys)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "error: line 1: 5 points give 120 4-tuples, more than 24"
+
+
+def test_factor_refuses_text_past_the_byte_bound_before_applying_the_code(
+    tmp_path, monkeypatch, capsys
+):
+    # 1,000 points of 4,000 digits pass the tuple bound (999,000 sign-2
+    # tuples), but their text would be 8.0 GB
+    assert MAX_FACTOR_BYTES == 2**25
+
+    def never(*args, **kwargs):
+        raise AssertionError("applied a code past the byte bound")
+
+    monkeypatch.setattr(cli.codes, "apply_code", never)
+    points = [10**3999 + 7 * i for i in range(1000)]
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(" ".join(map(str, points)) + "\n")
+    header = len("k=2 window=") + 1000 * 4000 + 999 + 1
+    size = header + 2 * 999 * 1000 * 4001 + 5 * 999_000
+    rc, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: line 1: 1000 points give {size} bytes of configuration text, "
+        f"more than {MAX_FACTOR_BYTES}"
+    )
+
+
+@pytest.mark.parametrize("code, order", [("sign-4", "3 1 0 2"), ("circular", "-7 20 3 1000")])
+def test_factor_accepts_text_at_the_byte_bound(code, order, tmp_path, monkeypatch, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(order + "\n")
+    rc, text, _ = run_cli(["factor", code, str(order_file)], capsys)
+    assert rc == 0
+    monkeypatch.setattr(cli, "MAX_FACTOR_BYTES", len(text))
+    assert run_cli(["factor", code, str(order_file)], capsys)[:2] == (0, text)
+    monkeypatch.setattr(cli, "MAX_FACTOR_BYTES", len(text) - 1)
+    rc, out, err = run_cli(["factor", code, str(order_file)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: line 1: 4 points give {len(text)} bytes of configuration text, "
+        f"more than {len(text) - 1}"
+    )
 
 
 def test_factor_missing_file(tmp_path, capsys):

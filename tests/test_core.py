@@ -29,7 +29,7 @@ from orderflow import (
     perm_to_text,
     sign_code,
 )
-from orderflow.core import _preimage_positions, pattern_index, position_tuples
+from orderflow.core import _preimage_positions, config_text_size, pattern_index, position_tuples
 from orderflow.orders import LinearOrder, all_linear_orders
 
 
@@ -501,6 +501,16 @@ def alternating_config(k, elements):
 @example(alternating_config(3, (-(10**21), -9, 0, 10**24)))
 def test_config_text_matches_the_per_tuple_writer(config):
     assert config_to_text(config) == reference_config_text(config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_config_st())
+@example(alternating_config(2, ()))
+@example(alternating_config(3, (5,)))
+@example(alternating_config(4, (-(10**21), -9, 0, 10**24)))
+@example(alternating_config(2, tuple(range(60)) + (10**3999,)))
+def test_config_text_size_is_the_length_written(config):
+    assert config_text_size(config.k, config.window) == len(config_to_text(config))
 
 
 @pytest.mark.parametrize("wide", [(), (10**3999,)], ids=["even", "one-wide-point"])

@@ -3,6 +3,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,13 +73,56 @@ def _reference_mono_subset(coloring, m):
 def test_coloring_shape_and_lookup():
     ground = Window((0, 2, 5))
     coloring = PairColoring.from_function(ground, lambda a, b: 1 if a == 0 else 0)
-    assert coloring.colors == (1, 1, 0)
+    assert coloring.colors.tolist() == [1, 1, 0]
     assert coloring.color_of(2, 0) == 1
     assert coloring.color_of(5, 2) == 0
     with pytest.raises(ValueError):
         PairColoring(ground, (0, 1))
     with pytest.raises(ValueError):
         coloring.color_of(2, 2)
+
+
+def test_colors_are_one_read_only_bool_array_copied_from_the_caller():
+    colors = np.array([1, 0, 1])
+    coloring = PairColoring(Window((0, 2, 5)), colors)
+    assert coloring.colors.dtype == bool
+    assert not coloring.colors.flags.writeable
+    with pytest.raises(ValueError):
+        coloring.colors[0] = False
+    colors[:] = 0
+    assert coloring.colors.tolist() == [True, False, True]
+    assert coloring.color_of(0, 2) == 1 and type(coloring.color_of(0, 2)) is int
+
+
+def test_equal_colorings_are_equal_and_hash_alike():
+    ground = Window((0, 2, 5))
+    built = PairColoring.from_function(ground, lambda a, b: 1 if a == 0 else 0)
+    for colors in ([1, 1, 0], (True, True, False), np.array([1.0, 1.0, 0.0])):
+        given = PairColoring(ground, colors)
+        assert built == given
+        assert hash(built) == hash(given)
+    assert len({built, PairColoring(ground, np.array([1, 1, 0], dtype=np.uint8))}) == 1
+    assert built != PairColoring(Window((0, 2, 6)), [1, 1, 0])
+    assert built != PairColoring(ground, [1, 1, 1])
+    assert built != PairColoring(ground, [1, 0, 0])
+
+
+def test_colors_other_than_0_and_1_or_of_a_wrong_shape_are_refused():
+    ground = Window((0, 2, 5))
+    cases = [
+        ([0, 2, 1], "colors must be 0 or 1"),
+        ([0, 0.5, 1], "colors must be 0 or 1"),
+        (["0", "1", "0"], "colors must be 0 or 1"),
+        ([None, 0, 1], "colors must be 0 or 1"),
+        ([0, 2**70, 1], "colors must be 0 or 1"),
+        ([0, 1], "need 3 colors for a 3-window, got 2"),
+        (np.zeros((3, 1)), re.escape("need 3 colors for a 3-window, got shape (3, 1)")),
+        (np.zeros((1, 3)), re.escape("need 3 colors for a 3-window, got shape (1, 3)")),
+        (0, re.escape("need 3 colors for a 3-window, got shape ()")),
+    ]
+    for colors, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PairColoring(ground, colors)
 
 
 def test_agreement_coloring_of_identical_orders_is_constant():
