@@ -1,7 +1,7 @@
 """Desk-scale toolkit for order configurations: sign configurations on
 injective tuples, the finitely supported permutation action, linear and
 circular orders, order-type block codes, minimality and proximality
-witnesses, Ramsey extraction, and exact versus empirical pattern statistics."""
+witnesses, and exact versus empirical pattern statistics."""
 
 from .codes import (
     BlockCode,
@@ -53,10 +53,8 @@ from .ramsey import (
     PROXIMALITY_REVERSE,
     PairColoring,
     Witness,
-    is_monochromatic,
     minimality_witness,
     proximality_witness,
-    ramsey_mono_subset,
     verify_minimality,
     verify_proximality,
     witness_from_text,

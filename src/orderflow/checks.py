@@ -192,18 +192,6 @@ def reversal_structure(sizes: Iterable[int]) -> int:
     return total
 
 
-def ramsey_extraction(rng: random.Random, colorings: int, ground_size: int, m: int) -> None:
-    """On random 2-colorings of pairs, extraction returns m points forming a
-    monochromatic set, and the same set on a second call."""
-    ground = _window(ground_size)
-    for _ in range(colorings):
-        coloring = ramsey.PairColoring.from_function(ground, lambda a, b: rng.randint(0, 1))
-        subset = ramsey.ramsey_mono_subset(coloring, m)
-        require(len(subset) == m, "expected %d points, got %d", m, len(subset))
-        require(ramsey.is_monochromatic(coloring, subset), "%s not monochromatic", subset)
-        require(subset == ramsey.ramsey_mono_subset(coloring, m), "not deterministic")
-
-
 def minimality_witnesses(sources: Iterable[LinearOrder], window: Window) -> int:
     """Every target order on the window has a witness inside every source,
     and the witness re-verifies.  Returns the number of witnesses."""

@@ -56,9 +56,10 @@ MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of
 #: all n! orders of every window up to it, a block of rows at a time, and
-#: `verify` takes 0.5-0.8 s at 7 and 0.55-1.25 s at 8, with 39 MB peak RSS,
-#: on a 2-core Xeon.  On 9 points the round trip alone takes 0.9-1.9 s and
-#: 65 MB, mostly for the 362,880-row table of order ranks.
+#: `verify` takes 0.28-0.47 s at 7 and 0.34-0.55 s at 8, with 39 MB peak RSS,
+#: on a 2-core Xeon whose speed drifts within a session.  On 9 points the
+#: round trip alone takes 0.47-0.87 s and 61 MB in process, mostly for the
+#: 362,880-row table of order ranks.
 MAX_VERIFY_WINDOW = 8
 
 #: Largest `witness --ground`: each random order draws one `getrandbits`
@@ -66,12 +67,11 @@ MAX_VERIFY_WINDOW = 8
 #: witness fixtures pin, into a Python list before it becomes an array.  A
 #: proximality witness needs (W-1)^2+1 ground points, so the window is
 #: bounded by the ground alone, W <= 1 + sqrt(ground - 1): 1,024 at this
-#: size.  Here a proximality run takes 2.5-2.6 s and 147 MB peak RSS at
-#: window 10, and 3.0-3.2 s and 157 MB at window 1,000, on a 2-core Xeon;
-#: the two orders take 0.65-0.7 s each, about 0.5 s of it the draws and
-#: swaps and 0.2 s the array.  A minimality run at window 4 takes 2.05-2.4 s
-#: and 171 MB: one order, and 0.5 s for the order text of the `source:`
-#: stderr line.
+#: size.  Here a proximality run takes 1.45-2.0 s and 147 MB peak RSS at
+#: window 10, and 1.8-2.1 s and 157 MB at window 1,000, on a 2-core Xeon;
+#: each order takes 0.55-0.8 s of it.  A minimality run at window 4 takes
+#: 1.4-1.75 s and 171 MB: one order, and 0.45-0.6 s for the order text of
+#: the `source:` stderr line.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  Near the
@@ -90,7 +90,10 @@ MAX_FACTOR_TUPLES = 10**6
 #: 8.0 GB of text, exits 2 in 0.75-0.9 s at 47 MB peak RSS.  At the bound,
 #: sign-4 on 33 six-digit points (32.4 MB) and sign-6 on 12 (31.3 MB) take
 #: 0.7 s and 185 MB peak RSS, and sign-2 on 1,000 13-digit points (33.0 MB)
-#: 0.7 s and 150 MB, on a 2-core Xeon.
+#: 0.7 s and 150 MB, on a 2-core Xeon.  An order file longer than the bound
+#: is refused after reading one byte past it: the 79 MB of `seq -s " " 0
+#: 9999999` exit 2 in 0.2-0.3 s at 66 MB, and a 32 MiB line of one-digit
+#: points, counted without a `str` per point, in 0.45 s at 98 MB.
 MAX_FACTOR_BYTES = 2**25
 
 
@@ -146,8 +149,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
          lambda: checks.moment_curve_sign(rng("verify-moment"), (2, 3, 4, 5), 50)),
         ("reversal-structure", f"exhaustive, windows 2..{min(4, max_window)}",
          lambda: checks.reversal_structure(range(2, min(4, max_window) + 1))),
-        ("ramsey-mono-subset", "10 random colorings, ground 64, m=3",
-         lambda: checks.ramsey_extraction(rng("verify-ramsey"), 10, 64, 3)),
         ("minimality-witnesses", f"all targets on a {witness_w}-window",
          lambda: checks.minimality_witnesses(
              [random_order(20, "verify-min")], window(witness_w))),
@@ -295,19 +296,34 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # factor
 
 
-def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
+def _read_order_file(path: str) -> str:
+    """The file's text, decoded as `Path.read_text` decodes it, read no
+    further than one byte past `MAX_FACTOR_BYTES`.  A longer file raises FormatError: the
+    configuration text's header lists every point of the order, so no order
+    that long fits the byte bound unless its file is padded."""
+    with open(path, "rb") as file:
+        # a short first read is the whole file, and costs no buffer the size
+        # of the bound
+        data = file.read(2**16)
+        if len(data) == 2**16:
+            data += file.read(max(MAX_FACTOR_BYTES + 1 - len(data), 0))
+    if len(data) > MAX_FACTOR_BYTES:
+        raise FormatError(f"{path}: more than {MAX_FACTOR_BYTES} bytes of order text")
     try:
-        text = Path(args.order_file).read_text()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="locale").read()
     except UnicodeDecodeError as exc:
-        raise FormatError(f"{args.order_file}: {exc}") from None
-    lines = core.numbered_lines(text)
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
+    lines = core.numbered_lines(_read_order_file(args.order_file))
     if not lines:
         raise OrderflowError(f"{args.order_file}: no order found")
     if len(lines) > 1:
         raise FormatError("expected a single order line", lines[1][0])
     lineno, line = lines[0]
     # bounded on the token count, before a point of the order is built
-    n, k = len(line.split()), code.k
+    n, k = core.token_count(line), code.k
     if math.perm(n, k) > MAX_FACTOR_TUPLES:
         raise FormatError(
             f"{n} points give {math.perm(n, k)} {k}-tuples, more than {MAX_FACTOR_TUPLES}", lineno
@@ -414,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except OrderflowError as exc:
-        _report(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (OrderflowError, OSError) as exc:
         _report(f"error: {exc}")
         return 2

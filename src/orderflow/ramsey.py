@@ -1,18 +1,14 @@
-"""Order-dynamics witnesses, and monochromatic-subset extraction for
-general pair colorings.
+"""Order-dynamics witnesses, and the agreement coloring of two orders.
 
 A minimality witness is a finitely supported permutation carrying a large
 source order onto a prescribed pattern on a target window.  A proximality
 witness carries two source orders onto the same window so that they either
 agree there or are exact reverses.  Its points are an increasing or a
 decreasing run in the second order's ranks listed in the first order's
-order; by Erdos-Szekeres the (|W|-1)^2+1 least points hold one.
-
-A general pair coloring is one read-only bool array over the pairs of
-ground positions, validated once, as an order's ranks are.  The greedy
-pivot extraction gathers one row of it per pivot, the pivot against every
-live ground position at once, and keeps its majority class by that row as
-a mask.
+order; by Erdos-Szekeres the (|W|-1)^2+1 least points hold one.  That run
+is the Ramsey-type step: the points of a proximality witness are
+monochromatic in the agreement coloring of the two orders, color 0 where
+they order a pair alike and 1 where they order it oppositely.
 
 Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
@@ -26,7 +22,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,19 +51,22 @@ PROXIMALITY_REVERSE = "proximality-reverse"
 _KINDS = (MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)
 
 
-def _pair_index(n: int, i: int, j: int | np.ndarray) -> int | np.ndarray:
-    """Flat index of the pair of positions (i, j), i < j, among the pairs of
-    an n-window in lexicographic order; j may be an array."""
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
 @dataclass(frozen=True, eq=False)
 class PairColoring(_ArrayValue):
-    """Two-coloring of the 2-element subsets of a ground window.
+    """The agreement coloring of two orders: a two-coloring of the
+    2-element subsets of a ground window, built by `from_orders`.
 
     `colors` is a read-only bool array over the pairs (i, j), i < j, of
-    ground positions in lexicographic order, pair (i, j) at `_pair_index`;
-    True is color 1.  Equality and hash read (ground, color bytes).
+    ground positions in lexicographic order, so pair (i, j) of an n-window
+    sits at i(2n - i - 1)/2 + j - i - 1; True is color 1.  Equality and
+    hash read (ground, color bytes).  The constructor is public, so it
+    validates what it is given.
+
+    No witness builds it: the tests read it as the reference coloring of
+    proximality witnesses, and the bench tracer in `perfbench/tracing.py`
+    wraps `from_orders` and `color_of` by name.  It can go once the bench
+    declares its metrics in one table of paths that exist (ROADMAP.md,
+    "Rebuild the benchmark around names that exist").
     """
 
     ground: Window
@@ -89,12 +88,6 @@ class PairColoring(_ArrayValue):
         return self.ground, self.colors.tobytes()
 
     @classmethod
-    def from_function(cls, ground: Window, fn: Callable[[int, int], int]) -> "PairColoring":
-        """Evaluate fn(a, b) on every pair a < b of window elements."""
-        elems = ground.elements
-        return cls(ground, [int(fn(a, b)) for i, a in enumerate(elems) for b in elems[i + 1 :]])
-
-    @classmethod
     def from_orders(cls, o1: LinearOrder, o2: LinearOrder) -> "PairColoring":
         """Color 0 where the orders agree on a pair, 1 where they disagree."""
         if o1.window != o2.window:
@@ -104,67 +97,10 @@ class PairColoring(_ArrayValue):
         return cls(o1.window, (r1[i] < r1[j]) != (r2[i] < r2[j]))
 
     def color_of(self, a: int, b: int) -> int:
-        i = self.ground.position(a)
-        j = self.ground.position(b)
+        i, j = sorted((self.ground.position(a), self.ground.position(b)))
         if i == j:
             raise ValueError(f"pair elements must be distinct, got {a}")
-        if i > j:
-            i, j = j, i
-        return int(self.colors[_pair_index(len(self.ground), i, j)])
-
-
-def is_monochromatic(coloring: PairColoring, subset: Iterable[int]) -> bool:
-    elems = sorted(subset)
-    colors = {
-        coloring.color_of(elems[i], elems[j])
-        for i in range(len(elems))
-        for j in range(i + 1, len(elems))
-    }
-    return len(colors) <= 1
-
-
-def _power_of_four(m: int) -> str:
-    """4^m for an error message: in decimal up to 4^32 (20 digits), past
-    that as the power alone."""
-    return f"{4**m} (= 4^{m})" if m <= 32 else f"4^{m}"
-
-
-def ramsey_mono_subset(coloring: PairColoring, m: int) -> tuple[int, ...]:
-    """Monochromatic m-subset of the ground, by greedy pivot extraction.
-
-    Repeatedly take the least live element as a pivot and keep its larger
-    color class among the remaining live elements, color 0 on a tie.  Every
-    pair of pivots gets the color the earlier pivot kept, so the pivots of
-    the more common kept color form a monochromatic set.  Keeping the
-    majority class at least halves the live count, hence ground size 4**m
-    guarantees 2m pivots and so m of one color.
-
-    The live elements are held as an array of ground positions, and each
-    pivot reads its colors against all of them as one gather from `colors`.
-    """
-    if m < 1:
-        raise ValueError(f"target size must be positive, got {m}")
-    n = len(coloring.ground)
-    if n < 4**m:
-        raise GroundTooSmall(f"ground size {n} below the required {_power_of_four(m)}")
-    live = np.arange(n)
-    pivots: list[tuple[int, int]] = []
-    counts = [0, 0]
-    while live.size and max(counts) < m:
-        p, live = int(live[0]), live[1:]
-        row = coloring.colors[_pair_index(n, p, live)]
-        c = 1 if 2 * np.count_nonzero(row) > live.size else 0
-        pivots.append((p, c))
-        counts[c] += 1
-        live = live[row] if c else live[~row]
-    c = 0 if counts[0] >= counts[1] else 1
-    elems = coloring.ground.elements
-    subset = tuple(elems[p] for p, pc in pivots if pc == c)[:m]
-    if len(subset) < m:
-        raise GroundTooSmall(
-            f"extraction stalled at {len(subset)} of {m} on a {n}-ground"
-        )
-    return subset
+        return int(self.colors[i * (2 * len(self.ground) - i - 1) // 2 + j - i - 1])
 
 
 @dataclass(frozen=True)

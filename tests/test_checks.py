@@ -65,10 +65,6 @@ PLANTED = {
         lambda: checks.reversal_structure((2, 3)),
         orders, "reverse", lambda f: lambda order: order, AssertionError,
     ),
-    "ramsey-mono-subset": (
-        lambda: checks.ramsey_extraction(random.Random(0), 4, 64, 3),
-        ramsey, "ramsey_mono_subset", lambda f: lambda c, m: c.ground.elements[:m], AssertionError,
-    ),
     "minimality-witnesses": (
         lambda: checks.minimality_witnesses([stats.random_linear_order(window(8), 0)], window(2)),
         ramsey, "verify_minimality", lambda f: lambda *a: False, RuntimeError,

@@ -78,6 +78,22 @@ def test_verify_inject_fault_fails_by_name(capsys):
     )
 
 
+#: The checks `verify` runs, in the order it prints them.
+VERIFY_CHECKS = [
+    "bijection-roundtrip",
+    "action-laws",
+    "sign-code-alternation",
+    "code-equivariance",
+    "circular-order-count",
+    "moment-curve-sign",
+    "reversal-structure",
+    "minimality-witnesses",
+    "proximality-witnesses",
+    "cylinder-mass",
+    "orbit-average",
+]
+
+
 @pytest.mark.parametrize(
     "max_window, skipped",
     [
@@ -95,8 +111,9 @@ def test_verify_skips_checks_with_nothing_to_check(max_window, skipped, capsys):
     skip_lines = [line for line in lines if line.startswith("SKIP ")]
     assert [line.split()[1] for line in skip_lines] == skipped
     assert all(line.endswith("): nothing to check") for line in skip_lines)
-    assert sum(line.startswith("PASS ") for line in lines) == 12 - len(skipped)
-    assert lines[-1] == f"result: {12 - len(skipped)} passed, 0 failed, {len(skipped)} skipped"
+    assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
+    assert sum(line.startswith("PASS ") for line in lines) == 11 - len(skipped)
+    assert lines[-1] == f"result: {11 - len(skipped)} passed, 0 failed, {len(skipped)} skipped"
 
 
 @pytest.mark.parametrize(
@@ -144,8 +161,9 @@ def test_verify_defaults_pass_under_python_O():
     proc = run_optimized(["verify"])
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith("PASS ") for line in lines) == 12
-    assert lines[-1] == "result: 12 passed, 0 failed"
+    assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert lines[-1] == "result: 11 passed, 0 failed"
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +705,49 @@ def test_factor_accepts_text_at_the_byte_bound(code, order, tmp_path, monkeypatc
     assert err.splitlines()[-1] == (
         f"error: line 1: 4 points give {len(text)} bytes of configuration text, "
         f"more than {len(text) - 1}"
+    )
+
+
+def test_factor_refuses_files_past_the_byte_bound_after_reading_one_byte_past_it(
+    tmp_path, monkeypatch, capsys
+):
+    # a file at the bound is read, and its configuration text is refused; a
+    # file one byte longer, or an endless one, is refused by its own length
+    monkeypatch.setattr(cli, "MAX_FACTOR_BYTES", 12)
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("0 1 2" + " " * 7)
+    rc, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "error: line 1: 3 points give 71 bytes of configuration text, more than 12"
+    )
+    order_file.write_text("0 1 2" + " " * 7 + "\n")
+    for path in (order_file, Path("/dev/zero")):
+        rc, out, err = run_cli(["factor", "sign-2", str(path)], capsys)
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: {path}: more than 12 bytes of order text"
+    # past the first 2^16-byte read, a padded file under the bound still runs
+    monkeypatch.setattr(cli, "MAX_FACTOR_BYTES", 2**17)
+    order_file.write_text("0 1 2\n")
+    rc, expected, _ = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert rc == 0
+    order_file.write_text("0 1 2" + " " * 70_000 + "\n")
+    assert run_cli(["factor", "sign-2", str(order_file)], capsys)[:2] == (0, expected)
+    rc, out, err = run_cli(["factor", "sign-2", "/dev/zero"], capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: /dev/zero: more than {2**17} bytes of order text"
+
+
+def test_factor_counts_points_of_a_long_line_exactly(tmp_path, capsys):
+    # 2^21 three-byte tokens in 6 MiB, counted a 2^20-character block at a
+    # time: the tokens cut by a block end are counted once
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("17 " * 2**21 + "\n")
+    rc, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (rc, out) == (2, "")
+    tuples = math.perm(2**21, 2)
+    assert err.splitlines()[-1] == (
+        f"error: line 1: {2**21} points give {tuples} 2-tuples, more than {MAX_FACTOR_TUPLES}"
     )
 
 

@@ -1,5 +1,4 @@
 import itertools
-import random
 import re
 import time
 
@@ -26,11 +25,9 @@ from orderflow import (
     compose,
     extend_bijection,
     inverse,
-    is_monochromatic,
     minimality_witness,
     negate,
     proximality_witness,
-    ramsey_mono_subset,
     random_linear_order,
     reverse,
     sign_code,
@@ -42,37 +39,14 @@ from orderflow import (
 from orderflow.ramsey import _all_pairs_colored, _increasing_run
 
 
-def random_coloring(ground: Window, seed: int) -> PairColoring:
-    rng = random.Random(seed)
-    return PairColoring.from_function(ground, lambda a, b: rng.randint(0, 1))
-
-
-def _reference_mono_subset(coloring, m):
-    """Greedy pivot extraction with one color_of call per live element per
-    pivot: least live element as pivot, larger class kept, 0 on a tie."""
-    live = list(coloring.ground)
-    pivots = []
-    counts = [0, 0]
-    while live and max(counts) < m:
-        p = live.pop(0)
-        kept = ([], [])
-        for x in live:
-            kept[coloring.color_of(p, x)].append(x)
-        c = 0 if len(kept[0]) >= len(kept[1]) else 1
-        pivots.append((p, c))
-        counts[c] += 1
-        live = kept[c]
-    c = 0 if counts[0] >= counts[1] else 1
-    return tuple(p for p, pc in pivots if pc == c)[:m]
-
-
 # ---------------------------------------------------------------------------
 # pair colorings
 
 
 def test_coloring_shape_and_lookup():
     ground = Window((0, 2, 5))
-    coloring = PairColoring.from_function(ground, lambda a, b: 1 if a == 0 else 0)
+    # pairs (0, 2), (0, 5), (2, 5): color 1 exactly on the pairs holding 0
+    coloring = PairColoring(ground, [1, 1, 0])
     assert coloring.colors.tolist() == [1, 1, 0]
     assert coloring.color_of(2, 0) == 1
     assert coloring.color_of(5, 2) == 0
@@ -96,7 +70,7 @@ def test_colors_are_one_read_only_bool_array_copied_from_the_caller():
 
 def test_equal_colorings_are_equal_and_hash_alike():
     ground = Window((0, 2, 5))
-    built = PairColoring.from_function(ground, lambda a, b: 1 if a == 0 else 0)
+    built = PairColoring(ground, [1, 1, 0])
     for colors in ([1, 1, 0], (True, True, False), np.array([1.0, 1.0, 0.0])):
         given = PairColoring(ground, colors)
         assert built == given
@@ -145,81 +119,6 @@ def test_from_orders_matches_the_per_pair_reference():
             assert coloring.color_of(a, b) == coloring.color_of(b, a) == (0 if agree else 1)
     with pytest.raises(ValueError, match="^orders must share a window$"):
         PairColoring.from_orders(o1, LinearOrder.natural(Window(tuple(range(40)))))
-
-
-# ---------------------------------------------------------------------------
-# monochromatic extraction
-
-
-def test_constant_coloring_returns_first_elements():
-    ground = Window(tuple(range(20)))
-    coloring = PairColoring.from_function(ground, lambda a, b: 0)
-    assert ramsey_mono_subset(coloring, 2) == (0, 1)
-
-
-def test_random_coloring_yields_verified_monochromatic_set():
-    ground = Window(tuple(range(256)))
-    for seed in range(5):
-        coloring = random_coloring(ground, seed)
-        subset = ramsey_mono_subset(coloring, 4)
-        assert len(subset) == 4
-        assert subset == tuple(sorted(subset))
-        assert is_monochromatic(coloring, subset)
-        assert subset == ramsey_mono_subset(coloring, 4)  # deterministic
-
-
-def test_a_tied_pivot_keeps_color_zero():
-    # pivot 0 sees 8 even (color 0) and 8 odd (color 1) elements; keeping
-    # the evens makes 2 the next pivot, keeping the odds would give (1, 3)
-    coloring = PairColoring.from_function(Window(tuple(range(17))), lambda a, b: (a + b) % 2)
-    assert ramsey_mono_subset(coloring, 2) == _reference_mono_subset(coloring, 2) == (0, 2)
-
-
-@st.composite
-def extraction_cases(draw):
-    """A coloring on a ground range(base, base + n) with n >= 4^m: random,
-    the agreement coloring of two orders, or one whose pivots often see
-    even splits, colored by a bit of b - a."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.one_of(st.just(4**m), st.integers(4**m + 1, 4**m + 40)))
-    base = draw(st.integers(-5, 5))
-    ground = Window(tuple(range(base, base + n)))
-    seed = draw(st.integers(0, 2**32 - 1))
-    kind = draw(st.sampled_from(("random", "table", "even")))
-    if kind == "random":
-        return random_coloring(ground, seed), m
-    if kind == "even":
-        bit = draw(st.integers(0, 3))
-        return PairColoring.from_function(ground, lambda a, b: ((b - a) >> bit) & 1), m
-    o1 = random_linear_order(ground, seed)
-    o2 = draw(st.sampled_from((o1, reverse(o1), random_linear_order(ground, seed + 1))))
-    return PairColoring.from_orders(o1, o2), m
-
-
-@settings(max_examples=120, deadline=None)
-@given(extraction_cases())
-def test_extraction_matches_the_per_pair_reference(case):
-    coloring, m = case
-    subset = ramsey_mono_subset(coloring, m)
-    assert subset == _reference_mono_subset(coloring, m)
-    assert all(type(x) is int for x in subset)
-
-
-def test_ground_too_small():
-    ground = Window(tuple(range(10)))
-    coloring = random_coloring(ground, 1)
-    with pytest.raises(GroundTooSmall):
-        ramsey_mono_subset(coloring, 2)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from((1, 2, 3)))
-def test_extraction_always_succeeds_at_the_bound(seed, m):
-    ground = Window(tuple(range(4**m)))
-    coloring = random_coloring(ground, seed)
-    subset = ramsey_mono_subset(coloring, m)
-    assert len(subset) == m
-    assert is_monochromatic(coloring, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +216,14 @@ def test_proximality_ground_too_small():
 
 
 def test_bounds_past_the_digit_limit_are_written_as_powers():
-    # 4^8000 has 4,817 decimal digits; the extraction's messages must not
-    # spell it out, and a proximality witness needs only 7999^2 + 1 points
+    # a proximality witness on 8,000 points needs only 7999^2 + 1 ground
+    # points, a bound short enough to write in decimal
     o1 = LinearOrder.natural(Window(tuple(range(16))))
     with pytest.raises(GroundTooSmall) as excinfo:
         proximality_witness(o1, reverse(o1), Window(tuple(range(8000))))
     assert str(excinfo.value) == (
         "ground size 16 below the required 63984002 for window size 8000"
     )
-    with pytest.raises(GroundTooSmall) as excinfo:
-        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 8000)
-    assert str(excinfo.value) == "ground size 16 below the required 4^8000"
-    # up to 4^32 (20 digits) the decimal value stays in the message
-    with pytest.raises(GroundTooSmall) as excinfo:
-        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 32)
-    assert str(excinfo.value) == f"ground size 16 below the required {4**32} (= 4^32)"
-    with pytest.raises(GroundTooSmall) as excinfo:
-        ramsey_mono_subset(PairColoring.from_orders(o1, o1), 33)
-    assert str(excinfo.value) == "ground size 16 below the required 4^33"
 
 
 @settings(max_examples=120, deadline=None)
@@ -361,6 +250,34 @@ def test_proximality_witnesses_verify_at_the_bound(m, base, seed, relation):
         assert witness.kind == PROXIMALITY_AGREE
     elif relation == "reversed":
         assert witness.kind == PROXIMALITY_REVERSE
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(-5, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from(("random", "equal", "reversed")))
+def test_proximality_witness_points_are_monochromatic_in_the_agreement_coloring(
+    data, base, seed, relation
+):
+    # the agreement coloring is the reference: the |W| preimage points take
+    # color 0 on an agree witness and color 1 on a reverse one
+    m = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(proximality_bound(m), 300))
+    ground = Window(tuple(range(base, base + n)))
+    o1 = random_linear_order(ground, seed)
+    o2 = {
+        "random": random_linear_order(ground, seed + 1),
+        "equal": o1,
+        "reversed": reverse(o1),
+    }[relation]
+    window = Window(tuple(range(m)))
+    witness = proximality_witness(o1, o2, window)
+    coloring = PairColoring.from_orders(o1, o2)
+    points = [inverse(witness.alpha)(x) for x in window]
+    assert all(x in ground for x in points)
+    color = {PROXIMALITY_AGREE: 0, PROXIMALITY_REVERSE: 1}[witness.kind]
+    assert all(
+        coloring.color_of(a, b) == color for a, b in itertools.combinations(points, 2)
+    )
 
 
 def extremal_sequence(m):
