@@ -72,7 +72,7 @@ def action_laws(rng: random.Random, triples: int, max_points: int) -> None:
     for _ in range(triples):
         k = rng.choice((2, 3))
         window = _window(rng.randint(k, max_points))
-        config = KConfig.from_function(k, window, lambda t: rng.choice((1, -1)))
+        config = KConfig(k, window, [rng.choice((1, -1)) for _ in range(math.perm(len(window), k))])
         alpha = _random_perm(window, rng)
         beta = _random_perm(window, rng)
         require(core.apply_perm(FinPerm.identity(), config) == config, "identity moved %s", config)
@@ -210,12 +210,12 @@ def proximality_witnesses(
     pairs: Sequence[tuple[LinearOrder, LinearOrder]], window: Window
 ) -> None:
     """Every pair has a re-verifying proximality witness on the window, and
-    the first order against its own reverse gets the reverse kind."""
-    for o1, o2 in pairs:
+    the first order against its own reverse gets a re-verifying witness of
+    the reverse kind."""
+    reverse_pair = pairs[0][0], orders.reverse(pairs[0][0])
+    for o1, o2 in [*pairs, reverse_pair]:
         witness = ramsey.proximality_witness(o1, o2, window)
         require(ramsey.verify_proximality(witness, o1, o2), "proximality witness fails")
-    o1 = pairs[0][0]
-    witness = ramsey.proximality_witness(o1, orders.reverse(o1), window)
     require(
         witness.kind == ramsey.PROXIMALITY_REVERSE,
         "reversed pair got kind %s", witness.kind,

@@ -20,6 +20,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -55,12 +56,12 @@ MAX_FREQUENCY_GROUND = 1_000_000
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of
-#: all n! orders of every window up to it, a block of rows at a time, and
-#: `verify` takes 0.28-0.47 s at 7 and 0.34-0.55 s at 8, with 39 MB peak RSS,
-#: on a 2-core Xeon whose speed drifts within a session.  On 9 points the
-#: round trip alone takes 0.47-0.87 s and 61 MB in process, mostly for the
-#: 362,880-row table of order ranks.
-MAX_VERIFY_WINDOW = 8
+#: all n! orders of every window up to it, a block of rows at a time, from the
+#: cached table of them.  `verify` takes 0.35-0.44 s at 7 and 0.43-0.54 s at
+#: 8 with 39 MB peak RSS, and 1.03-1.23 s at 9 with 66 MB, mostly for the
+#: 362,880-row table of 9 points (26 MB), on a 2-core Xeon whose speed drifts
+#: from run to run.  On 10 points that table alone would take 290 MB.
+MAX_VERIFY_WINDOW = 9
 
 #: Largest `witness --ground`: each random order draws one `getrandbits`
 #: per point or more, in the stream of `random.Random(seed).shuffle` that the
@@ -315,13 +316,34 @@ def _read_order_file(path: str) -> str:
         raise FormatError(f"{path}: {exc}") from None
 
 
+def _order_line(text: str, path: str) -> tuple[int, str]:
+    """The line number and text of the one non-blank line of the order text,
+    numbered as in `str.splitlines` with `\\r\\n` as one line end, but with no
+    `str` or tuple per line: a `\\S` search finds each non-blank line, and
+    `str.count` counts the line ends before it.  Text with no non-blank line
+    raises OrderflowError, and a second one FormatError at its number."""
+    ends = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where `str.splitlines` splits
+    non_blank = re.compile(r"\S")
+
+    def line_ends(start: int, stop: int) -> int:
+        return sum(text.count(end, start, stop) for end in ends) - text.count("\r\n", start, stop)
+
+    first = non_blank.search(text)
+    if first is None:
+        raise OrderflowError(f"{path}: no order found")
+    at = first.start()
+    lineno = 1 + line_ends(0, at)
+    start = 1 + max(text.rfind(end, 0, at) for end in ends)
+    found = re.compile(f"[{ends}]").search(text, at)
+    stop = found.start() if found else len(text)
+    second = non_blank.search(text, stop)
+    if second is not None:
+        raise FormatError("expected a single order line", lineno + line_ends(at, second.start()))
+    return lineno, text[start:stop]
+
+
 def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
-    lines = core.numbered_lines(_read_order_file(args.order_file))
-    if not lines:
-        raise OrderflowError(f"{args.order_file}: no order found")
-    if len(lines) > 1:
-        raise FormatError("expected a single order line", lines[1][0])
-    lineno, line = lines[0]
+    lineno, line = _order_line(_read_order_file(args.order_file), args.order_file)
     # bounded on the token count, before a point of the order is built
     n, k = core.token_count(line), code.k
     if math.perm(n, k) > MAX_FACTOR_TUPLES:

@@ -325,12 +325,14 @@ def extend_bijection(partial: dict[int, int]) -> FinPerm:
     return FinPerm.from_dict(full)
 
 
-def _preimage_positions(inv: FinPerm, window: Window, domain: Window) -> np.ndarray:
-    """Positions in `domain` of the preimages inv(x) of the window points x,
-    in window order.  Raises DomainEscape at the first preimage off it."""
+def _preimage_positions(alpha: FinPerm, window: Window, domain: Window) -> np.ndarray:
+    """Positions in `domain` of the preimages under alpha of the window
+    points, in window order: alpha's pairs read backwards, so no inverse
+    permutation is built.  Raises DomainEscape at the first preimage off it."""
+    preimage = {b: a for a, b in alpha.mapping}
     positions = np.empty(len(window), dtype=np.intp)
     for i, x in enumerate(window):
-        y = inv(x)
+        y = preimage.get(x, x)
         if y not in domain:
             raise DomainEscape(f"preimage {y} of {x} lies outside {_window_phrase(domain)}")
         positions[i] = domain.position(y)
@@ -346,7 +348,7 @@ def apply_perm(alpha: FinPerm, config: KConfig, window: Window | None = None) ->
     """
     if window is None:
         window = alpha.image_window(config.window)
-    pre = _preimage_positions(inverse(alpha), window, config.window)
+    pre = _preimage_positions(alpha, window, config.window)
     values = config.array[tuple(pre[position_tuples(len(window), config.k)].T)]
     return KConfig(config.k, window, values)
 

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import FinPerm, Window, _ArrayValue, _at_line, _frozen, _preimage_positions
-from .core import inverse, position_tuples
+from .core import position_tuples
 from .errors import FormatError, WindowTooSmall
 
 
@@ -126,7 +126,7 @@ def cyclic_shift(order: LinearOrder) -> LinearOrder:
 def relabel(order: LinearOrder, alpha: FinPerm) -> LinearOrder:
     """Order on alpha(W) with rank(alpha(x)) = rank(x)."""
     new_window = alpha.image_window(order.window)
-    pre = _preimage_positions(inverse(alpha), new_window, order.window)
+    pre = _preimage_positions(alpha, new_window, order.window)
     return LinearOrder(new_window, order.ranks[pre])
 
 

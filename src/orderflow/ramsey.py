@@ -14,6 +14,10 @@ Verification pulls the checked window back through alpha and compares the
 orders' ranks at the |W| preimages pair by pair.  This is the relocated
 pair configuration read only where it is checked: its value at (x, y) is
 +1 exactly when the preimage of x ranks below the preimage of y.
+
+The constructors build a witness and do not check it: `verify_minimality`
+and `verify_proximality` are the caller's one check, and every caller in
+the package makes it on what it prints or asserts.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .core import (
     _frozen,
     _preimage_positions,
     extend_bijection,
-    inverse,
     numbered_lines,
     perm_from_text,
     perm_to_text,
@@ -124,15 +127,15 @@ def require_pairs(size: int) -> None:
         raise WindowTooSmall("need a window of size at least 2")
 
 
-def _pulled_back_ranks(inv: FinPerm, window: Window, order: LinearOrder) -> np.ndarray:
-    """Ranks under the order at the preimages inv(x) of the window points x,
-    in window order; inv is the inverse of the witness's alpha.
+def _pulled_back_ranks(alpha: FinPerm, window: Window, order: LinearOrder) -> np.ndarray:
+    """Ranks under the order at the preimages under the witness's alpha of
+    the window points, in window order.
 
     Raises WindowTooSmall for an order on fewer than 2 points (it has no
     pair configuration) and DomainEscape for a preimage off its ground.
     """
     require_pairs(len(order.window))
-    return order.ranks[_preimage_positions(inv, window, order.window)]
+    return order.ranks[_preimage_positions(alpha, window, order.window)]
 
 
 def _all_pairs_colored(r1: np.ndarray, r2: np.ndarray, color: int) -> bool:
@@ -156,7 +159,7 @@ def verify_minimality(witness: Witness, source: LinearOrder, target: LinearOrder
     if witness.kind != MINIMALITY:
         return False
     window = witness.checked_window
-    pulled = _pulled_back_ranks(inverse(witness.alpha), window, source)
+    pulled = _pulled_back_ranks(witness.alpha, window, source)
     require_pairs(len(target.window))
     if window != target.window:
         return False
@@ -171,10 +174,9 @@ def verify_proximality(witness: Witness, o1: LinearOrder, o2: LinearOrder) -> bo
     two orders at the preimages are compared pair by pair: every pair must
     be ordered alike for the agree kind and oppositely for the reverse kind.
     """
-    window = witness.checked_window
-    inv = inverse(witness.alpha)
-    r1 = _pulled_back_ranks(inv, window, o1)
-    r2 = _pulled_back_ranks(inv, window, o2)
+    alpha, window = witness.alpha, witness.checked_window
+    r1 = _pulled_back_ranks(alpha, window, o1)
+    r2 = _pulled_back_ranks(alpha, window, o2)
     if witness.kind == PROXIMALITY_AGREE:
         return _all_pairs_colored(r1, r2, 0)
     if witness.kind == PROXIMALITY_REVERSE:
@@ -187,7 +189,8 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
 
     Picks |W| ground points (the window itself when it sits inside the
     ground), sends the i-th lowest of them under the source order to the
-    element of W with target rank i, and extends canonically.
+    element of W with target rank i, and extends canonically.  The witness
+    is returned unchecked: `verify_minimality` is the caller's check.
     """
     ground = source.window
     W = target.window
@@ -201,11 +204,7 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
         chosen = ground.elements[: len(W)]
     by_source = sorted(chosen, key=source.rank_of)
     by_target = target.ranked_elements()
-    alpha = extend_bijection(dict(zip(by_source, by_target)))
-    witness = Witness(alpha, W, MINIMALITY)
-    if not verify_minimality(witness, source, target):
-        raise RuntimeError("internal error: minimality witness failed verification")
-    return witness
+    return Witness(extend_bijection(dict(zip(by_source, by_target))), W, MINIMALITY)
 
 
 def _increasing_run(values: Iterable[int], m: int) -> list[int] | None:
@@ -247,7 +246,8 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     ranks, else a decreasing one, which Erdos-Szekeres guarantees.  Its
     points are mapped onto W preserving o1.  On an increasing run the
     relocated configurations coincide; on a decreasing one the second is
-    the exact negation of the first.
+    the exact negation of the first.  The witness is returned unchecked:
+    `verify_proximality` is the caller's check.
     """
     if o1.window != o2.window:
         raise ValueError("orders must share a window")
@@ -263,10 +263,7 @@ def proximality_witness(o1: LinearOrder, o2: LinearOrder, W: Window) -> Witness:
     if run is None:
         run, kind = _increasing_run(map(operator.neg, seq), m), PROXIMALITY_REVERSE
     points = [ground.elements[p] for p in head[run].tolist()]
-    witness = Witness(extend_bijection(dict(zip(points, W.elements))), W, kind)
-    if not verify_proximality(witness, o1, o2):
-        raise RuntimeError("internal error: proximality witness failed verification")
-    return witness
+    return Witness(extend_bijection(dict(zip(points, W.elements))), W, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -67,14 +67,14 @@ PLANTED = {
     ),
     "minimality-witnesses": (
         lambda: checks.minimality_witnesses([stats.random_linear_order(window(8), 0)], window(2)),
-        ramsey, "verify_minimality", lambda f: lambda *a: False, RuntimeError,
+        ramsey, "verify_minimality", lambda f: lambda *a: False, AssertionError,
     ),
     "proximality-witnesses": (
         lambda: checks.proximality_witnesses(
             [(stats.random_linear_order(window(16), 0), stats.random_linear_order(window(16), 1))],
             window(2),
         ),
-        ramsey, "verify_proximality", lambda f: lambda *a: False, RuntimeError,
+        ramsey, "verify_proximality", lambda f: lambda *a: False, AssertionError,
     ),
     "cylinder-mass": (
         lambda: checks.cylinder_mass((1, 2)),
@@ -112,6 +112,24 @@ def test_circular_image_counts_catches_a_wrong_multiplicity(monkeypatch):
     monkeypatch.setattr(codes, "images", first_takes_last)
     with pytest.raises(AssertionError, match=r"^multiplicities \[2, 4\], not 3$"):
         checks.circular_image_counts((3, 4))
+
+
+def test_proximality_witnesses_verifies_the_reverse_pair_witness(monkeypatch):
+    # with o2 == o1 every given pair gets an agree witness, so a verifier
+    # refusing only the reverse kind fails the reverse-pair witness alone
+    verify = ramsey.verify_proximality
+    o1 = stats.random_linear_order(window(16), 0)
+    checks.proximality_witnesses([(o1, o1)], window(3))
+    calls = []
+
+    def refuses_reverse(witness, *orders):
+        calls.append(witness.kind)
+        return witness.kind != ramsey.PROXIMALITY_REVERSE and verify(witness, *orders)
+
+    monkeypatch.setattr(ramsey, "verify_proximality", refuses_reverse)
+    with pytest.raises(AssertionError, match="^proximality witness fails$"):
+        checks.proximality_witnesses([(o1, o1)], window(3))
+    assert calls == [ramsey.PROXIMALITY_AGREE, ramsey.PROXIMALITY_REVERSE]
 
 
 def test_counting_checks_count_what_they_checked():

@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orderflow import (
     Window,
@@ -16,7 +19,8 @@ from orderflow import (
     reverse,
     witness_from_text,
 )
-from orderflow import cli, stats
+from orderflow import FinPerm, cli, core, ramsey, stats
+from orderflow.errors import FormatError, OrderflowError
 from orderflow.cli import (
     MAX_FACTOR_BYTES,
     MAX_FACTOR_TUPLES,
@@ -129,17 +133,17 @@ def test_verify_names_only_the_arities_it_checked(max_window, label, capsys):
 
 
 def test_verify_rejects_max_windows_above_the_bound(monkeypatch, capsys):
-    assert MAX_VERIFY_WINDOW == 8
+    assert MAX_VERIFY_WINDOW == 9
 
     def never(*args, **kwargs):
         raise AssertionError("enumerated a window above the bound")
 
     monkeypatch.setattr(cli.checks, "bijection_round_trip", never)
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--max-window", "9"])
+        main(["verify", "--max-window", "10"])
     assert excinfo.value.code == 2
     _, err = capsys.readouterr()
-    assert "--max-window must be at most 8, got 9" in err
+    assert "--max-window must be at most 9, got 10" in err
 
 
 def run_optimized(argv):
@@ -482,6 +486,67 @@ def test_witness_proximality_on_a_4096_ground(reverse_pair, capsys):
             assert (o2.ranks[x] < o2.ranks[y]) == agree
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "argv, verifier",
+    [
+        (["minimality"], "verify_minimality"),
+        (["proximality"], "verify_proximality"),
+        (["proximality", "--reverse-pair"], "verify_proximality"),
+    ],
+    ids=["minimality", "proximality", "proximality-reverse"],
+)
+def test_witness_verifies_each_witness_once(argv, verifier, fmt, monkeypatch, capsys):
+    verify = getattr(ramsey, verifier)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(ramsey, verifier, counted)
+    argv = ["witness", *argv, "--ground", "30", "--window", "4", "--format", fmt]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    assert "verification: PASS" in err.splitlines()
+    assert len(calls) == 1
+
+
+def _bent_run(values, m):
+    """The first m consecutive slots whose values are not monotone: a
+    construction fault in the place of the monotone-run search."""
+    values = list(values)
+    for i in range(len(values) - m + 1):
+        part = values[i : i + m]
+        if part != sorted(part) and part != sorted(part, reverse=True):
+            return list(range(i, i + m))
+    raise AssertionError("every window of slots is monotone")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "kind, attr, broken",
+    [
+        ("proximality", "_increasing_run", _bent_run),
+        ("minimality", "extend_bijection", lambda partial: FinPerm.identity()),
+    ],
+    ids=["proximality", "minimality"],
+)
+def test_witness_reports_a_construction_fault(kind, attr, broken, fmt, monkeypatch, capsys):
+    # the witness is still written, and the one verification fails it
+    monkeypatch.setattr(ramsey, attr, broken)
+    argv = ["witness", kind, "--ground", "256", "--window", "4", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.splitlines()[-1] == "verification: FAIL"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload.pop("verified") is False
+        out = "".join(f"{key}={value}\n" for key, value in payload.items())
+    witness = witness_from_text(out)
+    assert witness.checked_window == Window(tuple(range(4)))
+
+
 def test_witness_rejects_grounds_above_the_bound(monkeypatch, capsys):
     assert MAX_WITNESS_GROUND == 4**10
 
@@ -749,6 +814,61 @@ def test_factor_counts_points_of_a_long_line_exactly(tmp_path, capsys):
     assert err.splitlines()[-1] == (
         f"error: line 1: {2**21} points give {tuples} 2-tuples, more than {MAX_FACTOR_TUPLES}"
     )
+
+
+def test_factor_refuses_a_second_line_without_a_tuple_per_line(tmp_path, capsys):
+    # 2^21 lines of `0` (4 MiB) are refused at line 2: listing every line
+    # first took 267 MB peak RSS on this file, and the line scan allocates
+    # next to nothing beside the text
+    text = "0\n" * 2**21
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(text)
+    rc, out, err = run_cli(["factor", "sign-4", str(order_file)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1] == "error: line 2: expected a single order line"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^line 2: expected a single order line$"):
+            cli._order_line(text, str(order_file))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_factor_reads_the_order_after_many_blank_lines(tmp_path, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("\n" * 2**20 + "  3 1 2\n\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert code == 0
+    assert config_from_text(out).window == Window((1, 2, 3))
+    order_file.write_text("\n" * 2**20 + "  3 1 x\n\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: line {2**20 + 1}: bad order text '  3 1 x'"
+
+
+#: Every character `str.splitlines` splits at, with \r\n, other spaces and
+#: a few non-blank characters.
+_ORDER_TEXT_PIECES = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    " ", "\t", "\x1f", "\xa0", "\u3000", "1", "-", "x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ORDER_TEXT_PIECES), max_size=16).map("".join))
+def test_order_line_numbers_lines_as_numbered_lines(text):
+    lines = core.numbered_lines(text)
+    if not lines:
+        with pytest.raises(OrderflowError, match="^f: no order found$"):
+            cli._order_line(text, "f")
+    elif len(lines) > 1:
+        with pytest.raises(FormatError) as excinfo:
+            cli._order_line(text, "f")
+        assert str(excinfo.value) == f"line {lines[1][0]}: expected a single order line"
+    else:
+        assert cli._order_line(text, "f") == lines[0]
 
 
 def test_factor_missing_file(tmp_path, capsys):
