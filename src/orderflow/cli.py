@@ -40,10 +40,12 @@ MAX_FREQUENCY_WINDOW = 8
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
 #: ground size, in uint32 positions and ranks past 65,536 points, the source
 #: order is one array, and the ground window is a tuple of Python ints taken
-#: from a `range` in about 0.03 s.  At this size a run takes 0.32-0.46 s at
-#: the default window and trials and 0.34-0.44 s at window 4 and 20,000
-#: trials, each with 96 MB peak RSS, on a 2-core Xeon; 0.24-0.27 s of that
-#: is interpreter start and imports.
+#: from a `range` in about 0.03 s.  At this size a run takes 0.34-0.41 s at
+#: the default window and trials and 0.29-0.35 s at window 4 and 20,000
+#: trials, each with 96-97 MB peak RSS, and 0.47-0.70 s with 110 MB at
+#: window 8 and 100,000 trials, where a 10,000-trial chunk skips about 18
+#: rejected draws, on a 2-core Xeon; 0.28-0.31 s of that is interpreter
+#: start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --jobs`: each job is one OS thread taking

@@ -128,30 +128,22 @@ def code_from_name(name: str) -> BlockCode:
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
+    """Exact determinant of an integer matrix whose leading principal minors
+    are all nonzero, by fraction-free elimination without row exchanges.
 
-    Every division below is exact: the Bareiss identity guarantees the
-    previous pivot divides the 2x2 minor.
+    The pivot of step i is the leading (i + 1) x (i + 1) minor, and every
+    division below is exact: the Bareiss identity guarantees the previous
+    pivot divides the 2x2 minor.
     """
     n = len(rows)
     m = [row[:] for row in rows]
-    sign = 1
     prev = 1
     for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
         for r in range(i + 1, n):
             for c in range(i + 1, n):
                 m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
         prev = m[i][i]
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1]
 
 
 def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
@@ -161,6 +153,11 @@ def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
     (1, t_i, t_i^2, ..., t_i^(k-1)), computed exactly: rows are scaled to
     integers by their positive common denominator, then eliminated
     fraction-free.  Strictly increasing parameters give +1.
+
+    The parameters must be pairwise distinct, and are checked to be first.
+    Every leading minor of the row-scaled matrix is then a Vandermonde
+    determinant times positive scales, prod scale * prod_{a<b} (t_b - t_a),
+    so no elimination pivot is zero and neither is the determinant.
     """
     ts = [Fraction(x) for x in reals]
     k = len(ts)
@@ -173,8 +170,5 @@ def moment_curve_orientation(reals: Sequence[int | Fraction]) -> int:
         row = [t**j for j in range(k)]
         scale = math.lcm(*(x.denominator for x in row))
         rows.append([int(x * scale) for x in row])
-    det = _bareiss_det(rows)
-    if det == 0:
-        raise DegenerateInput("degenerate moment matrix")
-    return 1 if det > 0 else -1
+    return 1 if _bareiss_det(rows) > 0 else -1
 

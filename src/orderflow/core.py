@@ -86,6 +86,15 @@ def _window_phrase(window: Window) -> str:
     return f"a {len(window)}-point window from {window.elements[0]} to {window.elements[-1]}"
 
 
+def _text_head(text: str) -> str:
+    """The text quoted for an error message, cut to its first 40 characters
+    and its length when it is longer than 60: a message stays short however
+    long the text is."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def pattern_index(ranks: np.ndarray) -> np.ndarray:
     """Pattern of each column of a slot-major (k, m) array of distinct values.
 

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FinPerm, Window, _ArrayValue, _at_line, _frozen, _preimage_positions
+from .core import FinPerm, Window, _ArrayValue, _at_line, _frozen, _preimage_positions, _text_head
 from .core import position_tuples
 from .errors import FormatError, WindowTooSmall
 
@@ -61,11 +61,16 @@ class LinearOrder(_ArrayValue):
 
     @classmethod
     def from_ranked_elements(cls, seq: Sequence[int]) -> "LinearOrder":
-        """Order from its elements listed least to greatest, e.g. (7, 3, 9)."""
-        window = Window.of(seq)
-        if len(window) != len(seq):
-            raise ValueError(f"ranked elements must be distinct: {tuple(seq)}")
+        """Order from its elements listed least to greatest, e.g. (7, 3, 9).
+        A repeated element raises ValueError naming it and two of its ranks."""
         rank_of = {x: r for r, x in enumerate(seq)}
+        if len(rank_of) < len(seq):
+            r, x = next((r, x) for r, x in enumerate(seq) if rank_of[x] != r)
+            raise ValueError(
+                f"ranked elements must be distinct: {_text_head(str(x))} is ranked "
+                f"both {r} and {rank_of[x]}"
+            )
+        window = Window.of(rank_of)
         return cls(window, [rank_of[x] for x in window])
 
     def rank_of(self, x: int) -> int:
@@ -157,7 +162,7 @@ def order_from_text(text: str, lineno: int | None = None) -> LinearOrder:
     try:
         seq = tuple(int(x) for x in text.split())
     except ValueError:
-        raise FormatError(f"bad order text {text!r}", lineno) from None
+        raise FormatError(f"bad order text {_text_head(text)}", lineno) from None
     if not seq:
         raise FormatError("empty order text", lineno)
     return _at_line(lineno, LinearOrder.from_ranked_elements, seq)

@@ -669,6 +669,29 @@ def test_factor_malformed_file_names_the_line(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_factor_names_a_repeated_point(tmp_path, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("3 1 3\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "error: line 1: ranked elements must be distinct: '3' is ranked both 0 and 2"
+    )
+
+
+def test_factor_bad_order_text_message_stays_short(tmp_path, capsys):
+    # 999 valid 4,000-digit points and one `x`: a 4 MB line under the byte
+    # and tuple bounds
+    line = " ".join([str(10**3999 + i) for i in range(999)] + ["x"])
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(line + "\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: line 1: bad order text {line[:40]!r}... ({len(line)} characters)"
+    )
+
+
 def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_bytes(b"\xff\xfe 3 1\n")

@@ -169,6 +169,50 @@ def test_order_constructors_and_text():
         order.rank_of(4)
 
 
+#: A 4,000-digit point, as wide as a point of the order text gets near the
+#: factor byte bound.
+WIDE_POINT = str(10**3999 + 7)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1 3", "ranked elements must be distinct: '3' is ranked both 0 and 2"),
+        ("5 -2 7 -2 -2", "ranked elements must be distinct: '-2' is ranked both 1 and 4"),
+        (
+            " ".join(map(str, range(10**5))) + " 99999",
+            "ranked elements must be distinct: '99999' is ranked both 99999 and 100000",
+        ),
+        (
+            f"{WIDE_POINT} 1 {WIDE_POINT}",
+            f"ranked elements must be distinct: {WIDE_POINT[:40]!r}... (4000 characters) "
+            "is ranked both 0 and 2",
+        ),
+    ],
+)
+def test_order_text_names_its_repeated_point(text, message):
+    # the repeat is found before the window is built, whose own message
+    # ("window elements must be strictly increasing") would name no rank
+    with pytest.raises(FormatError) as excinfo:
+        order_from_text(text, 4)
+    assert str(excinfo.value) == f"line 4: {message}"
+    with pytest.raises(ValueError) as excinfo:
+        LinearOrder.from_ranked_elements(tuple(map(int, text.split())))
+    assert str(excinfo.value) == message
+
+
+def test_bad_order_text_shows_a_short_head_of_a_long_line():
+    text = " ".join([WIDE_POINT] * 999 + ["x"])
+    with pytest.raises(FormatError) as excinfo:
+        order_from_text(text)
+    assert str(excinfo.value) == f"bad order text {text[:40]!r}... ({len(text)} characters)"
+    # up to 60 characters the text is shown whole
+    for text in ("  3 1 x", "1 " * 29 + "xy"):
+        with pytest.raises(FormatError) as excinfo:
+            order_from_text(text)
+        assert str(excinfo.value) == f"bad order text {text!r}"
+
+
 @st.composite
 def rank_tables(draw):
     """(window, ranks): a window of 1..6 points, negative, sparse or past

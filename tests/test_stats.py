@@ -277,6 +277,9 @@ REJECTING_SEEDS = [
     (4, 3314, 7, [(6, 3)]),  # its last digit
     (8, 22, 10_000, [(3794, 3), (3794, 3)]),  # one digit, twice
     (8, 109, 10_000, [(5234, 0), (5234, 2)]),  # two digits of one trial
+    # two digits of a chunk of 35 outputs, an odd count, so that one spare
+    # output is drawn at _SPARE_OUTPUTS = 1 and the second skip draws more
+    (5, 157298, 7, [(1, 3), (6, 3)]),
 ]
 
 
@@ -285,11 +288,23 @@ def test_lehmer_digits_follow_rejected_draws(w, seed, count, expected, monkeypat
     assert not Counter(expected) - Counter(_rejected_draws(10**6, w, seed, count))
     want = _integers_digits(10**6, w, seed, count)
     assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want)
-    # the same digits when every redo block is one trial and the spare
-    # outputs run out after two rejections
-    monkeypatch.setattr(stats, "_REDO_DIGITS", w)
-    monkeypatch.setattr(stats, "_SPARE_OUTPUTS", 2)
-    assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want)
+    # the same digits with one or two spare outputs: outputs come in 64-bit
+    # pairs, so a chunk of an even count draws two spares either way
+    for spare in (2, 1):
+        monkeypatch.setattr(stats, "_SPARE_OUTPUTS", spare)
+        assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want), spare
+
+
+@pytest.mark.parametrize("n", [10**8, 3 * 10**8])
+@pytest.mark.parametrize("w, count", [(5, 9_999), (8, 10_000)])
+def test_lehmer_digits_follow_rejected_draws_past_the_spare_outputs(n, w, count):
+    # 2^32 mod n is 94,967,296 at both grounds, so about 2 % of the outputs
+    # are skipped: over a thousand per chunk, far more than the spare
+    # outputs, so the chunk draws more and walks them too
+    seed = n + w
+    assert len(_rejected_draws(n, w, seed, count)) > 10 * stats._SPARE_OUTPUTS
+    want = _integers_digits(n, w, seed, count)
+    assert np.array_equal(stats._lehmer_digits(n, w, seed, count), want)
 
 
 def test_sampling_memory_does_not_grow_with_the_ground():
