@@ -128,10 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return stats.random_linear_order(window(n), derive_seed(seed, label, i))
 
     small = min(5, max_window)
-    alt_samples = 30 if max_window >= 5 else 0
-    # an arity gets images from the exhaustive orders up to the window
-    # bound or from the 5-point samples
-    alt_arities = tuple(k for k in (2, 3, 4) if k <= max_window or alt_samples)
+    alt_arities = tuple(k for k in (2, 3, 4) if k <= small)
     witness_w = max(2, min(4, max_window))
     table = [
         ("bijection-roundtrip", f"windows 2..{max_window}",
@@ -140,9 +137,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
          lambda: checks.action_laws(rng("verify-action"), 60, max_points=6)),
         ("sign-code-alternation",
          f"k in {{{','.join(map(str, alt_arities))}}}, windows to {small}",
-         lambda: checks.sign_code_alternation(
-             rng("verify-alt"), alt_arities, exhaustive_to=min(4, max_window),
-             sampled_points=5, samples=alt_samples)),
+         lambda: checks.sign_code_alternation(alt_arities, small)),
         ("code-equivariance", "30 random cases per code",
          lambda: checks.code_equivariance(
              rng("verify-equiv"), ("sign-2", "sign-3"), 30, max_points=6)),

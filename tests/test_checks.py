@@ -40,9 +40,7 @@ PLANTED = {
         core, "compose", lambda f: lambda a, b: f(b, a), AssertionError,
     ),
     "sign-code-alternation": (
-        lambda: checks.sign_code_alternation(
-            random.Random(0), (2, 3), exhaustive_to=3, sampled_points=4, samples=2
-        ),
+        lambda: checks.sign_code_alternation((2, 3), 4),
         core, "is_alternating", lambda f: lambda c: False, AssertionError,
     ),
     "moment-curve-sign": (
@@ -132,16 +130,32 @@ def test_proximality_witnesses_verifies_the_reverse_pair_witness(monkeypatch):
     assert calls == [ramsey.PROXIMALITY_AGREE, ramsey.PROXIMALITY_REVERSE]
 
 
+def test_reversal_structure_catches_a_class_map_onto_another_class(monkeypatch):
+    # the class of the order with window positions 0 and 1 swapped: still
+    # constant on each class {order, reverse(order)}, with fibers of size 2,
+    # but on 3 points or more the representative is in neither order's class
+    rep = orders.reversal_class_rep
+
+    def swapped_class(order):
+        ranks = order.ranks.copy()
+        ranks[[0, 1]] = ranks[[1, 0]]
+        return rep(LinearOrder(order.window, ranks))
+
+    checks.reversal_structure((2, 3))
+    monkeypatch.setattr(orders, "reversal_class_rep", swapped_class)
+    checks.reversal_structure((2,))  # on 2 points the swap is the reversal
+    with pytest.raises(AssertionError, match="^0 1 2 and its reverse are not one class$"):
+        checks.reversal_structure((2, 3))
+
+
 def test_counting_checks_count_what_they_checked():
-    rng = random.Random(0)
     assert checks.bijection_round_trip(range(2, 4)) == 2 + 6
-    alternation = checks.sign_code_alternation(rng, (2, 3), 3, sampled_points=4, samples=5)
-    assert alternation == (2 + 6 + 5) + (6 + 5)
+    assert checks.sign_code_alternation((2, 3), 4) == (2 + 6 + 24) + (6 + 24)
     assert checks.circular_image_counts(range(3, 5)) == 2 + 6
     assert checks.reversal_structure(range(2, 4)) == 2 + 6
     # empty budgets check nothing and say so
     assert checks.bijection_round_trip(range(2, 2)) == 0
-    assert checks.sign_code_alternation(rng, (2, 3, 4), 1, sampled_points=5, samples=0) == 0
+    assert checks.sign_code_alternation((2, 3, 4), 1) == 0
     assert checks.circular_image_counts(range(3, 3)) == 0
     assert checks.reversal_structure(range(2, 2)) == 0
 

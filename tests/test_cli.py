@@ -36,6 +36,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
 WITNESS_FIXTURES = Path(__file__).resolve().parent / "data" / "witness"
 FREQUENCY_FIXTURES = Path(__file__).resolve().parent / "data" / "frequencies"
+VERIFY_FIXTURES = Path(__file__).resolve().parent / "data" / "verify"
 
 #: The stderr fit line of each frequencies fixture run (--trials 20000
 #: --seed 11), recorded with its stdout.
@@ -130,6 +131,15 @@ def test_verify_names_only_the_arities_it_checked(max_window, label, capsys):
     )
     assert code == 0
     assert f"PASS sign-code-alternation ({label})" in out.splitlines()
+
+
+@pytest.mark.parametrize("max_window", range(1, 6))
+def test_verify_stdout_matches_the_recorded_fixtures(max_window, capsys):
+    # max-window-W.out holds the stdout recorded for W = 1..9 at the default
+    # seed and trials; CI compares the defaults (W = 5) and W = 9 under -O
+    code, out, _ = run_cli(["verify", "--max-window", str(max_window)], capsys)
+    assert code == 0
+    assert out.encode() == (VERIFY_FIXTURES / f"max-window-{max_window}.out").read_bytes()
 
 
 def test_verify_rejects_max_windows_above_the_bound(monkeypatch, capsys):

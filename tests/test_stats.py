@@ -307,6 +307,17 @@ def test_lehmer_digits_follow_rejected_draws_past_the_spare_outputs(n, w, count)
     assert np.array_equal(stats._lehmer_digits(n, w, seed, count), want)
 
 
+def test_lehmer_digits_scan_the_low_halves_for_rejections():
+    # at ground 3*10^8 a digit falls under 2^32 mod n = 94,967,296 about a
+    # third of the time, so a one-trial chunk whose only rejected draw is
+    # found by the low halves is often missed by a scan of the high halves
+    n = 3 * 10**8
+    for w in (2, 4):
+        for seed in range(200):
+            want = _integers_digits(n, w, seed, 1)
+            assert np.array_equal(stats._lehmer_digits(n, w, seed, 1), want), (w, seed)
+
+
 def test_sampling_memory_does_not_grow_with_the_ground():
     source = LinearOrder.natural(Window(tuple(range(100_000))))
     window = Window(tuple(range(4)))
