@@ -75,7 +75,8 @@ def action_laws(rng: random.Random, triples: int, max_points: int) -> None:
         config = KConfig(k, window, [rng.choice((1, -1)) for _ in range(math.perm(len(window), k))])
         alpha = _random_perm(window, rng)
         beta = _random_perm(window, rng)
-        require(core.apply_perm(FinPerm.identity(), config) == config, "identity moved %s", config)
+        require(core.apply_perm(FinPerm.identity(), config) == config,
+                "identity moved the %d-configuration on %s", k, core.window_to_text(window))
         lhs = core.apply_perm(core.compose(alpha, beta), config)
         rhs = core.apply_perm(alpha, core.apply_perm(beta, config))
         require(lhs == rhs, "composition law failed")

@@ -77,14 +77,17 @@ MAX_VERIFY_WINDOW = 9
 #: the `source:` stderr line.
 MAX_WITNESS_GROUND = 4**10
 
-#: Most injective k-tuples `factor` builds from its order file.  Near the
-#: bound, sign-4 on 33 points (982,080 tuples) takes 0.45-0.55 s and 113 MB
-#: peak RSS, and circular on 101 points (999,900 tuples) 0.4-0.55 s and 105 MB,
-#: on a 2-core Xeon.  Work and memory grow linearly in the output text, the
-#: tuple count times the digits of k points: sign-2 on 999 short points and one
-#: of 4,200 digits writes 21 MB in 0.85-0.95 s and 155 MB.  Long points can make
-#: the text far larger than the tuple count suggests, so `MAX_FACTOR_BYTES`
-#: bounds the text itself.
+#: Most injective k-tuples `factor` builds from its order file.  It caps the
+#: order at 1,000, 101, 33, 17 and 12 points for k = 2..6, the most n with
+#: perm(n, k) within it; a refusal names that cap, and the line is split no
+#: further than one point past it.  Near the bound, sign-4 on 33 points
+#: (982,080 tuples) takes 0.45-0.55 s and 113 MB peak RSS, and circular on
+#: 101 points (999,900 tuples) 0.4-0.55 s and 105 MB, on a 2-core Xeon.  Work
+#: and memory grow linearly in the output text, the tuple count times the
+#: digits of k points: sign-2 on 999 short points and one of 4,200 digits
+#: writes 21 MB in 0.85-0.95 s and 155 MB.  Long points can make the text far
+#: larger than the tuple count suggests, so `MAX_FACTOR_BYTES` bounds the
+#: text itself.
 MAX_FACTOR_TUPLES = 10**6
 
 #: Longest configuration text `factor` writes, in bytes (the text is ASCII).
@@ -95,8 +98,9 @@ MAX_FACTOR_TUPLES = 10**6
 #: 0.7 s and 185 MB peak RSS, and sign-2 on 1,000 13-digit points (33.0 MB)
 #: 0.7 s and 150 MB, on a 2-core Xeon.  An order file longer than the bound
 #: is refused after reading one byte past it: the 79 MB of `seq -s " " 0
-#: 9999999` exit 2 in 0.2-0.3 s at 66 MB, and a 32 MiB line of one-digit
-#: points, counted without a `str` per point, in 0.45 s at 98 MB.
+#: 9999999` exit 2 in 0.2-0.3 s at 66 MB, and a 32 MiB line of 2^24
+#: one-digit points, split no further than the point cap, in 0.45-0.5 s at
+#: 98 MB.
 MAX_FACTOR_BYTES = 2**25
 
 
@@ -299,6 +303,10 @@ def _read_order_file(path: str) -> str:
     further than one byte past `MAX_FACTOR_BYTES`.  A longer file raises FormatError: the
     configuration text's header lists every point of the order, so no order
     that long fits the byte bound unless its file is padded."""
+    # bytes, then one decode: a text-mode `read(MAX_FACTOR_BYTES + 1)` would
+    # bound characters, not bytes, and on an 8-point file it took 38-45 us
+    # against 10-15 us, about 4 % of a `perfbench` `factor` op, at the same
+    # 98 MB peak RSS on a 32 MiB file (2-core Xeon)
     with open(path, "rb") as file:
         # a short first read is the whole file, and costs no buffer the size
         # of the bound
@@ -341,18 +349,23 @@ def _order_line(text: str, path: str) -> tuple[int, str]:
 
 def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
     lineno, line = _order_line(_read_order_file(args.order_file), args.order_file)
-    # bounded on the token count, before a point of the order is built
-    n, k = core.token_count(line), code.k
-    if math.perm(n, k) > MAX_FACTOR_TUPLES:
+    # bounded on the point count, before a point of the order is built:
+    # perm(n, k) grows with n, so the line is split no further than one point
+    # past the most that the tuple bound admits
+    k, most = code.k, code.k - 1
+    while math.perm(most + 1, k) <= MAX_FACTOR_TUPLES:
+        most += 1
+    if len(line.split(None, most)) > most:
         raise FormatError(
-            f"{n} points give {math.perm(n, k)} {k}-tuples, more than {MAX_FACTOR_TUPLES}", lineno
+            f"more than {most} points give more than {MAX_FACTOR_TUPLES} {k}-tuples", lineno
         )
     order = orders.order_from_text(line, lineno)
     # bounded on the text's exact size, before a tuple is built
     size = core.config_text_size(k, order.window)
     if size > MAX_FACTOR_BYTES:
         raise FormatError(
-            f"{n} points give {size} bytes of configuration text, more than {MAX_FACTOR_BYTES}",
+            f"{len(order.window)} points give {size} bytes of configuration text, "
+            f"more than {MAX_FACTOR_BYTES}",
             lineno,
         )
     config = codes.apply_code(code, order)

@@ -386,23 +386,6 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return [(i, line) for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
 
 
-def token_count(line: str, block: int = 2**20) -> int:
-    """`len(line.split())` without a `str` per token: the token starts are
-    counted in one block of the line at a time, each block led by the
-    character before it (a space at the line start).  In an ASCII block the
-    characters `str.isspace` holds true of are mapped to spaces and the
-    bytes compared with a space; any other block is read character by
-    character."""
-    to_space = bytes.maketrans(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f", b" " * 9)
-    count = 0
-    for start in range(0, len(line), block):
-        part = (line[start - 1] if start else " ") + line[start : start + block]
-        gap = (np.frombuffer(part.encode().translate(to_space), np.uint8) == 32 if part.isascii()
-               else np.fromiter(map(str.isspace, part), bool, len(part)))
-        count += int(np.count_nonzero(gap[:-1] & ~gap[1:]))
-    return count
-
-
 def window_to_text(window: Window) -> str:
     """Window elements joined by commas; the empty window is empty text."""
     return ",".join(map(str, window))

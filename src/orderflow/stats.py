@@ -360,12 +360,14 @@ def _hits_from_float(empirical: object, trials: int) -> int:
     return hits
 
 
-def _json_int(data: dict, key: str) -> int:
-    """The field's value if it is a JSON integer; floats, text and booleans
-    are refused, not truncated or coerced."""
+def _json_int(data: dict, key: str, positive: bool = False) -> int:
+    """The field's value if it is a JSON integer, above 0 where asked;
+    floats, text and booleans are refused, not truncated or coerced."""
     value = data[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"bad pattern stat: {key} must be an integer, got {value!r}")
+    if positive and value < 1:
+        raise FormatError(f"bad pattern stat: {key} must be positive, got {value}")
     return value
 
 
@@ -378,10 +380,8 @@ def stat_from_dict(data: dict) -> PatternStat:
                 raise FormatError(f"bad pattern stat: {key} must be text, got {data[key]!r}")
         pattern = order_from_text(data["pattern"])
         window = window_from_text(data["window"])
-        exact = Fraction(_json_int(data, "exact_num"), _json_int(data, "exact_den"))
-        trials = _json_int(data, "trials")
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got {trials}")
+        exact = Fraction(_json_int(data, "exact_num"), _json_int(data, "exact_den", positive=True))
+        trials = _json_int(data, "trials", positive=True)
         stat = PatternStat(
             pattern=pattern,
             exact=exact,
@@ -389,8 +389,10 @@ def stat_from_dict(data: dict) -> PatternStat:
             trials=trials,
             seed=_json_int(data, "seed"),
         )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"bad pattern stat: missing field {exc}") from None
+    except ValueError as exc:
         raise FormatError(f"bad pattern stat: {exc}") from None
     if stat.pattern.window != window:
-        raise FormatError("pattern and window fields disagree")
+        raise FormatError("bad pattern stat: pattern and window fields disagree")
     return stat

@@ -94,6 +94,22 @@ def test_check_catches_its_planted_fault(name, monkeypatch):
         call()
 
 
+def test_action_laws_names_the_configuration_the_identity_moved(monkeypatch):
+    # the identity alone negates, so the composition law still holds, and
+    # the one-line message names the arity and window of the moved
+    # configuration
+    apply_perm = core.apply_perm
+
+    def identity_negates(alpha, config):
+        moved = apply_perm(alpha, config)
+        return core.negate(moved) if alpha == core.FinPerm.identity() else moved
+
+    checks.action_laws(random.Random(0), 10, max_points=4)
+    monkeypatch.setattr(core, "apply_perm", identity_negates)
+    with pytest.raises(AssertionError, match=r"^identity moved the 3-configuration on 0,1,2,3$"):
+        checks.action_laws(random.Random(0), 10, max_points=4)
+
+
 def test_circular_image_counts_catches_a_wrong_multiplicity(monkeypatch):
     # the first order of a block takes the last order's image: every image
     # is still realizable and their count is still (n-1)!, but on 3 points

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -727,6 +728,24 @@ def test_factor_rejects_unknown_codes(tmp_path, capsys):
         assert err.splitlines()[-1] == f"orderflow: error: {expected}"
 
 
+def most_points(k):
+    """The most points whose k-tuples fit `cli.MAX_FACTOR_TUPLES`, by search."""
+    return max(n for n in range(k - 1, 2_000) if math.perm(n, k) <= cli.MAX_FACTOR_TUPLES)
+
+
+def cap_message(k):
+    bound = cli.MAX_FACTOR_TUPLES
+    return f"error: line 1: more than {most_points(k)} points give more than {bound} {k}-tuples"
+
+
+class OrderBuilt(Exception):
+    """Raised in place of reading an order: the line passed the point cap."""
+
+
+def _build_no_order(*args, **kwargs):
+    raise OrderBuilt
+
+
 @pytest.mark.parametrize(
     "points, code, tuples",
     [(34, "sign-4", 1_113_024), (2_000, "sign-6", math.perm(2_000, 6))],
@@ -735,22 +754,68 @@ def test_factor_rejects_orders_with_too_many_tuples(
     points, code, tuples, tmp_path, monkeypatch, capsys
 ):
     assert MAX_FACTOR_TUPLES == 10**6
+    assert [most_points(k) for k in range(2, 7)] == [1000, 101, 33, 17, 12]
+    k = int(code[-1])
+    assert math.perm(points, k) == tuples > MAX_FACTOR_TUPLES
 
     def never(*args, **kwargs):
         raise AssertionError("read an order or applied a code past the tuple bound")
 
     monkeypatch.setattr(cli.codes, "apply_code", never)
-    # the bound is read off the token count, before the order is built
+    # the bound is read off the point count, before the order is built
     monkeypatch.setattr(cli.orders, "order_from_text", never)
     order_file = tmp_path / "order.txt"
     order_file.write_text(" ".join(map(str, range(points))) + "\n")
     rc, out, err = run_cli(["factor", code, str(order_file)], capsys)
     assert rc == 2
     assert out == ""
-    k = int(code[-1])
-    assert err.splitlines()[-1] == (
-        f"error: line 1: {points} points give {tuples} {k}-tuples, more than {MAX_FACTOR_TUPLES}"
-    )
+    assert err.splitlines()[-1] == cap_message(k)
+
+
+@pytest.mark.parametrize("bound", [MAX_FACTOR_TUPLES, 5_000, 0])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_factor_refuses_exactly_the_orders_past_the_tuple_bound(
+    k, bound, tmp_path, monkeypatch, capsys
+):
+    # from k - 1 points, which give no tuple, to two past the cap: a line is
+    # refused exactly when its points give more k-tuples than the bound
+    monkeypatch.setattr(cli, "MAX_FACTOR_TUPLES", bound)
+    monkeypatch.setattr(cli.orders, "order_from_text", _build_no_order)
+    order_file = tmp_path / "order.txt"
+    for n in range(k - 1, most_points(k) + 3):
+        order_file.write_text(" ".join(map(str, range(n))) + "\n")
+        if math.perm(n, k) <= bound:
+            with pytest.raises(OrderBuilt):
+                main(["factor", f"sign-{k}", str(order_file)])
+            capsys.readouterr()
+        else:
+            rc, out, err = run_cli(["factor", f"sign-{k}", str(order_file)], capsys)
+            assert (rc, out) == (2, "")
+            assert err.splitlines()[-1] == cap_message(k)
+
+
+#: Characters that `str.split` splits on or keeps, ASCII and not, among
+#: them two of the ASCII separators `bytes.split` does not know, \x1c-\x1f.
+TOKEN_CHARS = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000" + "01-x\xe9\u0663"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=TOKEN_CHARS, max_size=40), st.integers(2, 6), st.integers(0, 400))
+def test_factor_refuses_a_line_exactly_past_its_point_cap(line, k, bound):
+    # the line is what `_order_line` found, whatever its characters
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MAX_FACTOR_TUPLES", bound)
+        patch.setattr(cli, "_read_order_file", lambda path: line)
+        patch.setattr(cli, "_order_line", lambda text, path: (1, text))
+        patch.setattr(cli.orders, "order_from_text", _build_no_order)
+        stderr = io.StringIO()
+        patch.setattr(sys, "stderr", stderr)
+        if len(line.split()) > most_points(k):
+            assert main(["factor", f"sign-{k}", "order.txt"]) == 2
+            assert stderr.getvalue().splitlines()[-1] == cap_message(k)
+        else:
+            with pytest.raises(OrderBuilt):
+                main(["factor", f"sign-{k}", "order.txt"])
 
 
 def test_factor_accepts_orders_at_the_tuple_bound(tmp_path, monkeypatch, capsys):
@@ -762,7 +827,7 @@ def test_factor_accepts_orders_at_the_tuple_bound(tmp_path, monkeypatch, capsys)
     order_file.write_text("3 1 0 2 4\n")
     code, out, err = run_cli(["factor", "sign-4", str(order_file)], capsys)
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == "error: line 1: 5 points give 120 4-tuples, more than 24"
+    assert err.splitlines()[-1] == "error: line 1: more than 4 points give more than 24 4-tuples"
 
 
 def test_factor_refuses_text_past_the_byte_bound_before_applying_the_code(
@@ -836,16 +901,16 @@ def test_factor_refuses_files_past_the_byte_bound_after_reading_one_byte_past_it
     assert err.splitlines()[-1] == f"error: /dev/zero: more than {2**17} bytes of order text"
 
 
-def test_factor_counts_points_of_a_long_line_exactly(tmp_path, capsys):
-    # 2^21 three-byte tokens in 6 MiB, counted a 2^20-character block at a
-    # time: the tokens cut by a block end are counted once
+def test_factor_refuses_a_long_line_past_the_point_cap(tmp_path, monkeypatch, capsys):
+    # 2^21 three-byte points in 6 MiB: the line is split no further than
+    # the 1,001st point, and no order is built
+    monkeypatch.setattr(cli.orders, "order_from_text", _build_no_order)
     order_file = tmp_path / "order.txt"
     order_file.write_text("17 " * 2**21 + "\n")
     rc, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
     assert (rc, out) == (2, "")
-    tuples = math.perm(2**21, 2)
     assert err.splitlines()[-1] == (
-        f"error: line 1: {2**21} points give {tuples} 2-tuples, more than {MAX_FACTOR_TUPLES}"
+        f"error: line 1: more than 1000 points give more than {MAX_FACTOR_TUPLES} 2-tuples"
     )
 
 

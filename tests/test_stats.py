@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -524,6 +525,30 @@ def test_stat_from_dict_requires_json_integers(field, value):
     assert stat_from_dict(row).trials == 10
     with pytest.raises(FormatError, match=f"^bad pattern stat: {field} must be an integer, got "):
         stat_from_dict({**row, field: value})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": None}, "missing field 'seed'"),
+        ({"exact_den": 0}, "exact_den must be positive, got 0"),
+        ({"exact_den": 5}, "exact measure must be 1/3!"),
+        ({"empirical": "0.05"}, "empirical must be a number, got '0.05'"),
+        ({"empirical": float("nan")}, "empirical nan is not finite"),
+        ({"empirical": float("inf")}, "empirical inf is not finite"),
+        ({"trials": 0}, "trials must be positive, got 0"),
+        ({"trials": -3}, "trials must be positive, got -3"),
+        ({"window": "0,1,3"}, "pattern and window fields disagree"),
+    ],
+    ids=["missing", "den-0", "exact-1/5", "text", "nan", "inf", "trials-0", "trials--3", "window"],
+)
+def test_stat_from_dict_says_what_is_wrong(change, message):
+    # a None value stands for a missing field
+    row = histogram_to_dicts(np.ones(6, dtype=np.int64), Window((0, 1, 2)), seed=0)[0]
+    assert stat_from_dict(row).trials == 6
+    bad = {key: value for key, value in {**row, **change}.items() if value is not None}
+    with pytest.raises(FormatError, match=f"^{re.escape('bad pattern stat: ' + message)}$"):
+        stat_from_dict(bad)
 
 
 def test_histogram_to_dicts_rejects_empty_or_misshapen_histograms():

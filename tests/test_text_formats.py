@@ -25,7 +25,7 @@ from orderflow import (
     witness_from_text,
     witness_to_text,
 )
-from orderflow.core import token_count, window_from_text, window_to_text
+from orderflow.core import window_from_text, window_to_text
 from orderflow.stats import stat_from_dict
 
 # ---------------------------------------------------------------------------
@@ -222,21 +222,3 @@ def parses_or_raises_format_error(parse, text):
 @given(data=st.data())
 def test_arbitrary_text_raises_only_format_error(name, data):
     parses_or_raises_format_error(PARSERS[name], data.draw(text_st(name)))
-
-
-#: Characters that `str.split` splits on or keeps, ASCII and not, among
-#: them two of the ASCII separators `bytes.split` does not know, \x1c-\x1f.
-TOKEN_CHARS = " \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2028\u3000" + "01-x\xe9\u0663"
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet=TOKEN_CHARS, max_size=40), st.integers(1, 8))
-def test_token_count_matches_split_across_block_ends(text, block):
-    assert token_count(text, block) == len(text.split())
-    assert token_count(text) == len(text.split())
-
-
-def test_token_count_knows_every_ascii_space():
-    for c in map(chr, range(128)):
-        text = f"1{c}2{c}"
-        assert token_count(text) == token_count(text, 1) == len(text.split())
