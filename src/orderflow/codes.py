@@ -108,7 +108,8 @@ def realize(config: KConfig) -> LinearOrder | None:
 
 
 def code_from_name(name: str) -> BlockCode:
-    """The code called `sign-K`, or `circular`, which is sign-3.
+    """The code called `sign-K`, K in plain decimal (`sign-3`, not `sign-03`),
+    or `circular`, which is sign-3.
 
     Raises ValueError for any other name and for K outside
     2..DEFAULT_MAX_ARITY.
@@ -116,7 +117,7 @@ def code_from_name(name: str) -> BlockCode:
     if name == "circular":
         return sign_code(3)
     kind, _, arity = name.partition("-")
-    if kind != "sign" or not arity.isdecimal():
+    if kind != "sign" or not arity.isdecimal() or arity != str(int(arity)):
         raise ValueError(f"unknown code {name!r}: expected circular or sign-K")
     if not 2 <= int(arity) <= DEFAULT_MAX_ARITY:
         raise ValueError(f"sign code arity must be in 2..{DEFAULT_MAX_ARITY}")

@@ -1,8 +1,6 @@
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_process import run_orderflow
 from orderflow import (
     Window,
     config_from_text,
@@ -33,7 +32,6 @@ from orderflow.cli import (
     main,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 FACTOR_FIXTURES = Path(__file__).resolve().parent / "data" / "factor"
 WITNESS_FIXTURES = Path(__file__).resolve().parent / "data" / "witness"
 FREQUENCY_FIXTURES = Path(__file__).resolve().parent / "data" / "frequencies"
@@ -137,7 +135,8 @@ def test_verify_names_only_the_arities_it_checked(max_window, label, capsys):
 @pytest.mark.parametrize("max_window", range(1, 6))
 def test_verify_stdout_matches_the_recorded_fixtures(max_window, capsys):
     # max-window-W.out holds the stdout recorded for W = 1..9 at the default
-    # seed and trials; CI compares the defaults (W = 5) and W = 9 under -O
+    # seed and trials; test_verify_defaults_pass_under_python_O compares the
+    # defaults (W = 5) and W = 9 in a fresh `python -O` process
     code, out, _ = run_cli(["verify", "--max-window", str(max_window)], capsys)
     assert code == 0
     assert out.encode() == (VERIFY_FIXTURES / f"max-window-{max_window}.out").read_bytes()
@@ -157,25 +156,24 @@ def test_verify_rejects_max_windows_above_the_bound(monkeypatch, capsys):
     assert "--max-window must be at most 9, got 10" in err
 
 
-def run_optimized(argv):
-    """The CLI under `python -O`, which strips `assert` statements."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-m", "orderflow", *argv], capture_output=True, text=True, env=env
-    )
-
-
 def test_verify_fails_the_injected_fault_under_python_O():
-    proc = run_optimized(["verify", "--max-window", "3", "--trials", "2000", "--inject-fault"])
+    proc = run_orderflow(
+        ["verify", "--max-window", "3", "--trials", "2000", "--inject-fault"], optimize=True
+    )
     assert proc.returncode == 1
-    assert "FAIL injected-corrupt-config" in proc.stdout
+    assert b"FAIL injected-corrupt-config" in proc.stdout
 
 
-def test_verify_defaults_pass_under_python_O():
-    proc = run_optimized(["verify"])
+@pytest.mark.parametrize(
+    "max_window, options",
+    [(5, []), (9, ["--max-window", "9"])],
+    ids=["max-window-5", "max-window-9"],
+)
+def test_verify_defaults_pass_under_python_O(max_window, options):
+    proc = run_orderflow(["verify", *options], optimize=True)
     assert proc.returncode == 0
-    lines = proc.stdout.splitlines()
+    assert proc.stdout == (VERIFY_FIXTURES / f"max-window-{max_window}.out").read_bytes()
+    lines = proc.stdout.decode().splitlines()
     assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
     assert all(line.startswith("PASS ") for line in lines[:-1])
     assert lines[-1] == "result: 11 passed, 0 failed"
@@ -715,7 +713,8 @@ def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
 def test_factor_rejects_unknown_codes(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_text("0 1 2\n")
-    for name in ("sgn-3", "sign", "sign-x", "sign-1", "sign-7", "foo"):
+    for name in ("sgn-3", "sign", "sign-x", "sign-1", "sign-7", "foo",
+                 "sign-\u0663", "sign-\uff13", "sign-03"):
         with pytest.raises(SystemExit) as excinfo:
             main(["factor", name, str(order_file)])
         assert excinfo.value.code == 2
@@ -1017,8 +1016,6 @@ def test_in_process_calls_match_their_runs_alone(monkeypatch, capsys):
         prox + ["--reverse-pair"],
         prox,
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     results = []
     for argv in sequence:
         try:
@@ -1030,10 +1027,8 @@ def test_in_process_calls_match_their_runs_alone(monkeypatch, capsys):
     assert [r[0] for r in results] == [2, 0, 0, 0]
     assert results[2][1] != results[3][1]
     for argv, result in zip(sequence, results):
-        alone = subprocess.run(
-            [sys.executable, "-m", "orderflow", *argv], capture_output=True, text=True, env=env
-        )
-        assert (alone.returncode, alone.stdout, alone.stderr) == result
+        alone = run_orderflow(argv)
+        assert (alone.returncode, alone.stdout.decode(), alone.stderr.decode()) == result
 
 
 @pytest.mark.parametrize(
@@ -1058,11 +1053,6 @@ def test_runconfig_names_only_the_subcommands_own_options(argv, line, monkeypatc
 
 
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "orderflow", "factor", "sign-2", "/dev/stdin"],
-        input="1 0\n",
-        capture_output=True,
-        text=True,
-    )
+    proc = run_orderflow(["factor", "sign-2", "/dev/stdin"], stdin=b"1 0\n")
     assert proc.returncode == 0
-    assert "1 0 : +1" in proc.stdout
+    assert b"1 0 : +1" in proc.stdout

@@ -359,7 +359,8 @@ def test_code_names():
     assert code_from_name("circular") == sign_code(3)
     for k in range(2, DEFAULT_MAX_ARITY + 1):
         assert code_from_name(f"sign-{k}") == sign_code(k)
-    for name in ("sign", "sign-", "sign-x", "sign--3", "sign-3x", "sgn-3", "foo", "sign-\u00b2"):
+    for name in ("sign", "sign-", "sign-x", "sign--3", "sign-3x", "sgn-3", "foo", "sign-\u00b2",
+                 "sign-\u0663", "sign-\uff13", "sign-03"):
         with pytest.raises(ValueError) as excinfo:
             code_from_name(name)
         assert str(excinfo.value) == f"unknown code {name!r}: expected circular or sign-K"
