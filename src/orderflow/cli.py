@@ -39,13 +39,14 @@ MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
 #: ground size, in uint32 positions and ranks past 65,536 points, the source
-#: order is one array, and the ground window is a tuple of Python ints taken
-#: from a `range` in about 0.03 s.  At this size a run takes 0.34-0.41 s at
-#: the default window and trials and 0.29-0.35 s at window 4 and 20,000
-#: trials, each with 96-97 MB peak RSS, and 0.47-0.70 s with 110 MB at
-#: window 8 and 100,000 trials, where a 10,000-trial chunk skips about 18
-#: rejected draws, on a 2-core Xeon; 0.28-0.31 s of that is interpreter
-#: start and imports.
+#: order is one array (and one 4 MB uint32 copy for the sampler), and the
+#: ground window is a tuple of Python ints taken from a `range` in about
+#: 0.03 s.  At this size a run takes 0.42-0.51 s at the default window and
+#: trials and 0.33-0.49 s at window 4 and 20,000 trials, each with 96-97 MB
+#: peak RSS, and 0.73-0.83 s with 125 MB at window 8 and 100,000 trials,
+#: where a 10,000-trial chunk skips about 18 rejected draws, on a 2-core
+#: Xeon whose speed drifts from run to run; 0.30-0.35 s of that is
+#: interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --jobs`: each job is one OS thread taking
@@ -202,21 +203,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # frequencies
 
 
-#: How `json.dumps` writes an int and a finite float; values of any other
-#: type, strings among them, go through `json.dumps` itself.
-_JSON_SCALAR = {int: int.__repr__, float: float.__repr__}
+#: How `json.dumps` writes an int, a finite float and a string (the ASCII
+#: escaper it calls); values of any other type go through `json.dumps`.
+_JSON_SCALAR = {
+    int: int.__repr__,
+    float: float.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+}
+
+
+def _json_value(value: object) -> str:
+    return _JSON_SCALAR.get(type(value), json.dumps)(value)
 
 
 def _json_text(rows: list[dict]) -> str:
     """`json.dumps(rows, indent=2)` and a newline, for flat records holding
     the first row's keys in its order, without the pure-Python encoder
-    that `indent` selects: each value is written on its own."""
-    heads = [f"    {json.dumps(key)}: " for key in rows[0]]
-
-    def field(head: str, value: object) -> str:
-        return head + _JSON_SCALAR.get(type(value), json.dumps)(value)
-
-    records = ("  {\n" + ",\n".join(map(field, heads, row.values())) + "\n  }" for row in rows)
+    that `indent` selects: one `%` template per record, built from the first
+    row's keys, takes each value written on its own."""
+    fields = (f"    {json.dumps(key).replace('%', '%%')}: %s" for key in rows[0])
+    template = "  {\n" + ",\n".join(fields) + "\n  }"
+    # a generator, so the records are freed before the brackets are added:
+    # held in a list, window 8's 7.5 MB text peaked 7.7 MB higher
+    records = (template % tuple(map(_json_value, row.values())) for row in rows)
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 

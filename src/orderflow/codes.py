@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -49,11 +50,19 @@ class BlockCode:
 def images(code: BlockCode, ranks: np.ndarray) -> np.ndarray:
     """The code's int8 values on every k-tuple of each row of ranks: shape
     (..., n) gives (..., perm(n, k)) in `position_tuples(n, k)` row order,
-    the patterns of all rows from one `pattern_index` call."""
+    the patterns of all rows from one `pattern_index` call.
+
+    Ranks lie in [0, n), so they are gathered and compared in
+    `np.min_scalar_type(n - 1)`, as the sampler's chunks are: the gather
+    writes k entries per tuple, 1 byte each up to 256 points where int64
+    takes 8.  Sign-4 on 33 points takes about 20 ms where int64 took 26;
+    at the 7 or 8 points of a small order the cast costs about as much as
+    it saves."""
     n = ranks.shape[-1]
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
-    slots = np.moveaxis(ranks[..., position_tuples(n, code.k).T], -2, 0)
+    narrow = ranks.astype(np.min_scalar_type(n - 1), copy=False)
+    slots = np.moveaxis(narrow[..., position_tuples(n, code.k).T], -2, 0)
     return np.array(code.table, dtype=np.int8)[pattern_index(slots)]
 
 
@@ -108,18 +117,20 @@ def realize(config: KConfig) -> LinearOrder | None:
 
 
 def code_from_name(name: str) -> BlockCode:
-    """The code called `sign-K`, K in plain decimal (`sign-3`, not `sign-03`),
-    or `circular`, which is sign-3.
+    """The code called `sign-K`, K in plain ASCII decimal (`sign-3`, not
+    `sign-03`), or `circular`, which is sign-3.
 
     Raises ValueError for any other name and for K outside
-    2..DEFAULT_MAX_ARITY.
+    2..DEFAULT_MAX_ARITY.  K is read by `int` only when its text is no
+    longer than that bound's, so thousands of digits cannot reach `int`'s
+    own digit limit.
     """
     if name == "circular":
         return sign_code(3)
     kind, _, arity = name.partition("-")
-    if kind != "sign" or not arity.isdecimal() or arity != str(int(arity)):
+    if kind != "sign" or not re.fullmatch("0|[1-9][0-9]*", arity):
         raise ValueError(f"unknown code {name!r}: expected circular or sign-K")
-    if not 2 <= int(arity) <= DEFAULT_MAX_ARITY:
+    if len(arity) > len(str(DEFAULT_MAX_ARITY)) or not 2 <= int(arity) <= DEFAULT_MAX_ARITY:
         raise ValueError(f"sign code arity must be in 2..{DEFAULT_MAX_ARITY}")
     return sign_code(int(arity))
 

@@ -13,13 +13,13 @@ w - 1 vectorized passes over slot-major rows (Knuth, TAOCP vol. 2, section
 memory whatever the ground size n.  The digits are the ones numpy's
 `Generator.integers` would draw, computed from the bit generator's raw
 32-bit outputs by Lemire's multiply-and-reject rule (Lemire, ACM TOMACS
-29(1), 2019) in one multiply into the slot-major buffer.  The few outputs
-the rule rejects (about 2 in 10^4 at the CLI's 10^6 points, under 1 in
-10^7 at 1,000) are found by one pass per slot and one walk in order over
-the candidates, and skipped before the products are written again.  A
-trial's pattern index is the Lehmer code of the w source ranks it lands on,
-read off them by `core.pattern_index` without building their induced rank
-vector.
+29(1), 2019), copied into the slot-major buffer and multiplied there in
+place.  The few outputs the rule rejects (about 2 in 10^4 at the CLI's
+10^6 points, under 1 in 10^7 at 1,000) are found by one pass per slot and
+one walk in order over the candidates, and skipped before the products are
+written again.  A trial's pattern index is the Lehmer code of the w source
+ranks it lands on, read off them by `core.pattern_index` without building
+their induced rank vector.
 
 The chunk dtype.  Positions and ranks lie in [0, n), so a chunk decodes
 and compares them in the narrowest unsigned dtype that holds n - 1,
@@ -28,8 +28,14 @@ and uint32 up to the CLI's 10^6.  Every decode pass and comparison is a
 numpy loop over whole rows, which then moves 1, 2 or 4 bytes per entry
 instead of 8, and a chunk's narrow temporaries are small enough that up to
 65,536 points it takes no fresh pages (at window 4, 124 page faults per
-chunk in int64).  The digits stay the int64 ones numpy draws, and only the
-(w, count) rows are cast, never the source.
+chunk in int64).  The digits stay the int64 ones numpy draws, and each
+chunk casts its (w, count) rows.  The source ranks are cast once per run,
+by `pattern_counts`, and a chunk gathers them through an `intp` copy of
+its positions: numpy's fancy indexing takes a slower path for any other
+index dtype.  At 1,000 points and window 4, gathering int64 ranks by uint16
+positions and casting the result took about 135 us a chunk; gathering
+uint16 ranks by intp positions, the cast of the positions included, takes
+about 55 us.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are added up as they arrive, so a
@@ -152,8 +158,12 @@ def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     TOMACS 29(1), 2019): with x the next 32-bit output, m = x b is kept
     unless m mod 2^32 < 2^32 mod b, when the digit reads the output after;
     the digit is m >> 32, and a bound of 1 reads nothing.  The digits read
-    the outputs in row-major (trial, slot) order, so one multiply writes
-    every m into the slot-major buffer, right up to the first rejection.
+    the outputs in row-major (trial, slot) order, so one copy writes every
+    output, transposed, into the slot-major uint64 buffer, and one in-place
+    multiply turns it into every m, right up to the first rejection.  One
+    mixed-dtype multiply from the uint32 outputs straight into the buffer
+    timed the same at 1,000 points and window 4 and about 2 % slower at
+    window 8.
 
     From the trial t of the first rejected output on, each slot lists the
     outputs it would reject, x b mod 2^32 being one uint32 multiply, and a
@@ -171,7 +181,8 @@ def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     thresholds = (2**32 % bounds).astype(np.uint32)
     bitgen = np.random.PCG64(chunk_seed)
     raw = _raw_outputs(bitgen, v * count + _SPARE_OUTPUTS)
-    np.multiply(raw[: v * count].reshape(count, v).T, bounds[:, None], out=products)
+    np.copyto(products, raw[: v * count].reshape(count, v).T)
+    products *= bounds[:, None]
     rejecting = np.flatnonzero(low.min(axis=1) < thresholds)
     if len(rejecting):
         t = min(int(np.argmax(low[k] < thresholds[k])) for k in rejecting)
@@ -224,12 +235,14 @@ def _chunk_pattern_counts(
     of all_linear_orders.
 
     The chunk decodes and compares in the dtype of the module docstring,
-    casting only the (w, count) gathered ranks, so it costs O(w count) at
-    any ground size; the source ranks may come in any integer dtype whose
-    values lie in [0, n).
+    so it costs O(w count) at any ground size.  It gathers the source ranks
+    through an intp copy of the positions, numpy's fast fancy-index path,
+    and casts only the (w, count) gathered ranks.  `pattern_counts` passes
+    ranks already in the chunk dtype, so that cast copies nothing; ranks in
+    any other integer dtype with values in [0, n) give the same histogram.
     """
     positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
-    r = source_ranks[positions].astype(positions.dtype, copy=False)
+    r = source_ranks[positions.astype(np.intp)].astype(positions.dtype, copy=False)
     return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
@@ -246,11 +259,13 @@ def pattern_counts(
     Each trial relocates a uniformly random |W|-point subset of the ground
     onto the window by a uniformly random assignment and counts the pattern
     the source order lands on.  The sample stream depends only on (seed,
-    trials).  `jobs` workers, the calling thread alone when `jobs` is 1,
-    take chunk indices in turn from one shared counter, so at most `jobs`
-    chunks are in flight whatever the trial count, and each chunk's
-    histogram is added into the total as it arrives.  A worker that raises
-    stops the others taking chunks, and its exception is raised here.
+    trials).  The source ranks are cast to the chunk dtype of the module
+    docstring once, and every chunk reads that copy.  `jobs` workers, the
+    calling thread alone when `jobs` is 1, take chunk indices in turn from
+    one shared counter, so at most `jobs` chunks are in flight whatever the
+    trial count, and each chunk's histogram is added into the total as it
+    arrives.  A worker that raises stops the others taking chunks, and its
+    exception is raised here.
     """
     w = len(window)
     if len(source.window) < w:
@@ -260,6 +275,7 @@ def pattern_counts(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     chunks = -(-trials // CHUNK_SIZE)
+    narrow = source.ranks.astype(np.min_scalar_type(len(source.window) - 1))
     total = np.zeros(math.factorial(w), dtype=np.int64)
     lock = threading.Lock()
     indices = iter(range(chunks))
@@ -273,7 +289,7 @@ def pattern_counts(
         try:
             for i in iter(next_index, None):
                 counts = _chunk_pattern_counts(
-                    source.ranks,
+                    narrow,
                     w,
                     derive_seed(seed, _SAMPLER_LABEL, i),
                     min(CHUNK_SIZE, trials - i * CHUNK_SIZE),

@@ -224,8 +224,9 @@ def test_frequencies_json_writer_matches_json_dumps(elements, seed):
 def test_json_writer_follows_the_record_keys():
     # a field the record gains is written too, whatever its JSON type
     rows = [
-        {"n": 1, "text": 'a "b" \u00e9', "x": 0.1, "flag": True, "none": None, "big": -(2**70)},
-        {"n": -3, "text": "", "x": 1e-300, "flag": False, "none": None, "big": 0},
+        {"n": 1, "text": 'a "b" \u00e9', "x": 0.1, "flag": True, "none": None, "big": -(2**70),
+         "50%": "%s"},
+        {"n": -3, "text": "", "x": 1e-300, "flag": False, "none": None, "big": 0, "50%": "%"},
     ]
     assert cli._render_stats(rows, "json") == json.dumps(rows, indent=2) + "\n"
 
@@ -713,14 +714,15 @@ def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
 def test_factor_rejects_unknown_codes(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_text("0 1 2\n")
+    long_arity = "sign-" + "9" * 5000
     for name in ("sgn-3", "sign", "sign-x", "sign-1", "sign-7", "foo",
-                 "sign-\u0663", "sign-\uff13", "sign-03"):
+                 "sign-\u0663", "sign-\uff13", "sign-03", long_arity):
         with pytest.raises(SystemExit) as excinfo:
             main(["factor", name, str(order_file)])
         assert excinfo.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "runconfig" not in err
-        if name in ("sign-1", "sign-7"):
+        if name in ("sign-1", "sign-7", long_arity):
             expected = "sign code arity must be in 2..6"
         else:
             expected = f"unknown code {name!r}: expected circular or sign-K"

@@ -167,6 +167,15 @@ def test_images_row_i_is_the_image_of_the_order_ranked_by_row_i(data):
         assert np.array_equal(codes.images(code, ranks), values[i])
 
 
+@pytest.mark.parametrize("n", [256, 257, 300])
+def test_sign_2_images_compare_ranks_on_both_sides_of_the_uint8_step(n):
+    # images gathers in np.min_scalar_type(n - 1), uint16 past 256 points; a
+    # sign-2 value is +1 exactly where the pair's ranks increase
+    ranks = random.Random(n).sample(range(n), n)
+    want = [1 if ranks[i] < ranks[j] else -1 for i, j in permutations(range(n), 2)]
+    assert codes.images(sign_code(2), np.array(ranks)).tolist() == want
+
+
 def test_images_below_the_arity_raise_window_too_small():
     for shape in ((2,), (5, 2), (0, 1)):
         with pytest.raises(WindowTooSmall, match=f"^window size {shape[-1]} below arity 3$"):
@@ -360,11 +369,12 @@ def test_code_names():
     for k in range(2, DEFAULT_MAX_ARITY + 1):
         assert code_from_name(f"sign-{k}") == sign_code(k)
     for name in ("sign", "sign-", "sign-x", "sign--3", "sign-3x", "sgn-3", "foo", "sign-\u00b2",
-                 "sign-\u0663", "sign-\uff13", "sign-03"):
+                 "sign-\u0663", "sign-\uff13", "sign-03", "sign-" + "0" * 5000):
         with pytest.raises(ValueError) as excinfo:
             code_from_name(name)
         assert str(excinfo.value) == f"unknown code {name!r}: expected circular or sign-K"
-    for name in ("sign-0", "sign-1", "sign-7", "sign-30"):
+    # 5,000 digits are refused by their length, before `int` meets its limit
+    for name in ("sign-0", "sign-1", "sign-7", "sign-30", "sign-" + "9" * 5000):
         with pytest.raises(ValueError) as excinfo:
             code_from_name(name)
         assert str(excinfo.value) == "sign code arity must be in 2..6"

@@ -227,13 +227,33 @@ DTYPE_BOUNDARIES = [
 @pytest.mark.parametrize("n, dtype", DTYPE_BOUNDARIES)
 @pytest.mark.parametrize("w", [4, 8])
 def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype, w):
-    # the reference pops from a list of all n positions per trial, so the
-    # large grounds get few trials
+    # the chunk takes source ranks in any integer dtype: int64, as an order
+    # holds them, and the chunk dtype, as pattern_counts passes them; the
+    # reference pops from a list of all n positions per trial, so the large
+    # grounds get few trials
     count = 300 if n < 1000 else 20
     assert stats._sample_positions(n, w, 0, 3).dtype == dtype
     for ranks in (list(range(n)), shuffled(n, n)):
-        got = stats._chunk_pattern_counts(np.array(ranks), w, n + w, count)
-        assert got.tolist() == _reference_chunk_counts(ranks, w, n + w, count), (n, w)
+        want = _reference_chunk_counts(ranks, w, n + w, count)
+        for source_dtype in (np.int64, dtype):
+            got = stats._chunk_pattern_counts(np.array(ranks, source_dtype), w, n + w, count)
+            assert got.tolist() == want, (n, w, source_dtype)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_pattern_counts_past_65536_points_sum_the_reference_chunks(jobs, monkeypatch):
+    # a shuffled 65,537-point source reaches the chunks as uint32 ranks; with
+    # 8-trial chunks the run is three chunks, the last one short
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 8)
+    n, w, trials = 65_537, 4, 20
+    ranks = shuffled(n, 3)
+    source = LinearOrder(Window(range(n)), np.array(ranks))
+    want = np.zeros(math.factorial(w), dtype=np.int64)
+    for i in range(3):
+        chunk_seed = derive_seed(6, stats._SAMPLER_LABEL, i)
+        want += _reference_chunk_counts(ranks, w, chunk_seed, min(8, trials - 8 * i))
+    got = pattern_counts(source, Window(range(w)), trials, seed=6, jobs=jobs)
+    assert got.tolist() == want.tolist()
 
 
 def _integers_digits(n, w, seed, count):
