@@ -38,15 +38,14 @@ PROG = "orderflow"
 MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
-#: ground size, in uint32 positions and ranks past 65,536 points, the source
-#: order is one array (and one 4 MB uint32 copy for the sampler), and the
-#: ground window is a tuple of Python ints taken from a `range` in about
-#: 0.03 s.  At this size a run takes 0.42-0.51 s at the default window and
-#: trials and 0.33-0.49 s at window 4 and 20,000 trials, each with 96-97 MB
-#: peak RSS, and 0.73-0.83 s with 125 MB at window 8 and 100,000 trials,
-#: where a 10,000-trial chunk skips about 18 rejected draws, on a 2-core
-#: Xeon whose speed drifts from run to run; 0.30-0.35 s of that is
-#: interpreter start and imports.
+#: ground size, in uint32 positions past 65,536 points, and the natural
+#: order is sampled by its ground size alone, so a run builds nothing of the
+#: ground's size.  At this size a run takes 0.26-0.36 s at the default
+#: window and trials and 0.26-0.34 s at window 4 and 20,000 trials, each at
+#: 37 MB peak RSS, as at 1,000 points, and 0.41-0.70 s at 62 MB at window 8
+#: and 100,000 trials, where a 10,000-trial chunk skips about 18 rejected
+#: draws, on a 2-core Xeon whose speed drifts from run to run; 0.25-0.34 s of
+#: that is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --jobs`: each job is one OS thread taking
@@ -248,8 +247,7 @@ def _render_stats(rows: list[dict], fmt: str) -> str:
 
 def cmd_frequencies(args: argparse.Namespace) -> int:
     window = Window(range(args.window))
-    source = LinearOrder.natural(Window(range(args.ground)))
-    counts = stats.pattern_counts(source, window, args.trials, args.seed, jobs=args.jobs)
+    counts = stats.pattern_counts(args.ground, window, args.trials, args.seed, jobs=args.jobs)
     rows = stats.histogram_to_dicts(counts, window, args.seed)
     _emit(_render_stats(rows, args.format), args.out)
     if args.window > 1:
@@ -356,14 +354,31 @@ def _order_line(text: str, path: str) -> tuple[int, str]:
     return lineno, text[start:stop]
 
 
+def _point_cap(k: int) -> int:
+    """The most points whose k-tuples number at most `MAX_FACTOR_TUPLES`,
+    read at each call, found in O(k) `math.perm` calls.
+
+    The walk starts at the float k-th root of the bound, clamped at k - 1,
+    and steps down while it is past the cap, since the float can round up.
+    With r the exact floor of the root, perm(r, k) <= r^k keeps r within
+    the cap, and (n - k + 1)^k <= perm(n, k) puts the cap at most k - 1
+    above r, so the walk up takes at most k + 1 steps.
+    """
+    bound = MAX_FACTOR_TUPLES
+    most = max(int(bound ** (1 / k)), k - 1)
+    while math.perm(most, k) > bound:
+        most -= 1
+    while math.perm(most + 1, k) <= bound:
+        most += 1
+    return most
+
+
 def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
     lineno, line = _order_line(_read_order_file(args.order_file), args.order_file)
     # bounded on the point count, before a point of the order is built:
     # perm(n, k) grows with n, so the line is split no further than one point
     # past the most that the tuple bound admits
-    k, most = code.k, code.k - 1
-    while math.perm(most + 1, k) <= MAX_FACTOR_TUPLES:
-        most += 1
+    k, most = code.k, _point_cap(code.k)
     if len(line.split(None, most)) > most:
         raise FormatError(
             f"more than {most} points give more than {MAX_FACTOR_TUPLES} {k}-tuples", lineno
@@ -399,6 +414,8 @@ def _positive(name: str, most: int | None = None):
             raise argparse.ArgumentTypeError(f"{name} must be at most {most}, got {n}")
         return n
 
+    # argparse names the type of a value `int()` refuses by its `__name__`
+    parse.__name__ = "int"
     return parse
 
 

@@ -29,13 +29,18 @@ numpy loop over whole rows, which then moves 1, 2 or 4 bytes per entry
 instead of 8, and a chunk's narrow temporaries are small enough that up to
 65,536 points it takes no fresh pages (at window 4, 124 page faults per
 chunk in int64).  The digits stay the int64 ones numpy draws, and each
-chunk casts its (w, count) rows.  The source ranks are cast once per run,
-by `pattern_counts`, and a chunk gathers them through an `intp` copy of
-its positions: numpy's fancy indexing takes a slower path for any other
-index dtype.  At 1,000 points and window 4, gathering int64 ranks by uint16
-positions and casting the result took about 135 us a chunk; gathering
-uint16 ranks by intp positions, the cast of the positions included, takes
-about 55 us.
+chunk casts its (w, count) rows.
+
+The source.  A run samples either an order's ranks or the natural order
+on range(n), given by its ground size n alone.  The natural order's ranks
+are its positions, so its chunks compare the decoded positions as they
+are, and the run holds nothing of size n.  An order's ranks are cast to
+the chunk dtype once per run, by `pattern_counts`, and a chunk gathers them
+through an `intp` copy of its positions: numpy's fancy indexing takes a
+slower path for any other index dtype.  At 1,000 points a natural chunk
+takes about 320 us at window 4 and 870 us at window 8, and gathering
+uint16 ranks by intp positions, the cast of the positions included, adds
+about 90 and 180 us.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i), and chunk counts are added up as they arrive, so a
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import random
 import sys
 import threading
@@ -224,7 +230,7 @@ def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray
 
 
 def _chunk_pattern_counts(
-    source_ranks: np.ndarray, w: int, chunk_seed: int, count: int
+    source_ranks: np.ndarray | int, w: int, chunk_seed: int, count: int
 ) -> np.ndarray:
     """Pattern histogram of `count` random relocations onto a w-window, a
     w!-entry int64 array that `pattern_counts` adds into its total.
@@ -234,20 +240,25 @@ def _chunk_pattern_counts(
     counts the pattern of row i of `position_tuples(w, w)`, the i-th order
     of all_linear_orders.
 
-    The chunk decodes and compares in the dtype of the module docstring,
-    so it costs O(w count) at any ground size.  It gathers the source ranks
-    through an intp copy of the positions, numpy's fast fancy-index path,
-    and casts only the (w, count) gathered ranks.  `pattern_counts` passes
-    ranks already in the chunk dtype, so that cast copies nothing; ranks in
-    any other integer dtype with values in [0, n) give the same histogram.
+    `source_ranks` is an order's ranks or, for the natural order on
+    range(n), the int n, whose positions are its ranks.  The chunk decodes
+    and compares in the dtype of the module docstring, so it costs O(w
+    count) at any ground size.  An order's ranks are gathered through an
+    intp copy of the positions, numpy's fast fancy-index path, and only the
+    (w, count) gathered ranks are cast.  `pattern_counts` passes ranks
+    already in the chunk dtype, so that cast copies nothing; ranks in any
+    other integer dtype with values in [0, n) give the same histogram.
     """
-    positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
-    r = source_ranks[positions.astype(np.intp)].astype(positions.dtype, copy=False)
+    if isinstance(source_ranks, int):
+        r = _sample_positions(source_ranks, w, chunk_seed, count)
+    else:
+        positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
+        r = source_ranks[positions.astype(np.intp)].astype(positions.dtype, copy=False)
     return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
 def pattern_counts(
-    source: LinearOrder,
+    source: LinearOrder | int,
     window: Window,
     trials: int,
     seed: int,
@@ -256,10 +267,13 @@ def pattern_counts(
     """Hits of every pattern on the window: an int64 array of |W|! entries
     in the enumeration order of all_linear_orders, summing to `trials`.
 
+    The source is a `LinearOrder` or a ground size n, standing for the
+    natural order on range(n), which gives the same histogram as
+    `LinearOrder.natural(Window(range(n)))` with nothing of size n built.
     Each trial relocates a uniformly random |W|-point subset of the ground
     onto the window by a uniformly random assignment and counts the pattern
     the source order lands on.  The sample stream depends only on (seed,
-    trials).  The source ranks are cast to the chunk dtype of the module
+    trials).  An order's ranks are cast to the chunk dtype of the module
     docstring once, and every chunk reads that copy.  `jobs` workers, the
     calling thread alone when `jobs` is 1, take chunk indices in turn from
     one shared counter, so at most `jobs` chunks are in flight whatever the
@@ -268,14 +282,16 @@ def pattern_counts(
     exception is raised here.
     """
     w = len(window)
-    if len(source.window) < w:
-        raise GroundTooSmall(
-            f"ground size {len(source.window)} below the window size {w}"
-        )
+    if isinstance(source, LinearOrder):
+        n = len(source.window)
+        ranks = source.ranks.astype(np.min_scalar_type(n - 1))
+    else:
+        n = ranks = operator.index(source)
+    if n < w:
+        raise GroundTooSmall(f"ground size {n} below the window size {w}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     chunks = -(-trials // CHUNK_SIZE)
-    narrow = source.ranks.astype(np.min_scalar_type(len(source.window) - 1))
     total = np.zeros(math.factorial(w), dtype=np.int64)
     lock = threading.Lock()
     indices = iter(range(chunks))
@@ -289,7 +305,7 @@ def pattern_counts(
         try:
             for i in iter(next_index, None):
                 counts = _chunk_pattern_counts(
-                    narrow,
+                    ranks,
                     w,
                     derive_seed(seed, _SAMPLER_LABEL, i),
                     min(CHUNK_SIZE, trials - i * CHUNK_SIZE),

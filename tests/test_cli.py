@@ -307,6 +307,47 @@ def test_frequencies_rejects_jobs_above_the_bound(capsys):
     assert args.jobs == MAX_FREQUENCY_JOBS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-window"],
+        ["verify", "--trials"],
+        ["frequencies", "--window"],
+        ["frequencies", "--ground"],
+        ["frequencies", "--trials"],
+        ["frequencies", "--jobs"],
+        ["witness", "minimality", "--ground"],
+        ["witness", "minimality", "--window"],
+        ["frequencies", "--seed"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_integer_options_name_int_for_non_integers(argv, capsys):
+    # the bounded options report a non-integer as --seed, a plain int, does
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args([*argv, "abc"])
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.splitlines()[-1].endswith(f"error: argument {argv[-1]}: invalid int value: 'abc'")
+
+
+def test_frequencies_memory_does_not_grow_with_the_ground(capsys):
+    # the natural order is sampled by its ground size alone: a window and an
+    # order of 10^6 points would trace about 62 MB
+    argv = ["frequencies", "--ground", "1000000", "--window", "4", "--trials", "20000",
+            "--seed", "11", "--format", "csv"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert out.encode() == (FREQUENCY_FIXTURES / "ground1000000-window4.csv.out").read_bytes()
+    assert peak < 4 * 2**20
+
+
 def test_frequencies_csv_mirrors_json(tmp_path, capsys):
     args = ["frequencies", "--window", "2", "--ground", "10", "--trials", "1000"]
     json_file = tmp_path / "f.json"
@@ -737,6 +778,29 @@ def most_points(k):
 def cap_message(k):
     bound = cli.MAX_FACTOR_TUPLES
     return f"error: line 1: more than {most_points(k)} points give more than {bound} {k}-tuples"
+
+
+@pytest.mark.parametrize("bound", [0, 24, 5_000, MAX_FACTOR_TUPLES])
+def test_point_cap_is_the_searched_cap_in_few_perm_calls(bound, monkeypatch):
+    # at most k + 3 calls: two checks of the start, the second after a step
+    # down from a float root that rounds up, and at most k + 1 walking up
+    monkeypatch.setattr(cli, "MAX_FACTOR_TUPLES", bound)
+    perm, calls = math.perm, 0
+
+    def counting_perm(n, k):
+        nonlocal calls
+        calls += 1
+        return perm(n, k)
+
+    caps = []
+    for k in range(2, 7):
+        want, calls = most_points(k), 0
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "perm", counting_perm)
+            caps.append(cli._point_cap(k))
+        assert caps[-1] == want and calls <= k + 3, (k, calls)
+    if bound == 10**6:
+        assert caps == [1000, 101, 33, 17, 12]
 
 
 class OrderBuilt(Exception):

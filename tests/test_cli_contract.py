@@ -3,8 +3,8 @@
 Each case runs `python -m orderflow <argv>` once, after writing its input
 file with the same `seq` or `python -c` command as the shell step it
 replaces, so it reads the same bytes.  It checks the exit status, stdout
-(by sha256, or that it is empty), an exact stderr line and the time limit.
-The inputs add up to about 150 MB; each is deleted once its run ends.
+(by sha256, or that it is empty), an exact stderr line, the time limit and
+the child's own peak RSS.  The inputs add up to about 150 MB; each is deleted once its run ends.
 """
 
 import ast
@@ -46,6 +46,8 @@ class Case(NamedTuple):
     source: str | None = None
     #: seconds the run may take; None sets no limit
     timeout: float | None = None
+    #: MiB of peak RSS the run may reach; None sets no limit
+    peak_rss_mb: float | None = None
     #: the command whose stdout is the input file
     write: list | None = None
 
@@ -100,16 +102,20 @@ CASES = {
         source="23f20b15b167c17565ff189a0e16f70599750c91178bd1860d15a7ca7a783f3b",
         timeout=30,
     ),
-    # frequencies: the largest ground, where chunks skip the most draws
+    # frequencies: the largest ground, where chunks skip the most draws; the
+    # run builds nothing of the ground's size, so it peaks near 37 and 63 MiB
+    # (an order and window of 10^6 points would lift both past 95)
     "frequencies-ground-10^6-window-8": Case(
         ("frequencies", "--ground", "1000000", "--trials", "100000", "--seed", "11",
          "--format", "csv", "--window", "8"),
         stdout="88444b24ee8617a0f57dedf452a9c2614c40980f2b3a156e6fc8fffc8f3815a9",
+        peak_rss_mb=90,
     ),
     "frequencies-ground-10^6-window-5": Case(
         ("frequencies", "--ground", "1000000", "--trials", "100000", "--seed", "11",
          "--format", "csv", "--window", "5"),
         stdout="58b38bea728389216fb113ac650724eac2af948253da1895cb5f1651a73eadb6",
+        peak_rss_mb=60,
     ),
     # frequencies: at the rank dtype boundaries
     "frequencies-ground-256-window-8": Case(
@@ -148,6 +154,8 @@ def test_cli_contract(case, tmp_path):
     if case.source is not None:
         source = b"".join(line + b"\n" for line in lines if line.startswith(b"source:"))
         assert hashlib.sha256(source).hexdigest() == case.source
+    if case.peak_rss_mb is not None:
+        assert proc.peak_rss_mb < case.peak_rss_mb
 
 
 def test_circular_census_passes_under_python_O():

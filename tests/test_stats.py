@@ -229,8 +229,9 @@ DTYPE_BOUNDARIES = [
 def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype, w):
     # the chunk takes source ranks in any integer dtype: int64, as an order
     # holds them, and the chunk dtype, as pattern_counts passes them; the
-    # reference pops from a list of all n positions per trial, so the large
-    # grounds get few trials
+    # natural order it takes as the ground size alone.  The reference pops
+    # from a list of all n positions per trial, so the large grounds get few
+    # trials
     count = 300 if n < 1000 else 20
     assert stats._sample_positions(n, w, 0, 3).dtype == dtype
     for ranks in (list(range(n)), shuffled(n, n)):
@@ -238,6 +239,20 @@ def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype
         for source_dtype in (np.int64, dtype):
             got = stats._chunk_pattern_counts(np.array(ranks, source_dtype), w, n + w, count)
             assert got.tolist() == want, (n, w, source_dtype)
+    got = stats._chunk_pattern_counts(n, w, n + w, count)
+    assert got.tolist() == _reference_chunk_counts(list(range(n)), w, n + w, count), (n, w)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("n, w", [(8, 8), (257, 5), (65_537, 4)])
+def test_a_ground_size_samples_the_natural_order(n, w, jobs, monkeypatch):
+    # five chunks, the last one short, at each side of the dtype steps
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 1_000)
+    window = Window(range(w))
+    natural = LinearOrder.natural(Window(range(n)))
+    got = pattern_counts(n, window, 4_500, seed=8, jobs=jobs)
+    assert got.dtype == np.int64 and got.sum() == 4_500
+    assert np.array_equal(got, pattern_counts(natural, window, 4_500, seed=8, jobs=jobs))
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
@@ -459,10 +474,12 @@ def test_sampler_matches_the_full_action_route():
 def test_orbit_average_validation():
     source = LinearOrder.natural(Window((0, 1)))
     pattern = LinearOrder.natural(Window((0, 1, 2)))
-    with pytest.raises(GroundTooSmall):
-        pattern_counts(source, pattern.window, trials=10, seed=0)
-    with pytest.raises(ValueError):
-        pattern_counts(pattern, pattern.window, trials=0, seed=0)
+    for ground in (source, 2):
+        with pytest.raises(GroundTooSmall, match="^ground size 2 below the window size 3$"):
+            pattern_counts(ground, pattern.window, trials=10, seed=0)
+    for ground in (pattern, 3):
+        with pytest.raises(ValueError):
+            pattern_counts(ground, pattern.window, trials=0, seed=0)
 
 
 def test_pattern_stat_validation():
