@@ -48,13 +48,15 @@ MAX_FREQUENCY_WINDOW = 8
 #: that is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
-#: Largest `frequencies --jobs`: each job is one OS thread taking
-#: 10,000-trial chunks from a shared counter, so at most this many chunks
-#: are in flight at any trial count.  A chunk is a few dozen short numpy
-#: calls with Python between them, so extra workers gain little: on a 2-core
-#: Xeon, 10^7 trials at ground 1000 and window 4 take 0.63-0.88 s with 1
-#: worker, 0.74-0.97 s with 2 and 1.3-1.55 s with 32, at 37, 39 and 57 MB
-#: peak RSS.
+#: Largest `frequencies --jobs`: each job is one OS thread that evaluates
+#: every jobs-th 10,000-trial chunk into a histogram of its own, so at most
+#: this many chunks are in flight at any trial count.  A chunk is a few dozen
+#: short numpy calls with Python between them, so extra workers gain little.
+#: On a 2-core Xeon at ground 1000, 10^7 trials at window 4 take 0.56-0.77 s
+#: with 1 worker, 0.53-0.77 s with 2 and 0.92-1.27 s with 32, at 37, 39 and
+#: 55-56 MB peak RSS; 10^6 trials at window 8 take 0.54-0.79, 0.64-0.80 and
+#: 0.72-0.96 s at 75, 78 and 88-104 MB, of which the 32 histograms of 8!
+#: cells are 10 MB.
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of

@@ -43,8 +43,10 @@ uint16 ranks by intp positions, the cast of the positions included, adds
 about 90 and 180 us.
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
-(label, master seed, i), and chunk counts are added up as they arrive, so a
-run is reproducible for a fixed master seed at any worker count.
+(label, master seed, i).  Each worker adds the counts of its own strided
+share of the chunks into its own total, and integer sums do not depend on
+their order, so a run is reproducible for a fixed master seed at any
+worker count.
 
 A run is one count array indexed by `core.pattern_index`, `pattern_counts`.
 `fit_summary` reads it and `histogram_to_dicts` writes its JSON records;
@@ -178,7 +180,7 @@ def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     it.  Outputs are drawn while the skipped ones leave too few, and the
     products of trials t on are written again from the outputs kept.
     """
-    v = w - (n == w)  # slots that read an output
+    v = max(min(w, n - 1), 0)  # slots that read an output: bound n - i above 1
     digits = np.empty((w, count), dtype=np.int64)
     digits[v:] = 0
     products = digits[:v].view(np.uint64)
@@ -244,16 +246,13 @@ def _chunk_pattern_counts(
     range(n), the int n, whose positions are its ranks.  The chunk decodes
     and compares in the dtype of the module docstring, so it costs O(w
     count) at any ground size.  An order's ranks are gathered through an
-    intp copy of the positions, numpy's fast fancy-index path, and only the
-    (w, count) gathered ranks are cast.  `pattern_counts` passes ranks
-    already in the chunk dtype, so that cast copies nothing; ranks in any
-    other integer dtype with values in [0, n) give the same histogram.
+    intp copy of the positions, numpy's fast fancy-index path.
     """
     if isinstance(source_ranks, int):
         r = _sample_positions(source_ranks, w, chunk_seed, count)
     else:
         positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
-        r = source_ranks[positions.astype(np.intp)].astype(positions.dtype, copy=False)
+        r = source_ranks[positions.astype(np.intp)]
     return np.bincount(pattern_index(r), minlength=math.factorial(w))
 
 
@@ -274,12 +273,13 @@ def pattern_counts(
     onto the window by a uniformly random assignment and counts the pattern
     the source order lands on.  The sample stream depends only on (seed,
     trials).  An order's ranks are cast to the chunk dtype of the module
-    docstring once, and every chunk reads that copy.  `jobs` workers, the
-    calling thread alone when `jobs` is 1, take chunk indices in turn from
-    one shared counter, so at most `jobs` chunks are in flight whatever the
-    trial count, and each chunk's histogram is added into the total as it
-    arrives.  A worker that raises stops the others taking chunks, and its
-    exception is raised here.
+    docstring once, and every chunk reads that copy.  With k = min(jobs,
+    chunks) workers, the calling thread alone when `jobs` is at most 1,
+    worker j evaluates chunks j, j + k, j + 2k, ... and adds each one's
+    histogram into a total of its own; the caller sums the k totals.  So
+    at most `jobs` chunks are in flight whatever the trial count.  The
+    workers share only a stop flag: one that raises sets it, the others
+    stop at their next chunk, and its exception is raised here.
     """
     w = len(window)
     if isinstance(source, LinearOrder):
@@ -292,38 +292,26 @@ def pattern_counts(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     chunks = -(-trials // CHUNK_SIZE)
-    total = np.zeros(math.factorial(w), dtype=np.int64)
-    lock = threading.Lock()
-    indices = iter(range(chunks))
+    workers = min(max(jobs, 1), chunks)
     failed = threading.Event()
 
-    def next_index() -> int | None:
-        with lock:
-            return None if failed.is_set() else next(indices, None)
-
-    def work() -> None:
+    def work(first: int) -> np.ndarray:
+        total = np.zeros(math.factorial(w), dtype=np.int64)
         try:
-            for i in iter(next_index, None):
-                counts = _chunk_pattern_counts(
-                    ranks,
-                    w,
-                    derive_seed(seed, _SAMPLER_LABEL, i),
-                    min(CHUNK_SIZE, trials - i * CHUNK_SIZE),
-                )
-                with lock:
-                    np.add(total, counts, out=total)
+            for i in range(first, chunks, workers):
+                if failed.is_set():
+                    break
+                size = min(CHUNK_SIZE, trials - i * CHUNK_SIZE)
+                total += _chunk_pattern_counts(ranks, w, derive_seed(seed, _SAMPLER_LABEL, i), size)
         except BaseException:
             failed.set()
             raise
+        return total
 
     if jobs <= 1:
-        work()
-        return total
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        workers = [pool.submit(work) for _ in range(min(jobs, chunks))]
-    for worker in workers:
-        worker.result()
-    return total
+        return work(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(work, range(workers)))
 
 
 def fit_summary(counts: np.ndarray) -> tuple[float, int, float]:

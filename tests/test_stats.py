@@ -129,6 +129,10 @@ def test_single_point_window_always_matches():
     source = LinearOrder.natural(Window(tuple(range(10))))
     counts = pattern_counts(source, Window((4,)), trials=500, seed=0)
     assert counts.dtype == np.int64 and counts.tolist() == [500]
+    # an empty window reads nothing of the source, which may be empty too
+    for ground in (3, 0, LinearOrder.natural(Window(()))):
+        counts = pattern_counts(ground, Window(()), trials=10, seed=0)
+        assert counts.dtype == np.int64 and counts.tolist() == [10]
 
 
 def test_orbit_average_converges_to_the_exact_measure():
@@ -146,17 +150,21 @@ def test_orbit_average_converges_to_the_exact_measure():
             assert abs(Fraction(hits, trials) - Fraction(1, 6)) <= tol
 
 
-def test_worker_count_does_not_change_the_result():
+def test_worker_count_does_not_change_the_result(monkeypatch):
+    # 25 chunks, the last one short: no worker count here divides them evenly
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 1_000)
     source = random_linear_order(Window(tuple(range(30))), 2)
     window = Window(tuple(range(3)))
-    serial = pattern_counts(source, window, trials=25_000, seed=5, jobs=1)
-    threaded = pattern_counts(source, window, trials=25_000, seed=5, jobs=4)
-    assert np.array_equal(serial, threaded)
+    serial = pattern_counts(source, window, trials=24_999, seed=5, jobs=1)
+    for jobs in (2, 3, 4, 8):
+        threaded = pattern_counts(source, window, trials=24_999, seed=5, jobs=jobs)
+        assert np.array_equal(serial, threaded), jobs
 
 
 def test_threaded_chunks_lose_no_update(monkeypatch):
-    # more workers than cores and a short switch interval: adding 8! cells
-    # releases the interpreter lock, so an unguarded total would lose hits
+    # more workers than cores and a short switch interval, so the workers
+    # interleave mid-chunk: each adds into a total of its own and the caller
+    # sums them, so no hit may go missing or be counted twice
     monkeypatch.setattr(stats, "CHUNK_SIZE", 100)
     source = random_linear_order(Window(tuple(range(30))), 4)
     window = Window(tuple(range(8)))
@@ -390,15 +398,18 @@ def _stub_chunk(source_ranks, w, chunk_seed, count):
     return counts
 
 
-def test_workers_hold_at_most_jobs_chunks(monkeypatch):
-    # 500 chunks at jobs=2: the pool gets one task per worker, not one per
-    # chunk, no more than two chunks are evaluated at once, and every chunk
-    # is evaluated once with its own seed and size
+@pytest.mark.parametrize("chunks, jobs", [(500, 2), (7, 3), (3, 8), (7, 0), (7, -1)])
+def test_workers_hold_at_most_jobs_chunks(monkeypatch, chunks, jobs):
+    # the pool gets one task per worker, min(jobs, chunks) of them, not one
+    # per chunk, no more than `jobs` chunks are evaluated at once, and every
+    # chunk is evaluated once with its own seed and size.  At jobs 0 or -1
+    # no pool is built and the calling thread evaluates every chunk
     monkeypatch.setattr(stats, "CHUNK_SIZE", 10)
-    trials = 500 * 10 - 3
+    trials = chunks * 10 - 3
     lock = threading.Lock()
     running = peak = 0
     evaluated = []
+    threads = set()
 
     def chunk(source_ranks, w, chunk_seed, count):
         nonlocal running, peak
@@ -406,14 +417,20 @@ def test_workers_hold_at_most_jobs_chunks(monkeypatch):
             running += 1
             peak = max(peak, running)
             evaluated.append((chunk_seed, count))
+            threads.add(threading.get_ident())
         time.sleep(0)
         with lock:
             running -= 1
         return _stub_chunk(source_ranks, w, chunk_seed, count)
 
+    pools = []
     submitted = []
 
     class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
         def submit(self, fn, /, *args, **kwargs):
             submitted.append(fn)
             return super().submit(fn, *args, **kwargs)
@@ -421,10 +438,13 @@ def test_workers_hold_at_most_jobs_chunks(monkeypatch):
     monkeypatch.setattr(stats, "_chunk_pattern_counts", chunk)
     monkeypatch.setattr(stats, "ThreadPoolExecutor", CountingPool)
     source = LinearOrder.natural(Window(range(20)))
-    counts = pattern_counts(source, Window(range(3)), trials, seed=4, jobs=2)
-    assert len(submitted) == 2 and peak <= 2
+    counts = pattern_counts(source, Window(range(3)), trials, seed=4, jobs=jobs)
+    if jobs > 1:
+        assert len(pools) == 1 and len(submitted) == min(jobs, chunks) and peak <= jobs
+    else:
+        assert not pools and threads == {threading.get_ident()}
     assert sorted(evaluated) == sorted(
-        (derive_seed(4, stats._SAMPLER_LABEL, i), min(10, trials - 10 * i)) for i in range(500)
+        (derive_seed(4, stats._SAMPLER_LABEL, i), min(10, trials - 10 * i)) for i in range(chunks)
     )
     assert counts[0] == trials and counts.sum() == trials
 
