@@ -86,13 +86,13 @@ def _window_phrase(window: Window) -> str:
     return f"a {len(window)}-point window from {window.elements[0]} to {window.elements[-1]}"
 
 
-def _text_head(text: str) -> str:
-    """The text quoted for an error message, cut to its first 40 characters
-    and its length when it is longer than 60: a message stays short however
-    long the text is."""
+def _text_head(text: str, quote=repr) -> str:
+    """The text quoted for an error message by `quote`, cut to its first 40
+    characters and its length when it is longer than 60: a message stays
+    short however long the text is.  `str` quotes a number's digits bare."""
     if len(text) <= 60:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
+        return quote(text)
+    return f"{quote(text[:40])}... ({len(text)} characters)"
 
 
 def pattern_index(ranks: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,9 +32,7 @@ import numpy as np
 from .core import (
     FinPerm,
     Window,
-    _ArrayValue,
     _at_line,
-    _frozen,
     _preimage_positions,
     extend_bijection,
     numbered_lines,
@@ -55,55 +52,41 @@ _KINDS = (MINIMALITY, PROXIMALITY_AGREE, PROXIMALITY_REVERSE)
 
 
 @dataclass(frozen=True, eq=False)
-class PairColoring(_ArrayValue):
-    """The agreement coloring of two orders: a two-coloring of the
-    2-element subsets of a ground window, built by `from_orders`.
+class PairColoring:
+    """The agreement coloring of two orders on one window, built by
+    `from_orders`: a pair of window points takes color 0 where the orders
+    rank it alike and 1 where they rank it oppositely.
 
-    `colors` is a read-only bool array over the pairs (i, j), i < j, of
-    ground positions in lexicographic order, so pair (i, j) of an n-window
-    sits at i(2n - i - 1)/2 + j - i - 1; True is color 1.  Equality and
-    hash read (ground, color bytes).  The constructor is public, so it
-    validates what it is given.
+    It holds the two orders and reads their ranks at the pair it is asked
+    about, so building it costs nothing.  Colorings compare by identity.
 
     No witness builds it: the tests read it as the reference coloring of
-    proximality witnesses, and the bench tracer in `perfbench/tracing.py`
-    wraps `from_orders` and `color_of` by name.  It can go once the bench
-    declares its metrics in one table of paths that exist (ROADMAP.md,
-    "Rebuild the benchmark around names that exist").
+    proximality witnesses.  `from_orders` and `color_of` both stay because
+    the bench tracer in `perfbench/tracing.py` (`METHODS`) wraps them by
+    name.  The class goes once the bench declares its metrics in one table
+    of paths that exist (ROADMAP.md, "Rebuild the benchmark around names
+    that exist").
     """
 
-    ground: Window
-    colors: np.ndarray
+    o1: LinearOrder
+    o2: LinearOrder
 
     def __post_init__(self):
-        colors = np.asarray(self.colors)
-        n = len(self.ground)
-        if colors.shape != (n * (n - 1) // 2,):
-            got = len(colors) if colors.ndim == 1 else f"shape {colors.shape}"
-            raise ValueError(f"need {n * (n - 1) // 2} colors for a {n}-window, got {got}")
-        # numeric dtypes only: text, None and ints past int64 make other kinds
-        if colors.dtype.kind not in "biuf" or not np.all((colors == 0) | (colors == 1)):
-            raise ValueError("colors must be 0 or 1")
-        object.__setattr__(self, "colors", _frozen(colors, bool))
-
-    @cached_property
-    def _key(self) -> tuple:
-        return self.ground, self.colors.tobytes()
+        if self.o1.window != self.o2.window:
+            raise ValueError("orders must share a window")
 
     @classmethod
     def from_orders(cls, o1: LinearOrder, o2: LinearOrder) -> "PairColoring":
         """Color 0 where the orders agree on a pair, 1 where they disagree."""
-        if o1.window != o2.window:
-            raise ValueError("orders must share a window")
-        r1, r2 = o1.ranks, o2.ranks
-        i, j = np.triu_indices(len(r1), 1)
-        return cls(o1.window, (r1[i] < r1[j]) != (r2[i] < r2[j]))
+        return cls(o1, o2)
 
     def color_of(self, a: int, b: int) -> int:
-        i, j = sorted((self.ground.position(a), self.ground.position(b)))
-        if i == j:
+        """The color of the pair {a, b}; raises OutOfWindow for a point off
+        the window and ValueError for a == b."""
+        below = self.o1.rank_of(a) < self.o1.rank_of(b)
+        if a == b:
             raise ValueError(f"pair elements must be distinct, got {a}")
-        return int(self.colors[i * (2 * len(self.ground) - i - 1) // 2 + j - i - 1])
+        return int(below != (self.o2.rank_of(a) < self.o2.rank_of(b)))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, pattern_index, position_tuples, positions_from_digits
+from .core import Window, _text_head, pattern_index, position_tuples, positions_from_digits
 from .core import window_from_text, window_to_text
 from .errors import FormatError, GroundTooSmall, WindowTooSmall
 from .orders import LinearOrder, order_from_text, order_texts
@@ -101,7 +101,8 @@ class PatternStat:
         if self.exact != Fraction(1, math.factorial(len(self.pattern.window))):
             raise ValueError(f"exact measure must be 1/{len(self.pattern.window)}!")
         if not 0 <= self.empirical <= 1:
-            raise ValueError(f"empirical frequency out of [0, 1]: {self.empirical}")
+            shown = _text_head(str(self.empirical), str)
+            raise ValueError(f"empirical frequency out of [0, 1]: {shown}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.empirical * self.trials % 1:
@@ -365,17 +366,21 @@ def histogram_to_dicts(counts: np.ndarray, window: Window, seed: int) -> list[di
 def _hits_from_float(empirical: object, trials: int) -> int:
     """Hit count whose frequency over the trials is exactly the stored float.
 
-    The writer stores hits / trials as a float; the count is recovered by
-    rounding and accepted only if it reproduces that float exactly.
+    The writer stores hits / trials as a float; the count is recovered as
+    the integer nearest to empirical * trials in exact rationals, so no
+    product overflows a float.  A count in [0, trials] is accepted only if
+    it reproduces that float exactly; one outside is left to `PatternStat`,
+    which refuses it as out of [0, 1].
     """
     if not isinstance(empirical, (int, float)) or isinstance(empirical, bool):
         raise FormatError(f"bad pattern stat: empirical must be a number, got {empirical!r}")
-    if not math.isfinite(empirical):
+    if isinstance(empirical, float) and not math.isfinite(empirical):
         raise FormatError(f"bad pattern stat: empirical {empirical} is not finite")
-    hits = round(empirical * trials)
-    if float(Fraction(hits, trials)) != empirical:
+    hits = round(Fraction(empirical) * trials)
+    if 0 <= hits <= trials and float(Fraction(hits, trials)) != empirical:
         raise FormatError(
-            f"bad pattern stat: empirical {empirical!r} is not a hit count over {trials} trials"
+            f"bad pattern stat: empirical {empirical!r} is not a hit count over "
+            f"{_text_head(str(trials), str)} trials"
         )
     return hits
 
@@ -387,7 +392,8 @@ def _json_int(data: dict, key: str, positive: bool = False) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise FormatError(f"bad pattern stat: {key} must be an integer, got {value!r}")
     if positive and value < 1:
-        raise FormatError(f"bad pattern stat: {key} must be positive, got {value}")
+        shown = _text_head(str(value), str)
+        raise FormatError(f"bad pattern stat: {key} must be positive, got {shown}")
     return value
 
 
@@ -397,7 +403,8 @@ def stat_from_dict(data: dict) -> PatternStat:
     try:
         for key in ("pattern", "window"):
             if not isinstance(data[key], str):
-                raise FormatError(f"bad pattern stat: {key} must be text, got {data[key]!r}")
+                shown = _text_head(repr(data[key]), str)
+                raise FormatError(f"bad pattern stat: {key} must be text, got {shown}")
         pattern = order_from_text(data["pattern"])
         window = window_from_text(data["window"])
         exact = Fraction(_json_int(data, "exact_num"), _json_int(data, "exact_den", positive=True))

@@ -9,6 +9,7 @@ the child's own peak RSS.  The inputs add up to about 150 MB; each is deleted on
 
 import ast
 import hashlib
+import json
 import subprocess
 import sys
 from typing import NamedTuple
@@ -162,6 +163,15 @@ def test_circular_census_passes_under_python_O():
     proc = run_python([str(ROOT / "scripts" / "circular_census.py"), "--max-window", "8"],
                       optimize=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_bench_run_finds_every_name_it_wraps():
+    """`perfbench/tracing.py` wraps package functions and methods by name, so
+    a traced bench run fails once one of them is renamed or deleted."""
+    proc = run_python([str(ROOT / "perfbench" / "run.py"), "--workload", "witness",
+                       "--seed", "5", "--seconds", "0", "--trace", "1"], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
 def test_every_file_parses_as_python_3_10():

@@ -1,8 +1,8 @@
 import itertools
 import re
 import time
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +13,7 @@ from orderflow import (
     GroundTooSmall,
     LinearOrder,
     MINIMALITY,
+    OutOfWindow,
     PROXIMALITY_AGREE,
     PROXIMALITY_REVERSE,
     PairColoring,
@@ -43,69 +44,20 @@ from orderflow.ramsey import _all_pairs_colored, _increasing_run
 # pair colorings
 
 
-def test_coloring_shape_and_lookup():
-    ground = Window((0, 2, 5))
-    # pairs (0, 2), (0, 5), (2, 5): color 1 exactly on the pairs holding 0
-    coloring = PairColoring(ground, [1, 1, 0])
-    assert coloring.colors.tolist() == [1, 1, 0]
-    assert coloring.color_of(2, 0) == 1
-    assert coloring.color_of(5, 2) == 0
-    with pytest.raises(ValueError):
-        PairColoring(ground, (0, 1))
-    with pytest.raises(ValueError):
-        coloring.color_of(2, 2)
-
-
-def test_colors_are_one_read_only_bool_array_copied_from_the_caller():
-    colors = np.array([1, 0, 1])
-    coloring = PairColoring(Window((0, 2, 5)), colors)
-    assert coloring.colors.dtype == bool
-    assert not coloring.colors.flags.writeable
-    with pytest.raises(ValueError):
-        coloring.colors[0] = False
-    colors[:] = 0
-    assert coloring.colors.tolist() == [True, False, True]
-    assert coloring.color_of(0, 2) == 1 and type(coloring.color_of(0, 2)) is int
-
-
-def test_equal_colorings_are_equal_and_hash_alike():
-    ground = Window((0, 2, 5))
-    built = PairColoring(ground, [1, 1, 0])
-    for colors in ([1, 1, 0], (True, True, False), np.array([1.0, 1.0, 0.0])):
-        given = PairColoring(ground, colors)
-        assert built == given
-        assert hash(built) == hash(given)
-    assert len({built, PairColoring(ground, np.array([1, 1, 0], dtype=np.uint8))}) == 1
-    assert built != PairColoring(Window((0, 2, 6)), [1, 1, 0])
-    assert built != PairColoring(ground, [1, 1, 1])
-    assert built != PairColoring(ground, [1, 0, 0])
-
-
-def test_colors_other_than_0_and_1_or_of_a_wrong_shape_are_refused():
-    ground = Window((0, 2, 5))
-    cases = [
-        ([0, 2, 1], "colors must be 0 or 1"),
-        ([0, 0.5, 1], "colors must be 0 or 1"),
-        (["0", "1", "0"], "colors must be 0 or 1"),
-        ([None, 0, 1], "colors must be 0 or 1"),
-        ([0, 2**70, 1], "colors must be 0 or 1"),
-        ([0, 1], "need 3 colors for a 3-window, got 2"),
-        (np.zeros((3, 1)), re.escape("need 3 colors for a 3-window, got shape (3, 1)")),
-        (np.zeros((1, 3)), re.escape("need 3 colors for a 3-window, got shape (1, 3)")),
-        (0, re.escape("need 3 colors for a 3-window, got shape ()")),
-    ]
-    for colors, message in cases:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            PairColoring(ground, colors)
+def agreement_colors(coloring, ground):
+    """The color of every pair of ground points, read both ways round."""
+    colors = set()
+    for a, b in itertools.combinations(ground.elements, 2):
+        assert coloring.color_of(a, b) == coloring.color_of(b, a)
+        colors.add(coloring.color_of(a, b))
+    return colors
 
 
 def test_agreement_coloring_of_identical_orders_is_constant():
     ground = Window(tuple(range(10)))
     order = random_linear_order(ground, 3)
-    coloring = PairColoring.from_orders(order, order)
-    assert set(coloring.colors) == {0}
-    reversed_coloring = PairColoring.from_orders(order, reverse(order))
-    assert set(reversed_coloring.colors) == {1}
+    assert agreement_colors(PairColoring.from_orders(order, order), ground) == {0}
+    assert agreement_colors(PairColoring.from_orders(order, reverse(order)), ground) == {1}
 
 
 def test_from_orders_matches_the_per_pair_reference():
@@ -113,12 +65,35 @@ def test_from_orders_matches_the_per_pair_reference():
     o1 = random_linear_order(ground, 8)
     for o2 in (o1, reverse(o1), random_linear_order(ground, 9)):
         coloring = PairColoring.from_orders(o1, o2)
-        assert coloring.ground == ground
         for a, b in itertools.combinations(ground.elements, 2):
             agree = (o1.rank_of(a) < o1.rank_of(b)) == (o2.rank_of(a) < o2.rank_of(b))
-            assert coloring.color_of(a, b) == coloring.color_of(b, a) == (0 if agree else 1)
+            color = coloring.color_of(a, b)
+            assert type(color) is int
+            assert color == coloring.color_of(b, a) == (0 if agree else 1)
     with pytest.raises(ValueError, match="^orders must share a window$"):
         PairColoring.from_orders(o1, LinearOrder.natural(Window(tuple(range(40)))))
+    with pytest.raises(ValueError, match="^orders must share a window$"):
+        PairColoring(o1, LinearOrder.natural(Window(tuple(range(40)))))
+    with pytest.raises(ValueError, match="^pair elements must be distinct, got 5$"):
+        coloring.color_of(5, 5)
+    for a, b in ((2, 5), (5, 40), (40, 40)):
+        with pytest.raises(OutOfWindow):
+            coloring.color_of(a, b)
+
+
+def test_from_orders_builds_no_pair_table():
+    # the coloring reads the two orders' ranks per pair, so building it
+    # allocates nothing over the n(n-1)/2 pairs
+    ground = Window(tuple(range(4096)))
+    o1, o2 = random_linear_order(ground, 1), random_linear_order(ground, 2)
+    tracemalloc.start()
+    try:
+        coloring = PairColoring.from_orders(o1, o2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert coloring.color_of(0, 4095) in (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -596,8 +596,17 @@ def test_stat_from_dict_requires_json_integers(field, value):
         ({"trials": 0}, "trials must be positive, got 0"),
         ({"trials": -3}, "trials must be positive, got -3"),
         ({"window": "0,1,3"}, "pattern and window fields disagree"),
+        # past the float range: at most 40 digits of a huge value are quoted
+        ({"empirical": 1e308, "trials": 10},
+         "empirical frequency out of [0, 1]: 1000000000000000010979063629440455417404"
+         "... (309 characters)"),
+        ({"empirical": 10**400},
+         f"empirical frequency out of [0, 1]: 1{'0' * 39}... (401 characters)"),
+        ({"trials": -(10**400)}, f"trials must be positive, got -1{'0' * 38}... (402 characters)"),
+        ({"window": 2**1100}, f"window must be text, got {str(2**1100)[:40]}... (332 characters)"),
     ],
-    ids=["missing", "den-0", "exact-1/5", "text", "nan", "inf", "trials-0", "trials--3", "window"],
+    ids=["missing", "den-0", "exact-1/5", "text", "nan", "inf", "trials-0", "trials--3", "window",
+         "empirical-1e308", "empirical-10^400", "trials--10^400", "window-2^1100"],
 )
 def test_stat_from_dict_says_what_is_wrong(change, message):
     # a None value stands for a missing field
@@ -606,6 +615,39 @@ def test_stat_from_dict_says_what_is_wrong(change, message):
     bad = {key: value for key, value in {**row, **change}.items() if value is not None}
     with pytest.raises(FormatError, match=f"^{re.escape('bad pattern stat: ' + message)}$"):
         stat_from_dict(bad)
+
+
+def test_stat_from_dict_recovers_hits_past_the_float_range():
+    # empirical * trials overflows a float at these trials; the reader
+    # multiplies in exact rationals and recovers each hit count exactly
+    row = histogram_to_dicts(np.ones(2, dtype=np.int64), Window((0, 1)), seed=0)[0]
+    cases = [(2**1100, 0.5, 2**1099), (10**400, 0.25, 25 * 10**398), (2**1100, 2.0**-1074, 2**26)]
+    for trials, empirical, hits in cases:
+        record = json.loads(json.dumps({**row, "trials": trials, "empirical": empirical}))
+        stat = stat_from_dict(record)
+        assert (stat.trials, stat.empirical) == (trials, Fraction(hits, trials))
+
+
+#: JSON scalars, the values past the float range and the non-finite floats among them.
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=20),
+    st.sampled_from([2**1100, -(2**1100), 10**400, 1e308, -1e308, 5e-324, math.nan, math.inf]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pattern", "window", "exact_num", "exact_den", "empirical", "trials",
+                        "seed"]), json_scalars)
+def test_a_record_with_any_scalar_field_reads_back_or_raises_format_error(field, value):
+    row = histogram_to_dicts(np.arange(1, 7), Window((0, 1, 2)), seed=0)[2]
+    try:
+        stat_from_dict({**row, field: value})
+    except FormatError as exc:
+        assert len(str(exc)) < 160
 
 
 def test_histogram_to_dicts_rejects_empty_or_misshapen_histograms():
