@@ -48,6 +48,14 @@ MAX_FREQUENCY_WINDOW = 8
 #: that is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
+#: Largest `frequencies --trials` and `verify --trials`: sampling time grows
+#: linearly in the trials at flat memory, so only this bound ends a run in
+#: bounded time.  At it, `frequencies` takes 2.9-3.3 s at 37 MB peak RSS at
+#: window 4 and ground 1000, and 18.7-19.9 s at 75 MB at window 8 and ground
+#: 10^6, the slowest shape; `verify` takes 2.4-2.6 s at 39 MB, on a 2-core
+#: Xeon whose speed drifts from run to run.
+MAX_FREQUENCY_TRIALS = 10**8
+
 #: Largest `frequencies --jobs`: each job is one OS thread that evaluates
 #: every jobs-th 10,000-trial chunk into a histogram of its own, so at most
 #: this many chunks are in flight at any trial count.  A chunk is a few dozen
@@ -433,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--max-window", type=_positive("--max-window", MAX_VERIFY_WINDOW), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive("--trials"), default=20_000)
+    p.add_argument("--trials", type=_positive("--trials", MAX_FREQUENCY_TRIALS), default=20_000)
     p.add_argument("--out", default=None)
     p.add_argument(
         "--inject-fault",
@@ -444,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frequencies", help="empirical vs exact pattern frequencies")
     p.add_argument("--window", type=_positive("--window", MAX_FREQUENCY_WINDOW), default=3)
     p.add_argument("--ground", type=_positive("--ground", MAX_FREQUENCY_GROUND), default=50)
-    p.add_argument("--trials", type=_positive("--trials"), default=100_000)
+    p.add_argument("--trials", type=_positive("--trials", MAX_FREQUENCY_TRIALS), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive("--jobs", MAX_FREQUENCY_JOBS), default=1)
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")

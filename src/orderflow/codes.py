@@ -52,15 +52,17 @@ def images(code: BlockCode, ranks: np.ndarray) -> np.ndarray:
     (..., n) gives (..., perm(n, k)) in `position_tuples(n, k)` row order,
     the patterns of all rows from one `pattern_index` call.
 
-    Ranks lie in [0, n), so they are gathered and compared in
-    `np.min_scalar_type(n - 1)`, as the sampler's chunks are: the gather
-    writes k entries per tuple, 1 byte each up to 256 points where int64
-    takes 8.  Sign-4 on 33 points takes about 20 ms where int64 took 26;
-    at the 7 or 8 points of a small order the cast costs about as much as
-    it saves."""
+    Ranks lie in [0, n), or ValueError is raised: they are gathered and
+    compared in `np.min_scalar_type(n - 1)`, as the sampler's chunks are,
+    where a rank outside would wrap.  The gather writes k entries per
+    tuple, 1 byte each up to 256 points where int64 takes 8.  Sign-4 on 33
+    points takes about 20 ms where int64 took 26; at the 7 or 8 points of a
+    small order the cast costs about as much as it saves."""
     n = ranks.shape[-1]
     if n < code.k:
         raise WindowTooSmall(f"window size {n} below arity {code.k}")
+    if ranks.size and not 0 <= ranks.min() <= ranks.max() < n:
+        raise ValueError(f"ranks must lie in [0, {n})")
     narrow = ranks.astype(np.min_scalar_type(n - 1), copy=False)
     slots = np.moveaxis(narrow[..., position_tuples(n, code.k).T], -2, 0)
     return np.array(code.table, dtype=np.int8)[pattern_index(slots)]

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -227,7 +227,13 @@ class KConfig(_ArrayValue):
         window: Window,
         fn: Callable[[tuple[int, ...]], int],
     ) -> "KConfig":
-        """Evaluate fn on every injective k-tuple over the window."""
+        """Evaluate fn on every injective k-tuple over the window.
+
+        No package code calls it: the tests build reference configurations
+        with it.  It stays because the bench tracer in `perfbench/tracing.py`
+        (`METHODS`) wraps it by name, and goes or moves into the tests once
+        the bench declares its metrics in one table of paths that exist
+        (ROADMAP.md, "Rebuild the benchmark around names that exist")."""
         if not 2 <= k <= DEFAULT_MAX_ARITY:
             raise ValueError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}")
         return cls(k, window, [int(fn(t)) for t in permutations(window.elements, k)])
@@ -241,15 +247,6 @@ class KConfig(_ArrayValue):
         dense[tuple(position_tuples(n, self.k).T)] = self.values
         dense.flags.writeable = False
         return dense
-
-    def value(self, t: Sequence[int]) -> int:
-        entries = tuple(t)
-        if len(entries) != self.k:
-            raise ValueError(f"expected a {self.k}-tuple, got {entries}")
-        v = int(self.array[tuple(self.window.position(x) for x in entries)])
-        if v == 0:
-            raise ValueError(f"tuple entries must be pairwise distinct: {entries}")
-        return v
 
 
 @dataclass(frozen=True)
@@ -280,17 +277,6 @@ class FinPerm:
     @classmethod
     def from_dict(cls, mapping: dict[int, int]) -> "FinPerm":
         return cls(tuple(mapping.items()))
-
-    @classmethod
-    def from_cycles(cls, *cycles: Sequence[int]) -> "FinPerm":
-        """Permutation from disjoint cycles, e.g. from_cycles((0, 1), (2, 3, 4))."""
-        mapping: dict[int, int] = {}
-        for cycle in cycles:
-            for i, x in enumerate(cycle):
-                if x in mapping:
-                    raise ValueError(f"cycles are not disjoint at {x}")
-                mapping[x] = cycle[(i + 1) % len(cycle)]
-        return cls.from_dict(mapping)
 
     @cached_property
     def _map(self) -> dict[int, int]:

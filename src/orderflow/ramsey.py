@@ -212,7 +212,12 @@ def _increasing_run(values: Iterable[int], m: int) -> list[int] | None:
 def proximality_ground(ground_size: int, m: int) -> int:
     """The ground points a proximality witness on an m-window reads: the
     (m-1)^2+1 that Erdos-Szekeres needs, and at least the 2 that
-    verification needs.  Raises GroundTooSmall when the ground has fewer."""
+    verification needs.  Raises GroundTooSmall when the ground has fewer.
+
+    No smaller ground always works: the extremal sequence of m-1 decreasing
+    blocks of m-1 values, each block above the one before, ranks (m-1)^2
+    points with no monotone m-run of either kind, so o2 ranking o1's least
+    points that way admits no witness."""
     bound = max(2, (m - 1) ** 2 + 1)
     if ground_size < bound:
         raise GroundTooSmall(

@@ -26,6 +26,7 @@ from orderflow.cli import (
     MAX_FACTOR_TUPLES,
     MAX_FREQUENCY_GROUND,
     MAX_FREQUENCY_JOBS,
+    MAX_FREQUENCY_TRIALS,
     MAX_FREQUENCY_WINDOW,
     MAX_VERIFY_WINDOW,
     MAX_WITNESS_GROUND,
@@ -305,6 +306,19 @@ def test_frequencies_rejects_jobs_above_the_bound(capsys):
     assert "--jobs must be at most 32, got 33" in err
     args = cli.build_parser().parse_args(["frequencies", "--jobs", "32"])
     assert args.jobs == MAX_FREQUENCY_JOBS
+
+
+def test_frequencies_and_verify_reject_trials_above_the_bound(capsys):
+    # argparse alone: 10^8 trials take seconds to draw
+    assert MAX_FREQUENCY_TRIALS == 10**8
+    for command in ("frequencies", "verify"):
+        args = cli.build_parser().parse_args([command, "--trials", "100000000"])
+        assert args.trials == MAX_FREQUENCY_TRIALS
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args([command, "--trials", "100000001"])
+        assert excinfo.value.code == 2
+        _, err = capsys.readouterr()
+        assert "--trials must be at most 100000000, got 100000001" in err
 
 
 @pytest.mark.parametrize(
@@ -676,7 +690,7 @@ def test_factor_circular_on_a_three_chain(tmp_path, capsys):
     assert code == 0
     config = config_from_text(out_file.read_text())
     assert config.k == 3 and len(config.values) == 6
-    assert config.value((0, 1, 2)) == 1
+    assert config.array[0, 1, 2] == 1
     assert "alternating: yes" in err
     assert "circular-realizable: yes" in err
 
@@ -696,7 +710,7 @@ def test_factor_sign4_on_an_increasing_order(tmp_path, capsys):
     code, out, err = run_cli(["factor", "sign-4", str(order_file)], capsys)
     assert code == 0
     config = config_from_text(out)
-    assert config.value((0, 1, 2, 3)) == 1
+    assert config.array[0, 1, 2, 3] == 1
     assert "alternating: yes" in err
 
 

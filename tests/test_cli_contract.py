@@ -132,6 +132,15 @@ CASES = {
          "--jobs", "3"),
         stdout="cb67e38b639cb7df9fb027a5cb4454c7c194de90654a687927a2c320985b92be",
     ),
+    # trials past the bound are refused before a draw; 10^20 would take centuries
+    **{
+        f"{command}-trials-10^20": Case(
+            (command, "--trials", str(10**20)), code=2, stdout=EMPTY, timeout=5,
+            stderr=f"orderflow {command}: error: argument --trials: "
+            f"--trials must be at most 100000000, got {10**20}",
+        )
+        for command in ("frequencies", "verify")
+    },
 }
 
 

@@ -100,18 +100,19 @@ def test_constant_code_gives_constant_config():
 def test_circular_code_on_the_ascending_chain():
     config = apply_code(sign_code(3), LinearOrder.natural(Window((0, 1, 2))))
     for t in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        assert config.value(t) == 1
+        assert config.array[t] == 1
     for t in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        assert config.value(t) == -1
+        assert config.array[t] == -1
 
 
 def test_circular_code_rotation_and_swap_symmetry():
     window = Window(tuple(range(4)))
     for order in all_linear_orders(window):
         config = apply_code(sign_code(3), order)
+        values = config.array
         for l, m, n in permutations(window, 3):
-            assert config.value((l, m, n)) == config.value((m, n, l))
-            assert config.value((l, m, n)) == -config.value((m, l, n))
+            assert values[l, m, n] == values[m, n, l]
+            assert values[l, m, n] == -values[m, l, n]
 
 
 def test_window_too_small():
@@ -122,8 +123,8 @@ def test_window_too_small():
 def test_sign4_on_an_increasing_quadruple():
     order = LinearOrder.natural(Window((0, 1, 2, 3)))
     config = apply_code(sign_code(4), order)
-    assert config.value((0, 1, 2, 3)) == 1
-    assert config.value((1, 0, 2, 3)) == -1
+    assert config.array[0, 1, 2, 3] == 1
+    assert config.array[1, 0, 2, 3] == -1
 
 
 def rank_pattern(values) -> tuple[int, ...]:
@@ -176,6 +177,17 @@ def test_sign_2_images_compare_ranks_on_both_sides_of_the_uint8_step(n):
     assert codes.images(sign_code(2), np.array(ranks)).tolist() == want
 
 
+def test_images_refuse_ranks_outside_the_row():
+    # narrowed to uint8 unchecked, rank 256 read as 0 and gave [1, 1, 1, 1, -1, -1]
+    ranks = np.array([0, 2, 1])
+    assert codes.images(sign_code(2), ranks).tolist() == [1, 1, -1, -1, -1, 1]
+    for bad in ([0, 256, 5], [0, 3, 1], [-1, 1, 2], [[0, 1, 2], [0, 1, 3]]):
+        with pytest.raises(ValueError, match=r"^ranks must lie in \[0, 3\)$"):
+            codes.images(sign_code(2), np.array(bad))
+    # an empty table has no rank to check
+    assert codes.images(sign_code(2), np.zeros((0, 3), dtype=np.int64)).shape == (0, 6)
+
+
 def test_images_below_the_arity_raise_window_too_small():
     for shape in ((2,), (5, 2), (0, 1)):
         with pytest.raises(WindowTooSmall, match=f"^window size {shape[-1]} below arity 3$"):
@@ -191,7 +203,7 @@ def test_table_entry_i_is_read_at_the_pattern_of_histogram_cell_i():
         rows = histogram_to_dicts(np.ones(cells, dtype=np.int64), window, seed=0)
         for i, order in enumerate(all_linear_orders(window)):
             one_hot = BlockCode(k, tuple(1 if j == i else -1 for j in range(cells)))
-            assert apply_code(one_hot, order).value(window.elements) == 1
+            assert apply_code(one_hot, order).array[window.elements] == 1
             assert rows[i]["pattern"] == order_to_text(order)
 
 
@@ -358,6 +370,8 @@ def test_block_code_validation():
         BlockCode(2, (1,))
     with pytest.raises(ValueError):
         BlockCode(2, (1, 0))
+    with pytest.raises(ValueError, match="^arity must be at least 2, got 1$"):
+        BlockCode(1, (1,))
     with pytest.raises(ValueError, match="arity must be in 2..6, got 9"):
         sign_code(9)
     with pytest.raises(ValueError, match="arity must be in 2..6, got 1"):

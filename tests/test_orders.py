@@ -63,9 +63,10 @@ def reference_is_linear_order(config: KConfig) -> bool:
     """Alternation plus transitivity of the +1 relation, checked directly."""
     if not is_alternating(config):
         return False
-    for m, n, l in permutations(config.window.elements, 3):
-        if config.value((m, n)) == 1 and config.value((n, l)) == 1:
-            if config.value((m, l)) != 1:
+    values = config.array
+    for m, n, l in permutations(range(len(config.window)), 3):
+        if values[m, n] == 1 and values[n, l] == 1:
+            if values[m, l] != 1:
                 return False
     return True
 
@@ -319,8 +320,8 @@ def test_bad_ranks_error_names_the_first_fault_briefly():
 
 def test_chain_gives_ascending_plus_one():
     config = apply_code(sign_code(2), LinearOrder.natural(Window((0, 1))))
-    assert config.value((0, 1)) == 1
-    assert config.value((1, 0)) == -1
+    assert config.array[0, 1] == 1
+    assert config.array[1, 0] == -1
 
 
 def test_descending_chain_values():

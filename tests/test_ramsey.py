@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import time
 import tracemalloc
@@ -261,12 +262,24 @@ def extremal_sequence(m):
     return [b * (m - 1) + (m - 2 - i) for b in range(m - 1) for i in range(m - 1)]
 
 
-@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("m", range(2, 41))
 def test_the_extremal_prefix_forces_its_last_point(m):
+    # (m-1)^2 points admit no monotone m-run of either kind, so no ground
+    # below the (m-1)^2+1 points of `proximality_ground` always works
     prefix = extremal_sequence(m)
     assert _increasing_run(prefix, m) is None
     assert _increasing_run([-v for v in prefix], m) is None
     size = len(prefix) + 1
+    # one more distinct value, at any slot and in any gap, completes a run:
+    # every insertion up to m = 8, a seeded three per m above (96 in all)
+    insertions = itertools.product(range(size), repeat=2)
+    if m > 8:
+        rng = random.Random(m)
+        insertions = [(rng.randrange(size), rng.randrange(size)) for _ in range(3)]
+    for slot, gap in insertions:
+        values = [v + (v >= gap) for v in prefix]
+        values.insert(slot, gap)
+        assert _increasing_run(values, m) or _increasing_run([-v for v in values], m)
     extra = 7  # points past the prefix in o1 order, which must go unread
     ground = Window(tuple(range(size + extra)))
     o1 = LinearOrder.natural(ground)
@@ -312,6 +325,8 @@ def test_proximality_requires_shared_ground():
     o2 = LinearOrder.natural(Window(tuple(range(17))))
     with pytest.raises(ValueError):
         proximality_witness(o1, o2, Window((0, 1)))
+    with pytest.raises(ValueError, match="^window must be nonempty$"):
+        proximality_witness(o1, o1, Window(()))
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +419,11 @@ def verification_cases(draw):
     tamper = draw(st.sampled_from(("none", "swap", "escape")))
     if tamper == "swap" and len(window) >= 2:
         x, y = draw(st.permutations(window.elements))[:2]
-        alpha = compose(FinPerm.from_cycles((x, y)), alpha)
+        alpha = compose(FinPerm.from_dict({x: y, y: x}), alpha)
     elif tamper == "escape" and len(window) >= 1:
         x = draw(st.sampled_from(window.elements))
         far = max([base + n, *window.elements, *alpha.support()]) + 1
-        alpha = compose(FinPerm.from_cycles((x, far)), alpha)
+        alpha = compose(FinPerm.from_dict({x: far, far: x}), alpha)
     return Witness(alpha, window, kind), o1, o2, target
 
 
@@ -475,14 +490,14 @@ def test_a_ten_thousand_point_minimality_witness_verifies_within_a_second():
     started = time.perf_counter()
     assert verify_minimality(witness, source, target)
     assert time.perf_counter() - started < 1.0
-    swap = compose(FinPerm.from_cycles((0, 1)), witness.alpha)
+    swap = compose(FinPerm.from_dict({0: 1, 1: 0}), witness.alpha)
     assert not verify_minimality(Witness(swap, window, MINIMALITY), source, target)
 
 
 def test_verification_errors():
     ground = Window(tuple(range(6)))
     order = random_linear_order(ground, 1)
-    off = Witness(FinPerm.from_cycles((1, 40)), Window((0, 1)), PROXIMALITY_AGREE)
+    off = Witness(FinPerm.from_dict({1: 40, 40: 1}), Window((0, 1)), PROXIMALITY_AGREE)
     with pytest.raises(DomainEscape):
         verify_proximality(off, order, order)
     with pytest.raises(DomainEscape):
@@ -492,7 +507,9 @@ def test_verification_errors():
             LinearOrder.natural(off.checked_window),
         )
     # the verifiers name the escaping point as apply_perm does
-    two = Witness(FinPerm.from_cycles((1, 40), (2, 50)), Window((0, 1, 2)), PROXIMALITY_AGREE)
+    two = Witness(
+        FinPerm.from_dict({1: 40, 40: 1, 2: 50, 50: 2}), Window((0, 1, 2)), PROXIMALITY_AGREE
+    )
     message = "preimage 40 of 1 lies outside a 6-point window from 0 to 5"
     with pytest.raises(DomainEscape, match=f"^{re.escape(message)}$"):
         verify_proximality(two, order, order)
@@ -520,7 +537,7 @@ def test_verification_errors():
 
 
 def test_witness_text_round_trip():
-    witness = Witness(FinPerm.from_cycles((0, 3)), Window((0, 1, 2, 3)), MINIMALITY)
+    witness = Witness(FinPerm.from_dict({0: 3, 3: 0}), Window((0, 1, 2, 3)), MINIMALITY)
     text = witness_to_text(witness)
     assert text == "kind=minimality\nwindow=0,1,2,3\nalpha=0->3,3->0\n"
     assert witness_from_text(text) == witness

@@ -655,6 +655,8 @@ def test_histogram_to_dicts_rejects_empty_or_misshapen_histograms():
         histogram_to_dicts(np.zeros(2, dtype=np.int64), Window((0, 1)), seed=0)
     with pytest.raises(ValueError, match=r"^need 3! cells holding trials, got 2 holding 5$"):
         histogram_to_dicts(np.array([2, 3]), Window((0, 1, 2)), seed=0)
+    with pytest.raises(ValueError, match="^need at least two patterns, got 1$"):
+        stats.fit_summary(np.array([5]))
 
 
 @st.composite
