@@ -56,15 +56,25 @@ MAX_FREQUENCY_GROUND = 1_000_000
 #: Xeon whose speed drifts from run to run.
 MAX_FREQUENCY_TRIALS = 10**8
 
+#: Least `verify --trials`: 5 x 3!, five expected hits in each cell of the
+#: orbit-average check's 3-window, the sparse-cell rule of `frequencies`.
+#: Below it the check's 3-sigma normal tolerance fails correct code more
+#: than twice as often: at seed 0 it fails at 2, 3, 4, 12, 24, 25, 28 and
+#: 29 trials and at none from 30 to 300; over seeds 0-39 it fails 5.2 % of
+#: the runs at 1 to 29 trials and 2.2 % at 30 to 99.
+MIN_VERIFY_TRIALS = 30
+
 #: Largest `frequencies --jobs`: each job is one OS thread that evaluates
-#: every jobs-th 10,000-trial chunk into a histogram of its own, so at most
-#: this many chunks are in flight at any trial count.  A chunk is a few dozen
-#: short numpy calls with Python between them, so extra workers gain little.
-#: On a 2-core Xeon at ground 1000, 10^7 trials at window 4 take 0.56-0.77 s
-#: with 1 worker, 0.53-0.77 s with 2 and 0.92-1.27 s with 32, at 37, 39 and
-#: 55-56 MB peak RSS; 10^6 trials at window 8 take 0.54-0.79, 0.64-0.80 and
-#: 0.72-0.96 s at 75, 78 and 88-104 MB, of which the 32 histograms of 8!
-#: cells are 10 MB.
+#: every k-th 10,000-trial chunk into a histogram of its own, where k is the
+#: least of the jobs, the chunks and `os.cpu_count()`, so at most that many
+#: chunks are in flight at any trial count.  A chunk is a few dozen short
+#: numpy calls with Python between them, so extra workers gain little, and
+#: workers past the CPUs only cost.  On a 2-core Xeon at ground 1000, 10^7
+#: trials at window 4 took 0.42-0.54 s and 37 MB peak RSS with `--jobs 1`,
+#: and with `--jobs 32` 0.52-0.99 s and 49-56 MB when every job was a thread
+#: against 0.47-0.51 s and 38-39 MB capped at the CPUs; 10^6 trials at
+#: window 8 took 0.45-0.60 s and 75 MB with 1, and with 32 0.65-0.76 s and
+#: 93-105 MB uncapped against 0.47-0.59 s and 78 MB capped.
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of
@@ -415,11 +425,11 @@ def cmd_factor(args: argparse.Namespace, code: codes.BlockCode) -> int:
 # entry point
 
 
-def _positive(name: str, most: int | None = None):
+def _positive(name: str, most: int | None = None, least: int = 1):
     def parse(value: str) -> int:
         n = int(value)
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be at least 1, got {n}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {least}, got {n}")
         if most is not None and n > most:
             raise argparse.ArgumentTypeError(f"{name} must be at most {most}, got {n}")
         return n
@@ -441,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--max-window", type=_positive("--max-window", MAX_VERIFY_WINDOW), default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive("--trials", MAX_FREQUENCY_TRIALS), default=20_000)
+    p.add_argument("--trials", default=20_000,
+                   type=_positive("--trials", MAX_FREQUENCY_TRIALS, MIN_VERIFY_TRIALS))
     p.add_argument("--out", default=None)
     p.add_argument(
         "--inject-fault",

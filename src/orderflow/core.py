@@ -391,8 +391,8 @@ def window_from_text(text: str, lineno: int | None = None) -> Window:
     return _at_line(lineno, lambda: Window(tuple(map(int, text.split(","))) if text else ()))
 
 
-#: The value each sign text reads as, and the line end each value takes.
-_SIGNS = {"+1": 1, "-1": -1}
+#: The line end each value takes.  A configuration text holds a `+` only
+#: here, as a sign, and `config_from_text` finds the signs by it.
 _LINE_END = {1: ": +1\n", -1: ": -1\n"}
 
 #: Widest padded tuple head, k cells, in bytes that `config_to_text` writes
@@ -450,46 +450,42 @@ def config_text_size(k: int, window: Window) -> int:
 
 
 def config_from_text(text: str) -> KConfig:
-    """Inverse of `config_to_text`; rows may come in any order, spaced and
-    blank-lined.
+    """Inverse of `config_to_text`, accepting exactly the texts it writes:
+    rows in `permutations` order, single spaces, no blank lines and a final
+    newline.
 
-    The header must read `k=K window=...` with K in 2..DEFAULT_MAX_ARITY.
-    Each row is checked at its own line: k distinct window points, a sign,
-    and no tuple twice.  The values are then read out in permutations
-    order, which stops at the first missing tuple, so the work stays
-    bounded by the rows given.  Every failure is a FormatError.
+    The first line must read `k=K window=...` with K in 2..DEFAULT_MAX_ARITY;
+    a fault in it is reported at line 1.  A text whose length is not
+    `config_text_size` of that header is refused before anything of that
+    size is built.  Otherwise the all-+1 text of the header is written and
+    compared byte for byte: a window point's text holds no `+`, so every
+    `+` written is a sign, and only there may the text read `-` instead.
+    The first other difference, a non-ASCII character among them, is
+    reported at its line.  Time and memory are those of writing the text,
+    and no row is parsed.  Every failure is a FormatError.
     """
-    lines = numbered_lines(text)
-    if not lines:
-        raise FormatError("empty configuration text")
-    lineno, line = lines[0]
+    line = text.partition("\n")[0]
     header = line.split()
     if len(header) != 2 or not header[0].startswith("k=") or not header[1].startswith("window="):
-        raise FormatError(f"bad header {line!r}", lineno)
-    k = _at_line(lineno, int, header[0][2:])
+        raise FormatError(f"bad header {_text_head(line)}", 1)
+    k = _at_line(1, int, header[0][2:])
     if not 2 <= k <= DEFAULT_MAX_ARITY:
-        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", lineno)
-    window = window_from_text(header[1][7:], lineno)
-    allowed = set(window)
-    seen: dict[tuple[int, ...], int] = {}
-    for lineno, line in lines[1:]:
-        head, sep, sign = line.partition(":")
-        if not sep:
-            raise FormatError(f"missing ':' in {line!r}", lineno)
-        t = _at_line(lineno, lambda: tuple(map(int, head.split())))
-        if len(t) != k or len(allowed.intersection(t)) != k:
-            raise FormatError(f"not {k} distinct points of the window: {t}", lineno)
-        if t in seen:
-            raise FormatError(f"duplicate tuple {t}", lineno)
-        sign = sign.strip()
-        if sign not in _SIGNS:
-            raise FormatError(f"expected +1 or -1, got {sign!r}", lineno)
-        seen[t] = _SIGNS[sign]
-    try:
-        values = [seen[t] for t in permutations(window.elements, k)]
-    except KeyError as exc:
-        raise FormatError(f"missing entry for tuple {exc.args[0]}") from None
-    return KConfig(k, window, values)
+        raise FormatError(f"arity must be in 2..{DEFAULT_MAX_ARITY}, got {k}", 1)
+    window = window_from_text(header[1][7:], 1)
+    if len(text) != (size := config_text_size(k, window)):
+        raise FormatError(f"the header gives {size} characters, the text has {len(text)}")
+    plus = KConfig(k, window, np.ones(math.perm(len(window), k), dtype=np.int8))
+    want = np.frombuffer(config_to_text(plus).encode(), dtype=np.uint8)
+    # a non-ASCII character becomes one `?`, which is never written
+    got = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    signs = want == ord("+")
+    wrong = (got != want) & ~(signs & (got == ord("-")))
+    if wrong.any():
+        at = int(wrong.argmax())
+        start, end = text.rfind("\n", 0, at) + 1, text.find("\n", at)
+        line = text[start : end if end >= 0 else None]
+        raise FormatError(f"unexpected line {_text_head(line)}", text.count("\n", 0, at) + 1)
+    return KConfig(k, window, np.where(got[signs] == ord("-"), -1, 1))
 
 
 def perm_to_text(alpha: FinPerm) -> str:

@@ -158,10 +158,18 @@ def order_to_text(order: LinearOrder) -> str:
 def order_from_text(text: str, lineno: int | None = None) -> LinearOrder:
     """Inverse of `order_to_text`: distinct integers, space separated, least
     ranked first.  A token that is not an integer, empty text or a repeated
-    element raises FormatError at `lineno`."""
+    element raises FormatError at `lineno`; a point of more digits than
+    Python's limit for `int` (`sys.get_int_max_str_digits()`, 4300 by
+    default) is refused by `int`'s own message, which names the limit and
+    the point's digits."""
     try:
         seq = tuple(int(x) for x in text.split())
     except ValueError:
+        for token in text.split():
+            if not (token[1:] if token[0] in "+-" else token).isdecimal():
+                break
+            # `int` refuses decimal digits only past its digit limit
+            _at_line(lineno, int, token)
         raise FormatError(f"bad order text {_text_head(text)}", lineno) from None
     if not seq:
         raise FormatError("empty order text", lineno)

@@ -58,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+import os
 import random
 import sys
 import threading
@@ -275,10 +276,10 @@ def pattern_counts(
     the source order lands on.  The sample stream depends only on (seed,
     trials).  An order's ranks are cast to the chunk dtype of the module
     docstring once, and every chunk reads that copy.  With k = min(jobs,
-    chunks) workers, the calling thread alone when `jobs` is at most 1,
+    chunks, CPU count) workers, the calling thread alone when k is 1,
     worker j evaluates chunks j, j + k, j + 2k, ... and adds each one's
     histogram into a total of its own; the caller sums the k totals.  So
-    at most `jobs` chunks are in flight whatever the trial count.  The
+    at most k chunks are in flight whatever the trial count.  The
     workers share only a stop flag: one that raises sets it, the others
     stop at their next chunk, and its exception is raised here.
     """
@@ -293,7 +294,7 @@ def pattern_counts(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     chunks = -(-trials // CHUNK_SIZE)
-    workers = min(max(jobs, 1), chunks)
+    workers = min(max(jobs, 1), chunks, os.cpu_count() or 1)
     failed = threading.Event()
 
     def work(first: int) -> np.ndarray:
@@ -309,7 +310,7 @@ def pattern_counts(
             raise
         return total
 
-    if jobs <= 1:
+    if workers == 1:
         return work(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(work, range(workers)))

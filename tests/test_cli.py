@@ -757,6 +757,27 @@ def test_factor_bad_order_text_message_stays_short(tmp_path, capsys):
     )
 
 
+def test_factor_names_the_int_digit_limit_a_point_passes(tmp_path, capsys):
+    # 5,001 digits, past Python's default limit of 4,300 for `int` (4,000
+    # read, as in the test above): `int`'s own message names the limit and
+    # the point's digits.  A bad token before the point keeps the text's head
+    point = "1" + "0" * 5000
+    order_file = tmp_path / "order.txt"
+    order_file.write_text(f"{point} 2 3\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    last = err.splitlines()[-1]
+    assert last.startswith("error: line 1: Exceeds the limit (4300")
+    assert "5001 digits" in last and "sys.set_int_max_str_digits()" in last
+    line = f"2 x {point} 3"
+    order_file.write_text(line + "\n")
+    code, out, err = run_cli(["factor", "sign-2", str(order_file)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        f"error: line 1: bad order text {line[:40]!r}... ({len(line)} characters)"
+    )
+
+
 def test_factor_undecodable_file_is_a_format_error(tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_bytes(b"\xff\xfe 3 1\n")

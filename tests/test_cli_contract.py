@@ -141,6 +141,12 @@ CASES = {
         )
         for command in ("frequencies", "verify")
     },
+    # verify: below 5 x 3! trials the orbit-average check fails correct code
+    "verify-trials-29": Case(
+        ("verify", "--trials", "29"), code=2, stdout=EMPTY, timeout=5,
+        stderr="orderflow verify: error: argument --trials: --trials must be at least 30, got 29",
+    ),
+    "verify-trials-30": Case(("verify", "--trials", "30"), timeout=30),
 }
 
 

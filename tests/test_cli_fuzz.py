@@ -58,7 +58,9 @@ ORDER_FILE = (
 ARGUMENTS = {
     "verify": {
         "--max-window": refused_past(cli.MAX_VERIFY_WINDOW),
-        "--trials": refused_past(cli.MAX_FREQUENCY_TRIALS, "100"),
+        # at least 5 x 3! trials, and drawn only below the upper bound
+        "--trials": ((str(cli.MIN_VERIFY_TRIALS), "100"),
+                     (*SMALL, str(cli.MIN_VERIFY_TRIALS - 1), *count(cli.MAX_FREQUENCY_TRIALS)[1])),
         "--seed": SEED,
     },
     "frequencies": {

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -162,10 +163,12 @@ def test_worker_count_does_not_change_the_result(monkeypatch):
 
 
 def test_threaded_chunks_lose_no_update(monkeypatch):
-    # more workers than cores and a short switch interval, so the workers
-    # interleave mid-chunk: each adds into a total of its own and the caller
-    # sums them, so no hit may go missing or be counted twice
+    # more workers than cores, with the CPU count that caps them raised, and
+    # a short switch interval, so the workers interleave mid-chunk: each adds
+    # into a total of its own and the caller sums them, so no hit may go
+    # missing or be counted twice
     monkeypatch.setattr(stats, "CHUNK_SIZE", 100)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     source = random_linear_order(Window(tuple(range(30))), 4)
     window = Window(tuple(range(8)))
     serial = pattern_counts(source, window, trials=20_000, seed=9)
@@ -403,8 +406,10 @@ def test_workers_hold_at_most_jobs_chunks(monkeypatch, chunks, jobs):
     # the pool gets one task per worker, min(jobs, chunks) of them, not one
     # per chunk, no more than `jobs` chunks are evaluated at once, and every
     # chunk is evaluated once with its own seed and size.  At jobs 0 or -1
-    # no pool is built and the calling thread evaluates every chunk
+    # no pool is built and the calling thread evaluates every chunk.  The
+    # CPU count, which also caps the workers, is set past every `jobs` here
     monkeypatch.setattr(stats, "CHUNK_SIZE", 10)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     trials = chunks * 10 - 3
     lock = threading.Lock()
     running = peak = 0
@@ -447,6 +452,30 @@ def test_workers_hold_at_most_jobs_chunks(monkeypatch, chunks, jobs):
         (derive_seed(4, stats._SAMPLER_LABEL, i), min(10, trials - 10 * i)) for i in range(chunks)
     )
     assert counts[0] == trials and counts.sum() == trials
+
+
+@pytest.mark.parametrize("cpus", [2, None])
+def test_workers_are_at_most_the_cpus(monkeypatch, cpus):
+    # 32 jobs on 2 CPUs start 2 worker threads, and a CPU count that
+    # `os.cpu_count` cannot tell means 1; the histogram is that of one job
+    monkeypatch.setattr(stats, "CHUNK_SIZE", 100)
+    source = random_linear_order(Window(tuple(range(30))), 4)
+    window = Window(tuple(range(4)))
+    serial = pattern_counts(source, window, trials=20_000, seed=9, jobs=1)
+    threads = set()
+    chunk = stats._chunk_pattern_counts
+
+    def counted(*args):
+        threads.add(threading.get_ident())
+        return chunk(*args)
+
+    monkeypatch.setattr(stats, "_chunk_pattern_counts", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    threaded = pattern_counts(source, window, trials=20_000, seed=9, jobs=32)
+    assert np.array_equal(serial, threaded)
+    assert len(threads) <= (cpus or 1)
+    if cpus is None:
+        assert threads == {threading.get_ident()}
 
 
 def test_a_failing_chunk_stops_the_workers(monkeypatch):
