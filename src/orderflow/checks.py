@@ -13,6 +13,7 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -222,12 +223,21 @@ def orbit_frequencies(
     sources: Iterable[LinearOrder], window: Window, trials: int, seed: int
 ) -> None:
     """Per source, the histogram has a cell per pattern summing to the trials,
-    and every pattern's frequency lies within 3 binomial sigma of 1/w!."""
+    and every pattern's frequency lies within z binomial sigma of 1/w!.
+
+    The w! cells are tested together at the two-sided level of one 3-sigma
+    test, 0.27 %, split evenly over them (Bonferroni): z is the normal
+    point whose two tails hold 0.27 % / w!, 3.51 at w = 3.  So a correct
+    sampler fails a source's test at most about 0.27 % of the time,
+    however many cells the window has.
+    """
     w = len(window)
     cells = math.factorial(w)
     exact = Fraction(1, cells)
     p = float(exact)
-    tolerance = 3 * math.sqrt(p * (1 - p) / trials)
+    normal = NormalDist()
+    z = -normal.inv_cdf(normal.cdf(-3) / cells)
+    tolerance = z * math.sqrt(p * (1 - p) / trials)
     for source in sources:
         counts = stats.pattern_counts(source, window, trials, seed)
         ok = len(counts) == cells and counts.sum() == trials
@@ -236,5 +246,7 @@ def orbit_frequencies(
             if abs(Fraction(hits, trials) - exact) > tolerance:
                 [pattern] = orders.order_texts(window, core.position_tuples(w, w)[i : i + 1])
                 require(
-                    False, "pattern %s: |%.5f - %s| above 3 sigma", pattern, hits / trials, exact
+                    False,
+                    "pattern %s: |%.5f - %s| above %.2f sigma",
+                    pattern, hits / trials, exact, z,
                 )

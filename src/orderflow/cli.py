@@ -33,8 +33,8 @@ from .stats import derive_seed
 PROG = "orderflow"
 
 #: Largest `frequencies --window`: output grows with w! rows, so w=8 writes
-#: 40,320 rows (7.2 MB of JSON) in 0.7-0.95 s and 72 MB peak RSS at 20,000 or
-#: 100,000 trials on a 2-core Xeon; each step past it costs about 9x more.
+#: 40,320 rows (7.2 MB of JSON) in 0.38-0.47 s and 68 MB peak RSS at 20,000
+#: or 100,000 trials on a 2-core Xeon; each step past it costs about 9x more.
 MAX_FREQUENCY_WINDOW = 8
 
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
@@ -58,10 +58,10 @@ MAX_FREQUENCY_TRIALS = 10**8
 
 #: Least `verify --trials`: 5 x 3!, five expected hits in each cell of the
 #: orbit-average check's 3-window, the sparse-cell rule of `frequencies`.
-#: Below it the check's 3-sigma normal tolerance fails correct code more
-#: than twice as often: at seed 0 it fails at 2, 3, 4, 12, 24, 25, 28 and
-#: 29 trials and at none from 30 to 300; over seeds 0-39 it fails 5.2 % of
-#: the runs at 1 to 29 trials and 2.2 % at 30 to 99.
+#: Below it the check's normal tolerance fails correct code far more
+#: often: at seed 0 it fails at 3 trials and at none from 4 to 300; over
+#: seeds 0-39 it fails 2.0 % of the runs at 1 to 29 trials and 0.14 % at
+#: 30 to 99.
 MIN_VERIFY_TRIALS = 30
 
 #: Largest `frequencies --jobs`: each job is one OS thread that evaluates
@@ -222,45 +222,44 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # frequencies
 
 
-#: How `json.dumps` writes an int, a finite float and a string (the ASCII
-#: escaper it calls); values of any other type go through `json.dumps`.
-_JSON_SCALAR = {
-    int: int.__repr__,
-    float: float.__repr__,
-    str: json.encoder.encode_basestring_ascii,
-}
+def _json_items(values: list | tuple) -> list[str]:
+    """Each of a sequence of JSON scalars as the indenting encoder writes it,
+    from one `json.dumps` of them all by its C encoder, newline being the
+    item separator: ASCII escaping writes no scalar with a newline in it, so
+    splitting there gives one text per value."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
 
 
-def _json_value(value: object) -> str:
-    return _JSON_SCALAR.get(type(value), json.dumps)(value)
-
-
-def _json_text(rows: list[dict]) -> str:
-    """`json.dumps(rows, indent=2)` and a newline, for flat records holding
-    the first row's keys in its order, without the pure-Python encoder
-    that `indent` selects: one `%` template per record, built from the first
-    row's keys, takes each value written on its own."""
-    fields = (f"    {json.dumps(key).replace('%', '%%')}: %s" for key in rows[0])
+def _json_text(table: stats.RecordTable) -> str:
+    """`json.dumps(table.dicts(), indent=2)` and a newline, without the
+    pure-Python encoder that `indent` selects and without a dict per record.
+    One `%` template per record holds every key and each shared value,
+    encoded once, and a `%s` slot for each varying field's value."""
+    keys = [text.replace("%", "%%") for text in _json_items(table.keys)]
+    values = [text.replace("%", "%%") for text in _json_items(list(table.shared.values()))]
+    shared = dict(zip(table.shared, values))
+    fields = (f"    {text}: {shared.get(key, '%s')}" for key, text in zip(table.keys, keys))
     template = "  {\n" + ",\n".join(fields) + "\n  }"
+    columns = [_json_items(table.varying[key]) for key in table.keys if key in table.varying]
     # a generator, so the records are freed before the brackets are added:
     # held in a list, window 8's 7.5 MB text peaked 7.7 MB higher
-    records = (template % tuple(map(_json_value, row.values())) for row in rows)
+    records = (template % row for row in zip(*columns))
     return "[\n" + ",\n".join(records) + "\n]\n"
 
 
-def _render_stats(rows: list[dict], fmt: str) -> str:
+def _render_stats(table: stats.RecordTable, fmt: str) -> str:
     if fmt == "json":
-        return _json_text(rows)
+        return _json_text(table)
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buf)
+        writer.writerow(table.keys)
+        writer.writerows(table.rows())
         return buf.getvalue()
     lines = [
         f"pattern [{r['pattern']}]  exact {r['exact_num']}/{r['exact_den']}  "
         f"empirical {r['empirical']:.6f}  trials {r['trials']}"
-        for r in rows
+        for r in table.dicts()
     ]
     return "\n".join(lines) + "\n"
 
@@ -268,8 +267,8 @@ def _render_stats(rows: list[dict], fmt: str) -> str:
 def cmd_frequencies(args: argparse.Namespace) -> int:
     window = Window(range(args.window))
     counts = stats.pattern_counts(args.ground, window, args.trials, args.seed, jobs=args.jobs)
-    rows = stats.histogram_to_dicts(counts, window, args.seed)
-    _emit(_render_stats(rows, args.format), args.out)
+    table = stats.histogram_records(counts, window, args.seed)
+    _emit(_render_stats(table, args.format), args.out)
     if args.window > 1:
         chi2, df, max_z = stats.fit_summary(counts)
         line = f"chi-square: {chi2:.3f} on {df} df; max |z|: {max_z:.3f}"

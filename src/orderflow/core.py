@@ -138,6 +138,35 @@ def positions_from_digits(digits: np.ndarray) -> np.ndarray:
     return digits
 
 
+def pattern_index_from_digits(digits: np.ndarray) -> np.ndarray:
+    """`pattern_index(positions_from_digits(digits))`, read off the decode's
+    own comparisons; `digits` is overwritten and holds no positions after.
+
+    At decode step i, before the later entries shift, entries i + 1.. stand
+    in the order of their final positions, and an entry at or above digit
+    i ends above entry i.  So the number of later entries below entry i,
+    the pattern's count c_i, is k - 1 - i less the step's comparisons that
+    hold.  Summing the comparisons per step, in a uint8 row, and Horner
+    over those sums gives (k! - 1) minus the index: C(k, 2) comparisons per
+    tuple where decoding and then `pattern_index` make twice as many, and
+    the last step shifts nothing.  The Horner row and the result are in
+    the narrowest unsigned dtype that holds k! - 1, uint16 up to k = 8.
+    """
+    k = len(digits)
+    sums = np.empty((max(k - 1, 0),) + digits.shape[1:], dtype=np.uint8)
+    for i in range(k - 2, -1, -1):
+        above = digits[i + 1 :] >= digits[i]
+        np.add.reduce(above.view(np.uint8), axis=0, out=sums[i])
+        if i:
+            digits[i + 1 :] += above
+    last = math.factorial(k) - 1
+    complement = np.zeros(digits.shape[1:], dtype=np.min_scalar_type(last))
+    for i in range(k - 1):
+        complement *= k - i
+        complement += sums[i]
+    return last - complement
+
+
 #: Tuple tables `position_tuples` keeps, least recently used dropped first.
 #: One `factor` op reads its (n, k) table three times (`apply_code`,
 #: `KConfig.array`, `config_to_text`), a circular op a fourth time when

@@ -19,7 +19,7 @@ place.  The few outputs the rule rejects (about 2 in 10^4 at the CLI's
 one walk in order over the candidates, and skipped before the products are
 written again.  A trial's pattern index is the Lehmer code of the w source
 ranks it lands on, read off them by `core.pattern_index` without building
-their induced rank vector.
+their induced rank vector, or, for the natural order, off the decode itself.
 
 The chunk dtype.  Positions and ranks lie in [0, n), so a chunk decodes
 and compares them in the narrowest unsigned dtype that holds n - 1,
@@ -33,14 +33,17 @@ chunk casts its (w, count) rows.
 
 The source.  A run samples either an order's ranks or the natural order
 on range(n), given by its ground size n alone.  The natural order's ranks
-are its positions, so its chunks compare the decoded positions as they
-are, and the run holds nothing of size n.  An order's ranks are cast to
-the chunk dtype once per run, by `pattern_counts`, and a chunk gathers them
-through an `intp` copy of its positions: numpy's fancy indexing takes a
-slower path for any other index dtype.  At 1,000 points a natural chunk
-takes about 320 us at window 4 and 870 us at window 8, and gathering
-uint16 ranks by intp positions, the cast of the positions included, adds
-about 90 and 180 us.
+are its positions, and the comparisons that decode a trial's digits are
+those of its pattern, so its chunks read each trial's pattern off the
+decode, by `core.pattern_index_from_digits`: each of the C(w, 2) slot
+pairs is compared once, no positions are kept, and the run holds nothing
+of size n.  An order's ranks are cast to the chunk dtype once per run, by
+`pattern_counts`, and a chunk decodes its positions and gathers the ranks
+through an `intp` copy of them: numpy's fancy indexing takes a slower path
+for any other index dtype.  At 1,000 points a natural chunk takes about
+180 us at window 4 and 390 us at window 8, and an order's chunk, which
+gathers its uint16 ranks and compares them again, about 265 and 595 us
+(2-core Xeon).
 
 Sampling is chunked: chunk i draws from a generator seeded by a hash of
 (label, master seed, i).  Each worker adds the counts of its own strided
@@ -49,27 +52,31 @@ their order, so a run is reproducible for a fixed master seed at any
 worker count.
 
 A run is one count array indexed by `core.pattern_index`, `pattern_counts`.
-`fit_summary` reads it and `histogram_to_dicts` writes its JSON records;
-`stat_from_dict` reads a record back as a `PatternStat` with exact rationals.
+`fit_summary` reads it.  `histogram_records` holds its JSON records by
+field, a field that every record shares only once, and `histogram_to_dicts`
+lists them as dicts; `stat_from_dict` reads a record back as a
+`PatternStat` with exact rationals.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import operator
 import os
 import random
 import sys
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import Window, _text_head, pattern_index, position_tuples, positions_from_digits
-from .core import window_from_text, window_to_text
+from .core import Window, _text_head, pattern_index, pattern_index_from_digits
+from .core import position_tuples, positions_from_digits, window_from_text, window_to_text
 from .errors import FormatError, GroundTooSmall, WindowTooSmall
 from .orders import LinearOrder, order_from_text, order_texts
 
@@ -245,17 +252,20 @@ def _chunk_pattern_counts(
     of all_linear_orders.
 
     `source_ranks` is an order's ranks or, for the natural order on
-    range(n), the int n, whose positions are its ranks.  The chunk decodes
-    and compares in the dtype of the module docstring, so it costs O(w
-    count) at any ground size.  An order's ranks are gathered through an
-    intp copy of the positions, numpy's fast fancy-index path.
+    range(n), the int n, whose positions are its ranks: its chunk reads
+    each trial's index off the decode by `core.pattern_index_from_digits`
+    and keeps no positions.  An order's chunk decodes its positions and
+    gathers its ranks through an intp copy of them, numpy's fast
+    fancy-index path.  Either way the chunk decodes and compares in the
+    dtype of the module docstring, so it costs O(w count) at any ground size.
     """
     if isinstance(source_ranks, int):
-        r = _sample_positions(source_ranks, w, chunk_seed, count)
+        digits = _lehmer_digits(source_ranks, w, chunk_seed, count)
+        index = pattern_index_from_digits(digits.astype(np.min_scalar_type(source_ranks - 1)))
     else:
         positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
-        r = source_ranks[positions.astype(np.intp)]
-    return np.bincount(pattern_index(r), minlength=math.factorial(w))
+        index = pattern_index(source_ranks[positions.astype(np.intp)])
+    return np.bincount(index, minlength=math.factorial(w))
 
 
 def pattern_counts(
@@ -339,29 +349,57 @@ def fit_summary(counts: np.ndarray) -> tuple[float, int, float]:
 # JSON form
 
 
-def histogram_to_dicts(counts: np.ndarray, window: Window, seed: int) -> list[dict]:
+@dataclass(frozen=True)
+class RecordTable:
+    """Flat records held by field, so that a writer encodes a field every
+    record shares once: `keys` lists the fields in each record's order,
+    `shared` maps a field to the one value all records hold, and `varying`
+    maps each other field to its values, one per record, in record order.
+    At least one field varies."""
+
+    keys: tuple[str, ...]
+    shared: dict[str, object]
+    varying: dict[str, list]
+
+    def rows(self) -> Iterator[tuple]:
+        """Each record's values, in key order."""
+        varying, shared = self.varying, self.shared
+        columns = (varying[k] if k in varying else itertools.repeat(shared[k]) for k in self.keys)
+        return zip(*columns)
+
+    def dicts(self) -> list[dict]:
+        return [dict(zip(self.keys, row)) for row in self.rows()]
+
+
+def histogram_records(counts: np.ndarray, window: Window, seed: int) -> RecordTable:
     """One record per cell of a `pattern_counts` histogram, as `stat_from_dict`
     reads it: the trials are the sum of the counts, a pattern's text is the
     order text of its row of `position_tuples(w, w)`, and its empirical
-    frequency is the float nearest hits / trials."""
+    frequency is the float nearest hits / trials.  Only the pattern and the
+    frequency vary."""
     w = len(window)
     trials = int(counts.sum())
     if trials < 1 or len(counts) != math.factorial(w):
         raise ValueError(f"need {w}! cells holding trials, got {len(counts)} holding {trials}")
-    patterns = order_texts(window, position_tuples(w, w))
-    window_text = window_to_text(window)
-    return [
-        {
-            "pattern": pattern,
-            "window": window_text,
+    return RecordTable(
+        keys=("pattern", "window", "exact_num", "exact_den", "empirical", "trials", "seed"),
+        shared={
+            "window": window_to_text(window),
             "exact_num": 1,
             "exact_den": len(counts),
-            "empirical": hits / trials,
             "trials": trials,
             "seed": seed,
-        }
-        for pattern, hits in zip(patterns, counts.tolist())
-    ]
+        },
+        varying={
+            "pattern": order_texts(window, position_tuples(w, w)),
+            "empirical": [hits / trials for hits in counts.tolist()],
+        },
+    )
+
+
+def histogram_to_dicts(counts: np.ndarray, window: Window, seed: int) -> list[dict]:
+    """The records of `histogram_records`, one dict each."""
+    return histogram_records(counts, window, seed).dicts()
 
 
 def _hits_from_float(empirical: object, trials: int) -> int:

@@ -211,7 +211,8 @@ def test_frequencies_json_rows_near_one_sixth(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "elements, seed",
-    [((0,), 0), ((0, 1, 2), -7), ((-5, 3, 10**18), 2**70), ((-4, -2, 0, 9, 11), 11)],
+    [((0,), 0), ((0, 1, 2), -7), ((-5, 3, 10**18), 2**70), ((-4, -2, 0, 9, 11), 11),
+     ((-9, -1, 0, 2, 30, 10**20), 5)],
 )
 def test_frequencies_json_writer_matches_json_dumps(elements, seed):
     window = Window(elements)
@@ -219,17 +220,31 @@ def test_frequencies_json_writer_matches_json_dumps(elements, seed):
     counts = rng.integers(0, 4, math.factorial(len(window)))
     counts[0] = 1  # at least one trial; other cells may be 0
     rows = stats.histogram_to_dicts(counts, window, seed)
-    assert cli._render_stats(rows, "json") == json.dumps(rows, indent=2) + "\n"
+    table = stats.histogram_records(counts, window, seed)
+    assert cli._render_stats(table, "json") == json.dumps(rows, indent=2) + "\n"
+
+
+def _by_field(rows: list[dict], shared: tuple[str, ...] = ()) -> stats.RecordTable:
+    """The rows held by field, the named fields once for all of them."""
+    keys = tuple(rows[0])
+    varying = {k: [r[k] for r in rows] for k in keys if k not in shared}
+    return stats.RecordTable(keys, {k: rows[0][k] for k in shared}, varying)
 
 
 def test_json_writer_follows_the_record_keys():
-    # a field the record gains is written too, whatever its JSON type
+    # a field the record gains is written too, whatever its JSON type,
+    # whether it varies from record to record or every record shares it
     rows = [
         {"n": 1, "text": 'a "b" \u00e9', "x": 0.1, "flag": True, "none": None, "big": -(2**70),
          "50%": "%s"},
         {"n": -3, "text": "", "x": 1e-300, "flag": False, "none": None, "big": 0, "50%": "%"},
+        {"n": 7, "text": "two\nlines", "x": -0.0, "flag": True, "none": None, "big": 2**64,
+         "50%": "%%"},
     ]
-    assert cli._render_stats(rows, "json") == json.dumps(rows, indent=2) + "\n"
+    assert cli._render_stats(_by_field(rows), "json") == json.dumps(rows, indent=2) + "\n"
+    alike = [{**rows[0], "n": n} for n in (1, -3)]
+    shared = tuple(k for k in rows[0] if k != "n")
+    assert cli._render_stats(_by_field(alike, shared), "json") == json.dumps(alike, indent=2) + "\n"
 
 
 def test_frequencies_single_point_window(capsys):

@@ -198,6 +198,28 @@ def test_lehmer_decode_enumerates_the_injections_in_rank_order():
             assert core.position_tuples(n, w).shape == (0, w)
 
 
+def test_pattern_index_from_digits_is_the_decode_then_the_index():
+    # every digit tuple on up to 8 points and 6 slots, in the narrowest
+    # chunk dtype and in the int64 that numpy draws
+    for n in range(1, 9):
+        for w in range(min(n, 6) + 1):
+            radices = [range(n - i) for i in range(w)]
+            digits = np.array(list(itertools.product(*radices)), dtype=np.int64).T
+            want = core.pattern_index(core.positions_from_digits(digits.copy())).tolist()
+            for dtype in (np.uint8, np.int64):
+                got = core.pattern_index_from_digits(digits.astype(dtype))
+                assert got.tolist() == want, (n, w, dtype)
+
+
+@pytest.mark.parametrize("n", [256, 257, 65_536, 65_537])
+@pytest.mark.parametrize("w", [4, 8])
+def test_pattern_index_from_digits_at_the_dtype_steps(n, w):
+    # sampled digits, cast to the chunk dtype as a natural chunk casts them
+    digits = stats._lehmer_digits(n, w, n + w, 5_000).astype(np.min_scalar_type(n - 1))
+    want = core.pattern_index(core.positions_from_digits(digits.copy()))
+    assert np.array_equal(core.pattern_index_from_digits(digits), want)
+
+
 def _reference_chunk_counts(source_ranks, w, chunk_seed, count):
     """The chunk histogram by plain Python, sharing no code with core: each
     trial's digits are decoded by popping from the list of free positions,
