@@ -40,20 +40,21 @@ MAX_FREQUENCY_WINDOW = 8
 #: Largest `frequencies --ground`: sampling costs O(window) per trial at any
 #: ground size, in uint32 positions past 65,536 points, and the natural
 #: order is sampled by its ground size alone, so a run builds nothing of the
-#: ground's size.  At this size a run takes 0.26-0.36 s at the default
-#: window and trials and 0.26-0.34 s at window 4 and 20,000 trials, each at
-#: 37 MB peak RSS, as at 1,000 points, and 0.41-0.70 s at 62 MB at window 8
-#: and 100,000 trials, where a 10,000-trial chunk skips about 18 rejected
-#: draws, on a 2-core Xeon whose speed drifts from run to run; 0.25-0.34 s of
-#: that is interpreter start and imports.
+#: ground's size.  At this size a run takes 0.33-0.34 s at the default
+#: window and trials and 0.32-0.33 s at window 4 and 20,000 trials, each at
+#: 37 MB peak RSS, as at 1,000 points, and 0.36-0.51 s at 68 MB at window 8
+#: and 100,000 trials, where a 10,000-trial chunk redraws about 18 trials
+#: with a draw Lemire's rule rejects, on a 2-core Xeon whose speed drifts
+#: from run to run; 0.25-0.34 s of that is interpreter start and imports.
 MAX_FREQUENCY_GROUND = 1_000_000
 
 #: Largest `frequencies --trials` and `verify --trials`: sampling time grows
 #: linearly in the trials at flat memory, so only this bound ends a run in
 #: bounded time.  At it, `frequencies` takes 2.9-3.3 s at 37 MB peak RSS at
-#: window 4 and ground 1000, and 18.7-19.9 s at 75 MB at window 8 and ground
-#: 10^6, the slowest shape; `verify` takes 2.4-2.6 s at 39 MB, on a 2-core
-#: Xeon whose speed drifts from run to run.
+#: window 4 and ground 1000, 5.0-5.6 s at 68 MB at window 8 and ground 1000,
+#: and 7.5-9.7 s at 68 MB at window 8 and ground 10^6, the slowest shape;
+#: `verify` takes 2.4-2.6 s at 39 MB, on a 2-core Xeon whose speed drifts
+#: from run to run.
 MAX_FREQUENCY_TRIALS = 10**8
 
 #: Least `verify --trials`: 5 x 3!, five expected hits in each cell of the

@@ -10,16 +10,19 @@ positions onto the window.  The tuple is drawn as w Lehmer digits, digit i
 uniform on [0, n - i), and decoded by `core.positions_from_digits` in
 w - 1 vectorized passes over slot-major rows (Knuth, TAOCP vol. 2, section
 3.4.2; Bentley and Floyd, CACM 1987), so a trial costs O(w) draws and
-memory whatever the ground size n.  The digits are the ones numpy's
-`Generator.integers` would draw, computed from the bit generator's raw
-32-bit outputs by Lemire's multiply-and-reject rule (Lemire, ACM TOMACS
-29(1), 2019), copied into the slot-major buffer and multiplied there in
-place.  The few outputs the rule rejects (about 2 in 10^4 at the CLI's
-10^6 points, under 1 in 10^7 at 1,000) are found by one pass per slot and
-one walk in order over the candidates, and skipped before the products are
-written again.  A trial's pattern index is the Lehmer code of the w source
-ranks it lands on, read off them by `core.pattern_index` without building
-their induced rank vector, or, for the natural order, off the decode itself.
+memory whatever the ground size n.  The digits are computed from the bit
+generator's raw 32-bit outputs by Lemire's multiply-and-reject rule
+(Lemire, ACM TOMACS 29(1), 2019), copied into the slot-major buffer and
+multiplied there in place.  A trial with a rejected draw is redrawn whole
+from the outputs after the chunk's, which keeps every trial exactly
+uniform (see `_lehmer_digits`).  At the CLI's 10^6 points the rule rejects
+about 2.3 outputs in 10^4, so 0.18 % of the trials are redrawn at window
+8; at 1,000 points under 1 % of the 10,000-trial chunks meet a rejected
+draw.  The digits are numpy's `Generator.integers` ones until a chunk's
+first rejected draw, where numpy skips that one output instead.  A
+trial's pattern index is the Lehmer code of the w source ranks it lands
+on, read off them by `core.pattern_index` without building their induced
+rank vector, or, for the natural order, off the decode itself.
 
 The chunk dtype.  Positions and ranks lie in [0, n), so a chunk decodes
 and compares them in the narrowest unsigned dtype that holds n - 1,
@@ -85,11 +88,6 @@ from .orders import LinearOrder, order_from_text, order_texts
 CHUNK_SIZE = 10_000
 
 _SAMPLER_LABEL = "orbit-average"
-
-#: 32-bit outputs drawn beyond those a chunk's digits read, for rejected
-#: ones; a chunk whose skipped outputs outrun them draws the shortfall and
-#: this many again.
-_SPARE_OUTPUTS = 64
 
 #: Index of the low 32-bit half within a native 64-bit word.
 _LOW_HALF = 0 if sys.byteorder == "little" else 1
@@ -159,35 +157,35 @@ def derive_seed(master: int, label: str, index: int) -> int:
 
 
 def _raw_outputs(bitgen: np.random.BitGenerator, count: int) -> np.ndarray:
-    """At least `count` further 32-bit outputs of a PCG64 bit generator, in
-    the order its `next_uint32` returns them: the low, then the high half
-    of each 64-bit output."""
-    return np.asarray(bitgen.random_raw((count + 1) // 2), dtype="<u8").view("<u4")
+    """The next `count` 32-bit outputs of a PCG64 bit generator, in the
+    order its `next_uint32` returns them: the low, then the high half of
+    each of ceil(count / 2) 64-bit outputs.  An odd count drops the last
+    high half."""
+    words = np.asarray(bitgen.random_raw((count + 1) // 2), dtype="<u8")
+    return words.view("<u4")[:count]
 
 
 def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     """Slot-major (w, count) Lehmer digits, digit i of each trial uniform on
-    [0, n - i): the transpose of what `default_rng(chunk_seed).integers(0,
-    n - np.arange(w), size=(count, w))` returns, computed from the bit
-    generator's raw outputs without calling it.
+    [0, n - i), independent across slots and trials, drawn from the raw
+    outputs of `PCG64(chunk_seed)`.
 
-    numpy draws a digit with bound b < 2^32 by Lemire's rule (Lemire, ACM
-    TOMACS 29(1), 2019): with x the next 32-bit output, m = x b is kept
-    unless m mod 2^32 < 2^32 mod b, when the digit reads the output after;
-    the digit is m >> 32, and a bound of 1 reads nothing.  The digits read
-    the outputs in row-major (trial, slot) order, so one copy writes every
-    output, transposed, into the slot-major uint64 buffer, and one in-place
-    multiply turns it into every m, right up to the first rejection.  One
-    mixed-dtype multiply from the uint32 outputs straight into the buffer
-    timed the same at 1,000 points and window 4 and about 2 % slower at
-    window 8.
-
-    From the trial t of the first rejected output on, each slot lists the
-    outputs it would reject, x b mod 2^32 being one uint32 multiply, and a
-    walk over those few candidates in order skips output p when the slot
-    that reads it, (p - s) mod v with s outputs skipped before p, rejects
-    it.  Outputs are drawn while the skipped ones leave too few, and the
-    products of trials t on are written again from the outputs kept.
+    A digit with bound b < 2^32 is drawn by Lemire's rule (Lemire, ACM
+    TOMACS 29(1), 2019): with x a 32-bit output and m = x b, the digit is
+    m >> 32 unless m mod 2^32 < 2^32 mod b, when x is rejected.  The v
+    slots whose bound is above 1 read an output each; the others read none
+    and hold 0.  Trial t first reads outputs t v ... t v + v - 1, so one
+    copy writes every output, transposed, into the slot-major uint64
+    buffer, and one in-place multiply turns it into every m.  A trial
+    with a rejected draw is redrawn whole: the rejected trials, in
+    increasing order, each read the next v outputs, drawn as whole 64-bit
+    words by `_raw_outputs`, and this repeats until none is rejected.  Accepted draws are exactly uniform on their bounds
+    and read distinct outputs, and which redraw fills which trial depends
+    only on which trials were accepted, never on their digits, so every
+    trial is a uniform digit tuple.  These are the digits numpy's
+    `default_rng(chunk_seed).integers(0, n - np.arange(w), size=(count,
+    w))` draws, transposed, until a chunk's first rejected draw: numpy
+    skips that one output instead.
     """
     v = max(min(w, n - 1), 0)  # slots that read an output: bound n - i above 1
     digits = np.empty((w, count), dtype=np.int64)
@@ -197,47 +195,16 @@ def _lehmer_digits(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
     bounds = n - np.arange(v, dtype=np.uint64)
     thresholds = (2**32 % bounds).astype(np.uint32)
     bitgen = np.random.PCG64(chunk_seed)
-    raw = _raw_outputs(bitgen, v * count + _SPARE_OUTPUTS)
-    np.copyto(products, raw[: v * count].reshape(count, v).T)
+    np.copyto(products, _raw_outputs(bitgen, v * count).reshape(count, v).T)
     products *= bounds[:, None]
-    rejecting = np.flatnonzero(low.min(axis=1) < thresholds)
-    if len(rejecting):
-        t = min(int(np.argmax(low[k] < thresholds[k])) for k in rejecting)
-        tail = raw[t * v :]
-        skips: list[int] = []
-        walked = 0
-        while walked < len(tail):
-            rejects = [
-                set((walked + np.flatnonzero(tail[walked:] * b < h)).tolist())
-                for b, h in zip(bounds.astype(np.uint32), thresholds)
-            ]
-            for p in sorted(set().union(*rejects)):
-                if p in rejects[(p - len(skips)) % v]:
-                    skips.append(p)
-            walked = len(tail)
-            missing = v * (count - t) + len(skips) - len(tail)
-            if missing > 0:
-                tail = np.concatenate((tail, _raw_outputs(bitgen, missing + _SPARE_OUTPUTS)))
-        kept = np.delete(tail, skips)[: v * (count - t)]
-        np.multiply(kept.reshape(count - t, v).T, bounds[:, None], out=products[:, t:])
+    if (low.min(axis=1) < thresholds).any():
+        redraw = np.flatnonzero((low < thresholds[:, None]).any(axis=0))
+        while len(redraw):
+            raw = _raw_outputs(bitgen, v * len(redraw)).reshape(-1, v)
+            products[:, redraw] = raw.T * bounds[:, None]
+            redraw = redraw[(low[:, redraw] < thresholds[:, None]).any(axis=0)]
     products >>= 32
     return digits
-
-
-def _sample_positions(n: int, w: int, chunk_seed: int, count: int) -> np.ndarray:
-    """Slot-major (w, count) matrix of window positions: column t holds
-    trial t's w distinct positions, a uniform injection.
-
-    Each trial draws w independent Lehmer digits, digit i uniform on
-    [0, n - i), by `_lehmer_digits`, and decodes them (Knuth, TAOCP vol. 2,
-    section 3.4.2; Bentley and Floyd, CACM 1987).  Decoding is a bijection
-    from the digit tuples onto the n!/(n - w)! injections, so uniform digits
-    give a uniform injection in O(w) draws and O(w^2) comparisons per trial.
-    The digits are decoded, and the positions come back, in the chunk dtype
-    of the module docstring.
-    """
-    digits = _lehmer_digits(n, w, chunk_seed, count)
-    return positions_from_digits(digits.astype(np.min_scalar_type(n - 1)))
 
 
 def _chunk_pattern_counts(
@@ -251,20 +218,24 @@ def _chunk_pattern_counts(
     counts the pattern of row i of `position_tuples(w, w)`, the i-th order
     of all_linear_orders.
 
-    `source_ranks` is an order's ranks or, for the natural order on
-    range(n), the int n, whose positions are its ranks: its chunk reads
-    each trial's index off the decode by `core.pattern_index_from_digits`
-    and keeps no positions.  An order's chunk decodes its positions and
-    gathers its ranks through an intp copy of them, numpy's fast
-    fancy-index path.  Either way the chunk decodes and compares in the
-    dtype of the module docstring, so it costs O(w count) at any ground size.
+    The chunk draws each trial's w Lehmer digits by `_lehmer_digits` and
+    casts them once to the dtype of the module docstring.  Decoding is a
+    bijection from the digit tuples onto the n!/(n - w)! injections (Knuth,
+    TAOCP vol. 2, section 3.4.2), so uniform digits give a uniform
+    injection.  `source_ranks` is an order's ranks or, for the natural
+    order on range(n), the int n, whose positions are its ranks: its chunk
+    reads each trial's index off the decode by
+    `core.pattern_index_from_digits` and keeps no positions.  An order's
+    chunk decodes its positions and gathers its ranks through an intp copy
+    of them, numpy's fast fancy-index path.  Either way the chunk costs
+    O(w count) at any ground size.
     """
+    n = source_ranks if isinstance(source_ranks, int) else len(source_ranks)
+    digits = _lehmer_digits(n, w, chunk_seed, count).astype(np.min_scalar_type(n - 1))
     if isinstance(source_ranks, int):
-        digits = _lehmer_digits(source_ranks, w, chunk_seed, count)
-        index = pattern_index_from_digits(digits.astype(np.min_scalar_type(source_ranks - 1)))
+        index = pattern_index_from_digits(digits)
     else:
-        positions = _sample_positions(len(source_ranks), w, chunk_seed, count)
-        index = pattern_index(source_ranks[positions.astype(np.intp)])
+        index = pattern_index(source_ranks[positions_from_digits(digits).astype(np.intp)])
     return np.bincount(index, minlength=math.factorial(w))
 
 

@@ -42,7 +42,7 @@ VERIFY_FIXTURES = Path(__file__).resolve().parent / "data" / "verify"
 #: --seed 11), recorded with its stdout.
 FIT_LINES = {
     ("1000", "4"): "chi-square: 18.292 on 23 df; max |z|: 1.710",
-    ("1000000", "4"): "chi-square: 25.271 on 23 df; max |z|: 2.277",
+    ("1000000", "4"): "chi-square: 18.686 on 23 df; max |z|: 1.746",
     ("5", "5"): "chi-square: 113.344 on 119 df; max |z|: 3.060",
     ("50", "6"): "chi-square: 754.936 on 719 df; max |z|: 3.650",
 }
@@ -408,11 +408,12 @@ def test_frequencies_stdout_matches_the_recorded_fixtures(fmt, jobs, capsys):
 @pytest.mark.parametrize("jobs", ["1", "4"])
 @pytest.mark.parametrize("ground, window", [("1000000", "4"), ("5", "5"), ("50", "6")])
 def test_frequencies_rare_draws_match_the_recorded_fixtures(ground, window, jobs, capsys):
-    # recorded with --jobs 1 while the digits came from Generator.integers:
-    # at ground 10^6 every chunk rejects some 32-bit outputs (2^32 mod 10^6
-    # is 967,296), and at ground 5 the last digit's bound is 1, so it reads
-    # no output; window 6 (720 rows) was recorded while every row was
-    # rendered from its own PatternStat
+    # recorded with --jobs 1, grounds 5 and 50 while the digits came from
+    # Generator.integers, ground 10^6 since a trial with a rejected draw is
+    # redrawn whole, as every chunk there rejects some 32-bit outputs (2^32
+    # mod 10^6 is 967,296); --jobs 4 wrote the same bytes.  At ground 5 the
+    # last digit's bound is 1, so it reads no output; window 6 (720 rows)
+    # was recorded while every row was rendered from its own PatternStat
     code, out, err = run_cli(
         ["frequencies", "--ground", ground, "--window", window, "--trials", "20000",
          "--seed", "11", "--format", "csv", "--jobs", jobs],

@@ -103,19 +103,19 @@ CASES = {
         source="23f20b15b167c17565ff189a0e16f70599750c91178bd1860d15a7ca7a783f3b",
         timeout=30,
     ),
-    # frequencies: the largest ground, where chunks skip the most draws; the
-    # run builds nothing of the ground's size, so it peaks near 37 and 63 MiB
-    # (an order and window of 10^6 points would lift both past 95)
+    # frequencies: the largest ground, where chunks redraw the most trials;
+    # the run builds nothing of the ground's size, so it peaks near 37 and
+    # 63 MiB (an order and window of 10^6 points would lift both past 95)
     "frequencies-ground-10^6-window-8": Case(
         ("frequencies", "--ground", "1000000", "--trials", "100000", "--seed", "11",
          "--format", "csv", "--window", "8"),
-        stdout="88444b24ee8617a0f57dedf452a9c2614c40980f2b3a156e6fc8fffc8f3815a9",
+        stdout="3086b931d542088733f4604c5cc7d240711c62dd6a42716ad615a13a4ac4165f",
         peak_rss_mb=90,
     ),
     "frequencies-ground-10^6-window-5": Case(
         ("frequencies", "--ground", "1000000", "--trials", "100000", "--seed", "11",
          "--format", "csv", "--window", "5"),
-        stdout="58b38bea728389216fb113ac650724eac2af948253da1895cb5f1651a73eadb6",
+        stdout="de22541cf2d1659f4c6cd5bcb1af635a4be9aef9a9d147790e2f6442595dcd44",
         peak_rss_mb=60,
     ),
     # frequencies: at the rank dtype boundaries

@@ -8,7 +8,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -220,12 +219,43 @@ def test_pattern_index_from_digits_at_the_dtype_steps(n, w):
     assert np.array_equal(core.pattern_index_from_digits(digits), want)
 
 
+def _redraw_digits(n, w, seed, count):
+    """The slot-major (w, count) digits of the redraw rule, and its rejected
+    draws as (trial, slot), one list per pass that rejects any, by walking
+    the raw PCG64 outputs in plain Python.  The v slots whose bound n - i
+    is above 1 read one 32-bit output each, the others none.  The first
+    pass draws every trial, each later pass the trials the one before
+    rejected, in increasing order; a pass reading k outputs draws ceil(k /
+    2) 64-bit words and reads each low half, then high half.  With bound b,
+    output x gives the digit x b >> 32 and is rejected when x b mod 2^32 <
+    2^32 mod b."""
+    bitgen = np.random.PCG64(seed)
+    bounds = [n - i for i in range(w) if n - i > 1]
+    rows = [[0] * w for _ in range(count)]
+    rejected = []
+    trials = list(range(count))
+    while trials:
+        words = bitgen.random_raw((len(bounds) * len(trials) + 1) // 2).tolist()
+        outputs = iter([half for x in words for half in (x & 0xFFFFFFFF, x >> 32)])
+        rejects = []
+        for t in trials:
+            for i, b in enumerate(bounds):
+                m = next(outputs) * b
+                rows[t][i] = m >> 32
+                if m % 2**32 < 2**32 % b:
+                    rejects.append((t, i))
+        if rejects:
+            rejected.append(rejects)
+        trials = sorted({t for t, _ in rejects})
+    return np.array(rows, dtype=np.int64).reshape(count, w).T, rejected
+
+
 def _reference_chunk_counts(source_ranks, w, chunk_seed, count):
-    """The chunk histogram by plain Python, sharing no code with core: each
-    trial's digits are decoded by popping from the list of free positions,
-    and its pattern is looked up in itertools.permutations order."""
-    rng = np.random.default_rng(chunk_seed)
-    digits = rng.integers(0, len(source_ranks) - np.arange(w), size=(count, w)).tolist()
+    """The chunk histogram by plain Python, sharing no code with core or
+    stats: each trial's digits are drawn by `_redraw_digits` and decoded by
+    popping from the list of free positions, and its pattern is looked up
+    in itertools.permutations order."""
+    digits = _redraw_digits(len(source_ranks), w, chunk_seed, count)[0].T.tolist()
     index = {p: i for i, p in enumerate(itertools.permutations(range(w)))}
     counts = [0] * len(index)
     for row in digits:
@@ -259,21 +289,45 @@ DTYPE_BOUNDARIES = [
 
 @pytest.mark.parametrize("n, dtype", DTYPE_BOUNDARIES)
 @pytest.mark.parametrize("w", [4, 8])
-def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype, w):
+def test_chunk_counts_match_a_pure_python_route_at_the_dtype_boundaries(n, dtype, w, monkeypatch):
     # the chunk takes source ranks in any integer dtype: int64, as an order
     # holds them, and the chunk dtype, as pattern_counts passes them; the
-    # natural order it takes as the ground size alone.  The reference pops
-    # from a list of all n positions per trial, so the large grounds get few
-    # trials
+    # natural order it takes as the ground size alone.  Either way its
+    # digits reach the kernels in the chunk dtype, and an order's gathered
+    # ranks in the source dtype.  The reference pops from a list of all n
+    # positions per trial, so the large grounds get few trials
     count = 300 if n < 1000 else 20
-    assert stats._sample_positions(n, w, 0, 3).dtype == dtype
+    received = []
+    for name in ("pattern_index_from_digits", "positions_from_digits", "pattern_index"):
+        def spy(rows, kernel=getattr(stats, name), name=name):
+            received.append((name, rows.dtype))
+            return kernel(rows)
+
+        monkeypatch.setattr(stats, name, spy)
     for ranks in (list(range(n)), shuffled(n, n)):
         want = _reference_chunk_counts(ranks, w, n + w, count)
         for source_dtype in (np.int64, dtype):
+            received.clear()
             got = stats._chunk_pattern_counts(np.array(ranks, source_dtype), w, n + w, count)
             assert got.tolist() == want, (n, w, source_dtype)
+            assert received == [("positions_from_digits", dtype), ("pattern_index", source_dtype)]
+    received.clear()
     got = stats._chunk_pattern_counts(n, w, n + w, count)
     assert got.tolist() == _reference_chunk_counts(list(range(n)), w, n + w, count), (n, w)
+    assert received == [("pattern_index_from_digits", dtype)]
+
+
+# chunks of five trials at ground 10^6 whose first pass rejects a draw, so
+# that a trial's redrawn digits differ from numpy's
+@pytest.mark.parametrize("w, seed", [(4, 98), (8, 335)])
+def test_chunk_counts_match_a_pure_python_route_through_a_redraw(w, seed):
+    n, count = 10**6, 5
+    assert _redraw_digits(n, w, seed, count)[1]
+    ranks = np.random.default_rng(seed).permutation(n).astype(np.uint32)
+    want = _reference_chunk_counts(ranks.tolist(), w, seed, count)
+    assert stats._chunk_pattern_counts(ranks, w, seed, count).tolist() == want
+    want = _reference_chunk_counts(range(n), w, seed, count)
+    assert stats._chunk_pattern_counts(n, w, seed, count).tolist() == want
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
@@ -310,80 +364,76 @@ def _integers_digits(n, w, seed, count):
     return np.ascontiguousarray(rng.integers(0, n - np.arange(w), size=(count, w)).T)
 
 
-def _rejected_draws(n, w, seed, count):
-    """(trial, slot) of every rejected draw, by walking the 32-bit outputs
-    (low, then high half of each 64-bit output) against the bounds in plain
-    Python: with bound b, output x is rejected when x b mod 2^32 < 2^32 mod b,
-    and a bound of 1 reads no output."""
-    words = np.random.PCG64(seed).random_raw(w * count + 64).tolist()
-    outputs = iter([half for x in words for half in (x & 0xFFFFFFFF, x >> 32)])
-    rejected = []
-    for t in range(count):
-        for i in range(w):
-            b = n - i
-            if b == 1:
-                continue
-            while next(outputs) * b % 2**32 < 2**32 % b:
-                rejected.append((t, i))
-    return rejected
-
-
 @pytest.mark.parametrize("w", range(1, 9))
 def test_lehmer_digits_equal_numpys_bounded_draw(w):
+    # the redraw rule on every chunk of the grid, and numpy's own bounded
+    # draw on each chunk that meets no rejected draw
     for n in (1, 2, w, w + 1, 50, 1000, 65_537, 999_983, 10**6):
         if n < w:
             continue
         for count in (1, 7, 10_000):
             got = stats._lehmer_digits(n, w, 3 * n + count, count)
-            want = _integers_digits(n, w, 3 * n + count, count)
+            want, rejected = _redraw_digits(n, w, 3 * n + count, count)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, w, count)
+            if not rejected:
+                assert np.array_equal(got, _integers_digits(n, w, 3 * n + count, count))
 
 
 # seeds searched at ground 10^6, where 2^32 mod n is 967,296
 REJECTING_SEEDS = [
-    # (w, seed, count, rejected draws)
+    # (w, seed, count, rejected draws as (trial, slot), pass by pass)
     (4, 2739, 1, [(0, 0)]),  # the first digit of the chunk
     (4, 3314, 7, [(6, 3)]),  # its last digit
-    (8, 22, 10_000, [(3794, 3), (3794, 3)]),  # one digit, twice
-    (8, 109, 10_000, [(5234, 0), (5234, 2)]),  # two digits of one trial
-    # two digits of a chunk of 35 outputs, an odd count, so that one spare
-    # output is drawn at _SPARE_OUTPUTS = 1 and the second skip draws more
-    (5, 157298, 7, [(1, 3), (6, 3)]),
+    (8, 22, 10_000, [  # 27 trials redrawn, each once
+        (330, 3), (1270, 4), (1356, 0), (2345, 5), (2569, 2), (2712, 4), (2922, 7),
+        (3482, 3), (3791, 3), (4737, 3), (4891, 1), (5264, 5), (5352, 0), (5630, 6),
+        (5739, 2), (5769, 5), (6153, 3), (6183, 4), (6206, 0), (6233, 2), (6622, 7),
+        (6687, 0), (6903, 5), (7685, 1), (9109, 7), (9673, 4), (9789, 5),
+    ]),
+    (8, 109, 10_000, [  # 12 trials redrawn, each once
+        (123, 5), (2182, 4), (3688, 0), (3951, 4), (4652, 5), (6323, 7),
+        (7636, 5), (7926, 6), (7966, 7), (8936, 4), (9099, 5), (9716, 2),
+    ]),
+    # a chunk of 35 outputs, an odd count: the first pass drops the last
+    # high half, and the redraw of trial 1 reads the next 64-bit words
+    (5, 157298, 7, [(1, 3)]),
+    (8, 2782, 7, [(5, 5), (5, 3)]),  # trial 5's redraw is rejected again
+    (8, 28541, 7, [(3, 1), (3, 6)]),  # two draws of one trial
 ]
 
 
 @pytest.mark.parametrize("w, seed, count, expected", REJECTING_SEEDS)
-def test_lehmer_digits_follow_rejected_draws(w, seed, count, expected, monkeypatch):
-    assert not Counter(expected) - Counter(_rejected_draws(10**6, w, seed, count))
-    want = _integers_digits(10**6, w, seed, count)
-    assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want)
-    # the same digits with one or two spare outputs: outputs come in 64-bit
-    # pairs, so a chunk of an even count draws two spares either way
-    for spare in (2, 1):
-        monkeypatch.setattr(stats, "_SPARE_OUTPUTS", spare)
-        assert np.array_equal(stats._lehmer_digits(10**6, w, seed, count), want), spare
+def test_lehmer_digits_follow_rejected_draws(w, seed, count, expected):
+    want, rejected = _redraw_digits(10**6, w, seed, count)
+    assert [draw for rejects in rejected for draw in rejects] == expected
+    got = stats._lehmer_digits(10**6, w, seed, count)
+    assert np.array_equal(got, want)
+    # numpy's digits up to the trial of the first rejected draw, and not after
+    numpys, t = _integers_digits(10**6, w, seed, count), expected[0][0]
+    assert np.array_equal(got[:, :t], numpys[:, :t]) and not np.array_equal(got, numpys)
 
 
 @pytest.mark.parametrize("n", [10**8, 3 * 10**8])
 @pytest.mark.parametrize("w, count", [(5, 9_999), (8, 10_000)])
 def test_lehmer_digits_follow_rejected_draws_past_the_spare_outputs(n, w, count):
-    # 2^32 mod n is 94,967,296 at both grounds, so about 2 % of the outputs
-    # are skipped: over a thousand per chunk, far more than the spare
-    # outputs, so the chunk draws more and walks them too
+    # 2^32 mod n is 94,967,296 at both grounds, so about 2 % of the draws
+    # are rejected and a tenth or more of the trials redrawn: some redraws
+    # are rejected again, so the chunk takes two redraw passes or more
     seed = n + w
-    assert len(_rejected_draws(n, w, seed, count)) > 10 * stats._SPARE_OUTPUTS
-    want = _integers_digits(n, w, seed, count)
+    want, rejected = _redraw_digits(n, w, seed, count)
+    assert len(rejected) >= 2
     assert np.array_equal(stats._lehmer_digits(n, w, seed, count), want)
 
 
 def test_lehmer_digits_scan_the_low_halves_for_rejections():
     # at ground 3*10^8 a digit falls under 2^32 mod n = 94,967,296 about a
-    # third of the time, so a one-trial chunk whose only rejected draw is
-    # found by the low halves is often missed by a scan of the high halves
+    # third of the time, so a scan of the high halves, which hold the
+    # digits, redraws many trials the low halves accept and misses some
+    # they reject
     n = 3 * 10**8
     for w in (2, 4):
         for seed in range(200):
-            want = _integers_digits(n, w, seed, 1)
+            want, _ = _redraw_digits(n, w, seed, 1)
             assert np.array_equal(stats._lehmer_digits(n, w, seed, 1), want), (w, seed)
 
 
@@ -528,9 +578,8 @@ def test_sampler_matches_the_full_action_route():
     pattern = LinearOrder.from_ranked_elements((1, 2, 0))
     trials = 200
     hits_sampled = pattern_hits(source, pattern, trials, seed=3)
-    sampled = stats._sample_positions(
-        len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials
-    )
+    digits = stats._lehmer_digits(len(ground), 3, derive_seed(3, stats._SAMPLER_LABEL, 0), trials)
+    sampled = core.positions_from_digits(digits)
     source_config = apply_code(sign_code(2), source)
     target_config = apply_code(sign_code(2), pattern)
     hits = 0
