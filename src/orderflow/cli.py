@@ -70,12 +70,11 @@ MIN_VERIFY_TRIALS = 30
 #: least of the jobs, the chunks and `os.cpu_count()`, so at most that many
 #: chunks are in flight at any trial count.  A chunk is a few dozen short
 #: numpy calls with Python between them, so extra workers gain little, and
-#: workers past the CPUs only cost.  On a 2-core Xeon at ground 1000, 10^7
-#: trials at window 4 took 0.42-0.54 s and 37 MB peak RSS with `--jobs 1`,
-#: and with `--jobs 32` 0.52-0.99 s and 49-56 MB when every job was a thread
-#: against 0.47-0.51 s and 38-39 MB capped at the CPUs; 10^6 trials at
-#: window 8 took 0.45-0.60 s and 75 MB with 1, and with 32 0.65-0.76 s and
-#: 93-105 MB uncapped against 0.47-0.59 s and 78 MB capped.
+#: workers past the CPUs would only cost.  On a 2-core Xeon at ground 1000,
+#: 10^7 trials at window 4 take 0.47-0.53 s and 37 MB peak RSS with
+#: `--jobs 1` and 0.48-0.64 s and 38-39 MB with `--jobs 32`; 10^6 trials at
+#: window 8 take 0.43-0.45 s and 68 MB with 1 and 0.44-0.52 s and 71-72 MB
+#: with 32.
 MAX_FREQUENCY_JOBS = 32
 
 #: Largest `verify --max-window`: the bijection round trip reads the ranks of
@@ -94,8 +93,10 @@ MAX_VERIFY_WINDOW = 9
 #: size.  Here a proximality run takes 1.45-2.0 s and 147 MB peak RSS at
 #: window 10, and 1.8-2.1 s and 157 MB at window 1,000, on a 2-core Xeon;
 #: each order takes 0.55-0.8 s of it.  A minimality run at window 4 takes
-#: 1.4-1.75 s and 171 MB: one order, and 0.45-0.6 s for the order text of
-#: the `source:` stderr line.
+#: 1.25-1.5 s and 171 MB: one order, and 0.45-0.6 s for the order text of
+#: the `source:` stderr line.  Minimality's window is bounded by the ground
+#: alone, and its worst case is window = ground: 9.5-10.7 s and 540 MB,
+#: with 22.9 MB of stdout for a witness that moves every point.
 MAX_WITNESS_GROUND = 4**10
 
 #: Most injective k-tuples `factor` builds from its order file.  It caps the
@@ -115,13 +116,13 @@ MAX_FACTOR_TUPLES = 10**6
 #: `core.config_text_size` reads it off the order's points before a tuple is
 #: built, so sign-2 on 1,000 points of 4,000 digits each, 999,000 tuples and
 #: 8.0 GB of text, exits 2 in 0.75-0.9 s at 47 MB peak RSS.  At the bound,
-#: sign-4 on 33 six-digit points (32.4 MB) and sign-6 on 12 (31.3 MB) take
-#: 0.7 s and 185 MB peak RSS, and sign-2 on 1,000 13-digit points (33.0 MB)
-#: 0.7 s and 150 MB, on a 2-core Xeon.  An order file longer than the bound
-#: is refused after reading one byte past it: the 79 MB of `seq -s " " 0
-#: 9999999` exit 2 in 0.2-0.3 s at 66 MB, and a 32 MiB line of 2^24
-#: one-digit points, split no further than the point cap, in 0.45-0.5 s at
-#: 98 MB.
+#: sign-4 on 33 six-digit points (32.4 MB) takes 0.5-0.6 s and 163 MB peak
+#: RSS, sign-6 on 12 (31.3 MB) 0.6-0.7 s and 158 MB, and sign-2 on 1,000
+#: 13-digit points (33.0 MB) 0.45-0.6 s and 150 MB, on a 2-core Xeon.  An
+#: order file longer than the bound is refused after reading one byte past
+#: it: the 79 MB of `seq -s " " 0 9999999` exit 2 in 0.2-0.3 s at 66 MB, and
+#: a 32 MiB line of 2^24 one-digit points, split no further than the point
+#: cap, in 0.45-0.5 s at 98 MB.
 MAX_FACTOR_BYTES = 2**25
 
 

@@ -357,9 +357,10 @@ def _preimage_positions(alpha: FinPerm, window: Window, domain: Window) -> np.nd
     positions = np.empty(len(window), dtype=np.intp)
     for i, x in enumerate(window):
         y = preimage.get(x, x)
-        if y not in domain:
-            raise DomainEscape(f"preimage {y} of {x} lies outside {_window_phrase(domain)}")
-        positions[i] = domain.position(y)
+        try:
+            positions[i] = domain.position(y)
+        except OutOfWindow:
+            raise DomainEscape(f"preimage {y} of {x} lies outside {_window_phrase(domain)}") from None
     return positions
 
 

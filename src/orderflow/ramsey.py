@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -170,10 +170,10 @@ def verify_proximality(witness: Witness, o1: LinearOrder, o2: LinearOrder) -> bo
 def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
     """Permutation realizing the target pattern inside the source order.
 
-    Picks |W| ground points (the window itself when it sits inside the
-    ground), sends the i-th lowest of them under the source order to the
-    element of W with target rank i, and extends canonically.  The witness
-    is returned unchecked: `verify_minimality` is the caller's check.
+    Takes the ground's first |W| points, sends the i-th lowest of them
+    under the source order to the element of W with target rank i, and
+    extends canonically.  The witness is returned unchecked:
+    `verify_minimality` is the caller's check.
     """
     ground = source.window
     W = target.window
@@ -181,11 +181,7 @@ def minimality_witness(source: LinearOrder, target: LinearOrder) -> Witness:
         raise GroundTooSmall(
             f"ground size {len(ground)} below the window size {len(W)}"
         )
-    if all(x in ground for x in W):
-        chosen: Sequence[int] = W.elements
-    else:
-        chosen = ground.elements[: len(W)]
-    by_source = sorted(chosen, key=source.rank_of)
+    by_source = [ground.elements[p] for p in np.argsort(source.ranks[: len(W)]).tolist()]
     by_target = target.ranked_elements()
     return Witness(extend_bijection(dict(zip(by_source, by_target))), W, MINIMALITY)
 
